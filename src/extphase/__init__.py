@@ -9,8 +9,6 @@ invariant-verification harness with a CLI.
 
 from .core import (
     DIAGONAL_TOL,
-    ExtendedPoint,
-    PhasePoint,
     apply_A,
     apply_AT,
     defect_norm,
@@ -87,7 +85,6 @@ from .projection import SolverConfig, StepStats, residual, semiexplicit_step, so
 from .splitting import (
     CompositionScheme,
     TaoParams,
-    compose,
     composed_step,
     composition_scheme,
     coupling_flow,

@@ -8,13 +8,11 @@ The diagonal subspace ``x == q, y == p`` is the kernel of the constraint
 operator implemented by :func:`apply_A`; its transpose is :func:`apply_AT`
 and ``A @ A.T == 2*I`` holds exactly.
 
-All functions here are pure and allocation-light; validation lives in the
-:class:`PhasePoint` / :class:`ExtendedPoint` wrappers used at API borders.
+All functions here are pure and allocation-light, and each checks the
+shape of its operand, raising :class:`DimensionMismatch` on a bad layout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +20,6 @@ from .errors import DimensionMismatch, NotOnDiagonal
 
 # Relative tolerance for diagonal membership, scaled by max(1, |zeta|_inf).
 DIAGONAL_TOL = 1e-12
-
-
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr
 
 
 def embed(z: np.ndarray) -> np.ndarray:
@@ -97,94 +88,3 @@ def _extended_dim(zeta: np.ndarray) -> int:
             f"extended state must have length 4*d with d >= 1, got shape {zeta.shape}"
         )
     return zeta.size // 4
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Validated point ``(q, p)`` of the original phase space."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = _as_vector(self.q, "q")
-        p = _as_vector(self.p, "p")
-        if q.size != p.size or q.size == 0:
-            raise DimensionMismatch("q and p must have equal positive length")
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            raise ValueError("phase-space coordinates must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def dim(self) -> int:
-        return self.q.size
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.concatenate((self.q, self.p))
-
-    @classmethod
-    def from_z(cls, z) -> "PhasePoint":
-        z = _as_vector(z, "z")
-        if z.size % 2:
-            raise DimensionMismatch("z must have even length")
-        d = z.size // 2
-        return cls(z[:d], z[d:])
-
-    def embed(self) -> "ExtendedPoint":
-        return ExtendedPoint.from_zeta(embed(self.z))
-
-
-@dataclass(frozen=True)
-class ExtendedPoint:
-    """Validated point ``(q, x, p, y)`` of the doubled phase space."""
-
-    q: np.ndarray
-    x: np.ndarray
-    p: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        blocks = {}
-        size = None
-        for name in ("q", "x", "p", "y"):
-            b = _as_vector(getattr(self, name), name)
-            if not np.isfinite(b).all():
-                raise ValueError(f"block {name} must be finite")
-            if size is None:
-                size = b.size
-            elif b.size != size:
-                raise DimensionMismatch("all four blocks must have equal length")
-            blocks[name] = b
-        if size == 0:
-            raise DimensionMismatch("dimension must be at least 1")
-        for name, b in blocks.items():
-            object.__setattr__(self, name, b)
-
-    @property
-    def dim(self) -> int:
-        return self.q.size
-
-    @property
-    def zeta(self) -> np.ndarray:
-        return np.concatenate((self.q, self.x, self.p, self.y))
-
-    @property
-    def eta(self) -> np.ndarray:
-        """First-copy gather ``(q, y)``."""
-        return np.concatenate((self.q, self.y))
-
-    @property
-    def xi(self) -> np.ndarray:
-        """Second-copy gather ``(x, p)``."""
-        return np.concatenate((self.x, self.p))
-
-    @classmethod
-    def from_zeta(cls, zeta) -> "ExtendedPoint":
-        zeta = _as_vector(zeta, "zeta")
-        d = _extended_dim(zeta)
-        return cls(zeta[0:d], zeta[d : 2 * d], zeta[2 * d : 3 * d], zeta[3 * d :])
-
-    def restrict(self, tol: float = DIAGONAL_TOL) -> PhasePoint:
-        return PhasePoint.from_z(restrict(self.zeta, tol))

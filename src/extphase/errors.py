@@ -41,5 +41,5 @@ class UnsupportedOrder(ExtPhaseError):
     """Requested integrator order is not provided."""
 
 
-class ConfigError(ExtPhaseError):
-    """Invalid experiment configuration."""
+class ConfigError(ExtPhaseError, ValueError):
+    """Invalid experiment, solver or coupling configuration."""

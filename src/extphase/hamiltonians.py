@@ -43,12 +43,6 @@ class HamiltonianSystem(ABC):
     def grad(self, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Joint gradient ``(D1H, D2H)``; one vector-field evaluation."""
 
-    def grad_q(self, q, p) -> np.ndarray:
-        return self.grad(q, p)[0]
-
-    def grad_p(self, q, p) -> np.ndarray:
-        return self.grad(q, p)[1]
-
     def energy_z(self, z: np.ndarray) -> float:
         d = self.dim
         return self.energy(z[:d], z[d:])

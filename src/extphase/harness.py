@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .hamiltonians import (
     make_vortices,
 )
 from .implicit_rk import gl_step, gl_tableau
-from .projection import SolverConfig, semiexplicit_step
+from .projection import SolverConfig, StepStats, semiexplicit_step
 from .splitting import TaoParams, composed_step, composition_scheme, pihajoki_step, tao_step
 
 METHODS = ("pihajoki", "tao", "semiexplicit", "gl2", "gl4", "gl6")
@@ -91,12 +91,13 @@ class ExperimentSpec:
                 raise ConfigError("order 4 uses the triple_jump or suzuki composition")
             if self.order == 6 and comp not in (None, "yoshida"):
                 raise ConfigError("order 6 uses the yoshida composition")
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be at least 1")
-        if self.omega < 0.0:
-            raise ConfigError("omega must be non-negative")
+        SolverConfig(self.tol, self.max_iter, self.solver, self.warm_start)
+        TaoParams(self.omega)
+        if self.method == "tao":
+            # the angle coupling_flow rotates by in each substep
+            gammas = composition_scheme(self.scheme_label).coefficients
+            if not all(math.isfinite(2.0 * self.omega * (g * self.dt)) for g in gammas):
+                raise ConfigError("omega is too large: the coupling rotation angle overflows")
         if self.record_stride is not None and self.record_stride < 1:
             raise ConfigError("record_stride must be at least 1")
         self._initial_state_shape()
@@ -267,81 +268,85 @@ def build_system(spec: ExperimentSpec):
     return system, z0, invs
 
 
+def _make_step(spec: ExperimentSpec):
+    """Build the run's ``step(system, dt, state) -> (state, StepStats)``.
+
+    Returns ``(step, cost)``: every pass of the step (a projection
+    iteration, a Gauss sweep, or one explicit step) costs exactly ``cost``
+    gradient evaluations.  The state is the embedded point ``zeta`` for the
+    explicit methods and ``z`` otherwise.  This module's step attributes are
+    looked up when the run starts or at call time, never at import, so a
+    wrapper installed on one of them sees every call of the run.
+    """
+    cfg = SolverConfig(spec.tol, spec.max_iter, spec.solver, spec.warm_start)
+    if spec.method.startswith("gl"):
+        tableau = gl_tableau(int(spec.method[2]))
+        return partial(gl_step, tableau=tableau, cfg=cfg), tableau.stages
+
+    scheme = composition_scheme(spec.scheme_label)
+    if spec.method == "tao":
+        base = partial(tao_step, params=TaoParams(spec.omega))
+        cost = (4 if spec.omega != 0.0 else 3) * len(scheme)
+    else:
+        base, cost = pihajoki_step, 3 * len(scheme)
+    inner = composed_step(base, scheme)
+
+    if spec.method == "semiexplicit":
+        mu_prev = None
+
+        def step(system, dt, z):
+            nonlocal mu_prev
+            mu0 = mu_prev if cfg.warm_start else None
+            z, stats = semiexplicit_step(system, inner, dt, z, cfg, mu0=mu0)
+            mu_prev = stats.mu
+            return z, stats
+
+        return step, cost
+
+    def step(system, dt, zeta):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                zeta = inner(system, dt, zeta)
+        except OverflowError:
+            zeta = np.full_like(zeta, np.nan)
+        if not np.isfinite(zeta).all():
+            raise NonConvergence("state is no longer finite; the copies separated")
+        # an explicit step is one pass of fixed cost, with no iterations
+        return zeta, StepStats(0, cost, True, 0.0, defect_norm=defect_norm(zeta))
+
+    return step, cost
+
+
 class _Advancer:
-    """Uniform stepping facade over the three method families."""
+    """Steps one run and checks each step's gradient cost."""
 
     def __init__(self, spec: ExperimentSpec, system: HamiltonianSystem, z0: np.ndarray):
-        self.spec = spec
         self.counter = EvalCounter()
         self.system = system.with_counter(self.counter)
         self.extended = spec.method in ("pihajoki", "tao")
+        self._step, self.cost_per_pass = _make_step(spec)
+        z0 = np.asarray(z0, dtype=float)
+        self.state = embed(z0) if self.extended else z0
         self.itr_last = 0
         self.defect_last = 0.0
-        self.converged_steps = 0
-        self._mu_prev = None
         self.vf_last = 0
-        if spec.method.startswith("gl"):
-            self._tableau = gl_tableau(int(spec.method[2]))
-            self._cfg = SolverConfig(spec.tol, spec.max_iter, spec.solver, spec.warm_start)
-            self.z = np.asarray(z0, dtype=float)
-        else:
-            scheme = composition_scheme(spec.scheme_label)
-            if spec.method == "tao":
-                params = TaoParams(spec.omega)
-
-                def base(system, dt, zeta):
-                    return tao_step(system, dt, zeta, params)
-
-                substep_cost = 4 if spec.omega != 0.0 else 3
-            else:
-                base = pihajoki_step
-                substep_cost = 3
-            self._step = composed_step(base, scheme)
-            self.cost_per_iter = substep_cost * len(scheme)
-            if spec.method == "semiexplicit":
-                self._cfg = SolverConfig(spec.tol, spec.max_iter, spec.solver, spec.warm_start)
-                self.z = np.asarray(z0, dtype=float)
-            else:
-                self.zeta = embed(np.asarray(z0, dtype=float))
+        self.converged_steps = 0
 
     def state_z(self) -> np.ndarray:
         if self.extended:
             d = self.system.dim
-            return np.concatenate((self.zeta[0:d], self.zeta[2 * d : 3 * d]))
-        return self.z
+            return np.concatenate((self.state[0:d], self.state[2 * d : 3 * d]))
+        return self.state
 
     def advance(self, dt: float) -> None:
         before = self.counter.n_grad
-        if self.extended:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    self.zeta = self._step(self.system, dt, self.zeta)
-            except OverflowError:
-                self.zeta = np.full_like(self.zeta, np.nan)
-            if not np.isfinite(self.zeta).all():
-                raise NonConvergence("state is no longer finite; the copies separated")
-            self.itr_last = 0
-            self.defect_last = defect_norm(self.zeta)
-            expected = self.cost_per_iter
-            self.converged_steps += 1
-        elif self.spec.method == "semiexplicit":
-            mu0 = self._mu_prev if self._cfg.warm_start else None
-            self.z, stats = semiexplicit_step(
-                self.system, self._step, dt, self.z, self._cfg, mu0=mu0
-            )
-            self._mu_prev = stats.mu
-            self.itr_last = stats.iterations
-            self.defect_last = stats.defect_norm
-            expected = self.cost_per_iter * stats.iterations
-            self.converged_steps += int(stats.converged)
-        else:
-            self.z, stats = gl_step(self.system, dt, self.z, self._tableau, self._cfg)
-            self.itr_last = stats.iterations
-            self.defect_last = 0.0
-            expected = self._tableau.stages * stats.iterations
-            self.converged_steps += int(stats.converged)
+        self.state, stats = self._step(self.system, dt, self.state)
+        self.itr_last = stats.iterations
+        self.defect_last = stats.defect_norm
+        self.converged_steps += int(stats.converged)
         spent = self.counter.n_grad - before
         self.vf_last = spent
+        expected = self.cost_per_pass * max(stats.iterations, 1)  # explicit: one pass
         if spent != expected:
             raise AssertionError(
                 f"cost accounting violated: spent {spent} gradient evaluations, "
@@ -409,9 +414,11 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
         steps.append(k)
         times.append(k * spec.dt)
         defect.append(adv.defect_last if k else 0.0)
-        energy_err.append(abs(system.energy_z(z) - e0) / e_scale)
-        for (name, inv), v0, scale in zip(invs, inv0, inv_scale):
-            drifts[name].append(abs(inv.evaluate(z) - v0) / scale)
+        # a blown-up state records inf/nan here rather than a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy_err.append(abs(system.energy_z(z) - e0) / e_scale)
+            for (name, inv), v0, scale in zip(invs, inv0, inv_scale):
+                drifts[name].append(abs(inv.evaluate(z) - v0) / scale)
         itr.append(adv.itr_last if k else 0)
         vf.append(adv.vf_last if k else 0)
         if states is not None:

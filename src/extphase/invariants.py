@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import apply_A
 from .errors import DimensionMismatch
 from .hamiltonians import HamiltonianSystem
 
@@ -310,11 +309,6 @@ def drift_series(states, invariants) -> dict:
         scale = max(abs(values[0]), DRIFT_FLOOR)
         out[name] = np.abs(values - values[0]) / scale
     return out
-
-
-def defect_series(extended_states) -> np.ndarray:
-    """Euclidean copy-mismatch norm along a doubled-space trajectory."""
-    return np.array([float(np.linalg.norm(apply_A(np.asarray(z)))) for z in extended_states])
 
 
 # ---------------------------------------------------------------------------

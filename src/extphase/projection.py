@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import apply_A, apply_AT, embed, restrict
-from .errors import NonConvergence
+from .errors import ConfigError, NonConvergence
 from .hamiltonians import EvalCounter, HamiltonianSystem
 from .splitting import ExtendedStep
 
@@ -45,21 +45,21 @@ class SolverConfig:
 
     def __post_init__(self):
         if not (self.tol > 0.0 and self.tol >= 1e-16):
-            raise ValueError("tol must be positive and no smaller than 1e-16")
+            raise ConfigError("tol must be positive and no smaller than 1e-16")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise ConfigError("max_iter must be at least 1")
         if self.method not in SOLVER_METHODS:
-            raise ValueError(f"method must be one of {SOLVER_METHODS}")
+            raise ConfigError(f"solver must be one of {SOLVER_METHODS}")
 
 
 @dataclass
 class StepStats:
-    """Cost accounting for one implicit step.
+    """Cost accounting for one step.
 
     ``iterations`` counts residual evaluations (projection) or fixed-point
-    sweeps (stage solves); ``vf_evals`` counts joint gradient evaluations,
-    so ``vf_evals == iterations * <gradient cost of one inner step>`` for a
-    converged projection solve.
+    sweeps (stage solves), and is 0 for an explicit step; ``vf_evals``
+    counts joint gradient evaluations, so ``vf_evals == iterations *
+    <gradient cost of one inner step>`` for a converged projection solve.
     """
 
     iterations: int
@@ -76,15 +76,12 @@ def residual(
     dt: float,
     zeta_n: np.ndarray,
     mu: np.ndarray,
-) -> np.ndarray:
+):
     """Projection residual ``A Phi(zeta_n + A^T mu) + 2 mu``.
 
-    Exactly one inner-step evaluation.
+    Returns ``(r, image)`` with ``image = Phi(zeta_n + A^T mu)``, the
+    inner-step output; exactly one inner-step evaluation.
     """
-    return _residual_with_image(system, extended_step, dt, zeta_n, mu)[0]
-
-
-def _residual_with_image(system, extended_step, dt, zeta_n, mu):
     image = extended_step(system, dt, zeta_n + apply_AT(mu))
     return apply_A(image) + 2.0 * mu, image
 
@@ -120,21 +117,21 @@ def solve_mu(
     r0_norm = None
     iterations = 0
 
+    def failure(message):
+        return NonConvergence(
+            message, best=best_mu, final_residual=best_norm, iterations=iterations
+        )
+
     while True:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                r, image = _residual_with_image(metered, extended_step, dt, zeta_n, mu)
+                r, image = residual(metered, extended_step, dt, zeta_n, mu)
             r_norm = float(np.max(np.abs(r)))
         except OverflowError:
             r_norm = np.inf
         iterations += 1
         if not np.isfinite(r_norm):
-            raise NonConvergence(
-                "projection residual is no longer finite; reduce the step size",
-                best=best_mu,
-                final_residual=best_norm,
-                iterations=iterations,
-            )
+            raise failure("projection residual is no longer finite; reduce the step size")
         if r_norm < best_norm:
             best_norm = r_norm
             best_mu = mu.copy()
@@ -144,19 +141,11 @@ def solve_mu(
             stats = StepStats(iterations, meter.n_grad, True, r_norm, mu=mu.copy())
             return mu, image, stats
         if r_norm > DIVERGENCE_FACTOR * r0_norm:
-            raise NonConvergence(
-                f"projection solve diverged: residual {r_norm:.3e} from {r0_norm:.3e}",
-                best=best_mu,
-                final_residual=best_norm,
-                iterations=iterations,
-            )
+            raise failure(f"projection solve diverged: residual {r_norm:.3e} from {r0_norm:.3e}")
         if iterations >= cfg.max_iter:
-            raise NonConvergence(
+            raise failure(
                 f"projection solve stalled at residual {r_norm:.3e} after "
-                f"{iterations} iterations (tol {cfg.tol:.1e})",
-                best=best_mu,
-                final_residual=best_norm,
-                iterations=iterations,
+                f"{iterations} iterations (tol {cfg.tol:.1e})"
             )
         if cfg.method == "simplified_newton":
             mu = mu - 0.25 * r

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .hamiltonians import HamiltonianSystem
 
 # One step of an integrator on the doubled space: (system, dt, zeta) -> zeta'.
@@ -43,7 +43,7 @@ class TaoParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega >= 0.0):
-            raise ValueError("omega must be finite and non-negative")
+            raise ConfigError("omega must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -126,21 +126,8 @@ def pihajoki_step(system: HamiltonianSystem, dt: float, zeta: np.ndarray) -> np.
     Second order, symmetric, symplectic on the doubled space; exactly three
     gradient evaluations.
     """
-    d = _check_dim(system, zeta)
-    out = zeta.copy()
-    q, x = out[0:d], out[d : 2 * d]
-    p, y = out[2 * d : 3 * d], out[3 * d :]
     h = 0.5 * dt
-    gq, gp = system.grad(q, y)
-    x += h * gp
-    p -= h * gq
-    gq, gp = system.grad(x, p)
-    q += dt * gp
-    y -= dt * gq
-    gq, gp = system.grad(q, y)
-    x += h * gp
-    p -= h * gq
-    return out
+    return flow_a(system, h, flow_b(system, dt, flow_a(system, h, zeta)))
 
 
 def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
@@ -186,39 +173,10 @@ def tao_step(
     """
     if params.omega == 0.0:
         return pihajoki_step(system, dt, zeta)
-    d = _check_dim(system, zeta)
-    out = zeta.copy()
-    q, x = out[0:d], out[d : 2 * d]
-    p, y = out[2 * d : 3 * d], out[3 * d :]
     h = 0.5 * dt
-    gq, gp = system.grad(q, y)
-    x += h * gp
-    p -= h * gq
-    gq, gp = system.grad(x, p)
-    q += h * gp
-    y -= h * gq
-    out = coupling_flow(params.omega, dt, out)
-    q, x = out[0:d], out[d : 2 * d]
-    p, y = out[2 * d : 3 * d], out[3 * d :]
-    gq, gp = system.grad(x, p)
-    q += h * gp
-    y -= h * gq
-    gq, gp = system.grad(q, y)
-    x += h * gp
-    p -= h * gq
-    return out
-
-
-def compose(
-    base_step: Callable[[float, np.ndarray], np.ndarray],
-    scheme: CompositionScheme,
-    dt: float,
-    state: np.ndarray,
-) -> np.ndarray:
-    """Apply ``base_step`` with substeps ``gamma_i * dt`` in schedule order."""
-    for gamma in scheme.coefficients:
-        state = base_step(gamma * dt, state)
-    return state
+    zeta = flow_b(system, h, flow_a(system, h, zeta))
+    zeta = coupling_flow(params.omega, dt, zeta)
+    return flow_a(system, h, flow_b(system, h, zeta))
 
 
 def composed_step(base: ExtendedStep, scheme: CompositionScheme) -> ExtendedStep:

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from extphase import (
-    DimensionMismatch,
-    ExtendedPoint,
     NotOnDiagonal,
-    PhasePoint,
     apply_A,
     apply_AT,
     defect_norm,
@@ -111,36 +108,3 @@ def test_defect_norm_matches_constraint_norm():
     for _ in range(50):
         zeta = rng.normal(size=12)
         assert defect_norm(zeta) == pytest.approx(np.linalg.norm(apply_A(zeta)), rel=1e-15)
-
-
-def test_phase_point_validation():
-    with pytest.raises(DimensionMismatch):
-        PhasePoint(np.array([1.0]), np.array([1.0, 2.0]))
-    with pytest.raises(DimensionMismatch):
-        PhasePoint(np.array([]), np.array([]))
-    with pytest.raises(ValueError):
-        PhasePoint(np.array([np.nan]), np.array([1.0]))
-    pt = PhasePoint(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert pt.dim == 2
-    assert pt.z.tolist() == [1, 2, 3, 4]
-    assert PhasePoint.from_z(pt.z).q.tolist() == [1, 2]
-
-
-def test_extended_point_views_and_validation():
-    pt = ExtendedPoint.from_zeta(np.arange(1.0, 9.0))
-    assert pt.q.tolist() == [1, 2]
-    assert pt.x.tolist() == [3, 4]
-    assert pt.p.tolist() == [5, 6]
-    assert pt.y.tolist() == [7, 8]
-    assert pt.eta.tolist() == [1, 2, 7, 8]
-    assert pt.xi.tolist() == [3, 4, 5, 6]
-    with pytest.raises(DimensionMismatch):
-        ExtendedPoint(np.array([1.0]), np.array([1.0, 2.0]), np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        ExtendedPoint(np.array([np.inf]), np.array([1.0]), np.array([1.0]), np.array([1.0]))
-
-
-def test_round_trip_through_typed_wrappers():
-    pt = PhasePoint(np.array([0.5]), np.array([-0.25]))
-    back = pt.embed().restrict()
-    assert np.array_equal(back.z, pt.z)

@@ -175,9 +175,8 @@ def test_eval_counter_counts_joint_gradients_only():
     assert counter.n_grad == 0
     sys_.grad(Q0, P0)
     assert counter.n_grad == 1
-    sys_.grad_q(Q0, P0)
-    sys_.grad_p(Q0, P0)
-    assert counter.n_grad == 3
+    sys_.grad(Q0, P0)
+    assert counter.n_grad == 2
 
 
 def test_counters_chain():

@@ -13,6 +13,7 @@ from extphase import (
     emit_csv,
     emit_svg,
     final_state,
+    harness,
     load_config,
     load_csv,
     make_spec,
@@ -274,6 +275,33 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 4
     assert main(["run", "--preset", "testcase", "--method", "gl4", "--order", "3"]) == 4
     capsys.readouterr()
+    # solver and coupling settings are checked before the run, not inside it
+    for extra in (
+        ["--tol", "1e-17"],
+        ["--solver", "foo"],
+        ["--omega", "nan"],
+        ["--method", "tao", "--omega", "1e308"],
+        ["--method", "tao", "--omega", "1e308", "--order", "6", "--composition", "yoshida"],
+    ):
+        assert main(["run", "--preset", "testcase", *extra]) == 4, extra
+        assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "attribute, method",
+    [("pihajoki_step", "pihajoki"), ("pihajoki_step", "semiexplicit"), ("gl_step", "gl2")],
+)
+def test_cost_identity_guard_fires(monkeypatch, attribute, method):
+    # the harness looks its step functions up per run, so this wrapper is seen
+    step = getattr(harness, attribute)
+
+    def one_gradient_too_many(system, dt, state, *args, **kwargs):
+        system.grad(state[: system.dim], state[system.dim : 2 * system.dim])
+        return step(system, dt, state, *args, **kwargs)
+
+    monkeypatch.setattr(harness, attribute, one_gradient_too_many)
+    with pytest.raises(AssertionError, match="cost accounting violated"):
+        run_experiment(preset("testcase", method=method, t_end=0.1))
 
 
 def test_cli_exit_code_on_nonconvergence(capsys):

@@ -8,7 +8,6 @@ from extphase import (
     HamiltonianSystem,
     QuadraticInvariant,
     TaoParams,
-    compose,
     composed_step,
     composition_scheme,
     coupling_flow,
@@ -321,11 +320,11 @@ def test_yoshida_coefficients():
 def test_single_scheme_calls_base_once():
     calls = []
 
-    def base(dt, state):
+    def base(_system, dt, state):
         calls.append(dt)
         return state + dt
 
-    out = compose(base, composition_scheme("single"), 0.25, np.zeros(1))
+    out = composed_step(base, composition_scheme("single"))(None, 0.25, np.zeros(1))
     assert calls == [0.25]
     assert out[0] == 0.25
 
@@ -333,12 +332,12 @@ def test_single_scheme_calls_base_once():
 def test_compose_applies_substeps_in_order():
     seen = []
 
-    def base(dt, state):
+    def base(_system, dt, state):
         seen.append(dt)
         return state
 
     scheme = composition_scheme("triple_jump_4")
-    compose(base, scheme, 2.0, np.zeros(1))
+    composed_step(base, scheme)(None, 2.0, np.zeros(1))
     np.testing.assert_allclose(seen, [2.0 * g for g in scheme.coefficients], rtol=1e-15)
 
 
