@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConfigError", "DimensionMismatch", "ExtPhaseError", "NonConvergence", "NotOnDiagonal",
+    "UnsupportedOrder", "VortexCollision",
+]
+
 
 class ExtPhaseError(Exception):
     """Base class for all errors raised by this package."""

@@ -16,6 +16,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, VortexCollision
 
+__all__ = [
+    "CountingSystem", "EvalCounter", "HamiltonianSystem", "NlsLattice", "PointVortexSystem",
+    "TestcaseSystem", "VortexConfig", "canonical_from_planar", "check_gradient", "make_nls",
+    "make_testcase", "make_vortices", "planar_from_canonical",
+]
+
 # Planar separation below which the vortex log potential is considered singular.
 COLLISION_GUARD = 1e-12
 
@@ -64,8 +70,8 @@ class CountingSystem(HamiltonianSystem):
     """Wrapper charging every joint gradient call to an :class:`EvalCounter`.
 
     Wrappers chain: stacking a second counter on an already-counting system
-    charges both, which lets a solver meter its own consumption while the
-    surrounding run keeps its global tally.
+    charges both, so a caller can meter one part of a run while the run
+    keeps its global tally.
     """
 
     def __init__(self, base: HamiltonianSystem, counter: EvalCounter):
@@ -194,6 +200,7 @@ class PointVortexSystem(HamiltonianSystem):
         self._sqrt = np.sqrt(np.abs(g))
         self._sign = np.sign(g)
         self._gamma = g
+        self._pair_weights = np.triu(np.outer(g, g), 1)  # G_i G_j for i < j
 
     def _planar(self, q, p):
         x = q / self._sqrt
@@ -213,12 +220,9 @@ class PointVortexSystem(HamiltonianSystem):
         return dx, dy, r2
 
     def energy(self, q, p) -> float:
-        _, _, r2 = self._pair_geometry(q, p)
-        g = self._gamma
-        r2 = r2.copy()
+        _, _, r2 = self._pair_geometry(q, p)  # a fresh array, free to overwrite
         np.fill_diagonal(r2, 1.0)  # log(1) = 0 under the zero-diagonal weights
-        weights = np.triu(np.outer(g, g), 1)
-        return float(-(weights * np.log(r2)).sum() / (4.0 * math.pi))
+        return float(-(self._pair_weights * np.log(r2)).sum() / (4.0 * math.pi))
 
     def grad(self, q, p):
         dx, dy, r2 = self._pair_geometry(q, p)

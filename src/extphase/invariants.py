@@ -16,8 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import blocks
 from .errors import DimensionMismatch
 from .hamiltonians import HamiltonianSystem
+
+__all__ = [
+    "LinearInvariant", "QuadraticInvariant", "coupling_bracket", "coupling_preserves_quadratic",
+    "drift_series", "eval_extended_linear", "eval_extended_quadratic", "eval_linear",
+    "eval_quadratic", "extended_hamiltonian_gradient", "extended_poisson_bracket",
+    "infinitesimal_generator", "lift_linear", "lift_quadratic", "nls_mass", "poisson_bracket",
+    "symplecticity_defect", "tao_compatibility", "testcase_L", "testcase_Q",
+    "vortex_angular_impulse", "vortex_linear_impulse_x", "vortex_linear_impulse_y",
+]
 
 DRIFT_FLOOR = 1e-300
 
@@ -144,12 +154,7 @@ def lift_quadratic(inv: QuadraticInvariant) -> np.ndarray:
 
 def eval_extended_quadratic(inv: QuadraticInvariant, zeta: np.ndarray) -> float:
     """Lifted quadratic in the factored form ``eta^T k xi / 2``."""
-    zeta = np.asarray(zeta, dtype=float)
-    d = inv.dim
-    if zeta.shape != (4 * d,):
-        raise DimensionMismatch(f"extended state must have shape ({4 * d},), got {zeta.shape}")
-    q, x = zeta[0:d], zeta[d : 2 * d]
-    p, y = zeta[2 * d : 3 * d], zeta[3 * d :]
+    q, x, p, y = blocks(np.asarray(zeta, dtype=float), inv.dim)
     return float(
         0.5 * (q @ (inv.k11 @ x) + q @ (inv.k12 @ p) + x @ (inv.k12 @ y) + y @ (inv.k22 @ p))
     )
@@ -157,9 +162,7 @@ def eval_extended_quadratic(inv: QuadraticInvariant, zeta: np.ndarray) -> float:
 
 def extended_quadratic_gradient(inv: QuadraticInvariant, zeta: np.ndarray) -> np.ndarray:
     """Gradient of the lifted quadratic with respect to ``(q, x, p, y)``."""
-    d = inv.dim
-    q, x = zeta[0:d], zeta[d : 2 * d]
-    p, y = zeta[2 * d : 3 * d], zeta[3 * d :]
+    q, x, p, y = blocks(np.asarray(zeta, dtype=float), inv.dim)
     return 0.5 * np.concatenate(
         (
             inv.k11 @ x + inv.k12 @ p,
@@ -192,19 +195,16 @@ def extended_poisson_bracket(grad_f, grad_g, zeta: np.ndarray) -> float:
     """Bracket on the doubled space, positions ``(q, x)``, momenta ``(p, y)``."""
     gf = np.asarray(grad_f(zeta), dtype=float)
     gg = np.asarray(grad_g(zeta), dtype=float)
-    if gf.shape != gg.shape or gf.size % 4:
-        raise DimensionMismatch("gradients must have equal length 4*d")
+    if gf.shape != gg.shape:
+        raise DimensionMismatch("gradients must have equal shape")
+    blocks(gf)  # the doubled-space layout check
     h = gf.size // 2
     return float(gf[:h] @ gg[h:] - gf[h:] @ gg[:h])
 
 
 def extended_hamiltonian_gradient(system: HamiltonianSystem, zeta: np.ndarray) -> np.ndarray:
     """Gradient of ``H(q, y) + H(x, p)`` with respect to ``(q, x, p, y)``."""
-    d = system.dim
-    if zeta.shape != (4 * d,):
-        raise DimensionMismatch(f"extended state must have shape ({4 * d},), got {zeta.shape}")
-    q, x = zeta[0:d], zeta[d : 2 * d]
-    p, y = zeta[2 * d : 3 * d], zeta[3 * d :]
+    q, x, p, y = blocks(np.asarray(zeta, dtype=float), system.dim)
     g1q, g1p = system.grad(q, y)
     g2q, g2p = system.grad(x, p)
     return np.concatenate((g1q, g2q, g2p, g1p))
@@ -212,10 +212,9 @@ def extended_hamiltonian_gradient(system: HamiltonianSystem, zeta: np.ndarray) -
 
 def coupling_energy_gradient(omega: float, zeta: np.ndarray) -> np.ndarray:
     """Gradient of the copy-coupling energy ``(omega/2)(|x-q|^2 + |y-p|^2)``."""
-    zeta = np.asarray(zeta, dtype=float)
-    d = zeta.size // 4
-    u = zeta[d : 2 * d] - zeta[0:d]
-    v = zeta[3 * d :] - zeta[2 * d : 3 * d]
+    q, x, p, y = blocks(np.asarray(zeta, dtype=float))
+    u = x - q
+    v = y - p
     return omega * np.concatenate((-u, u, -v, v))
 
 
@@ -228,10 +227,9 @@ def coupling_bracket(inv: QuadraticInvariant, zeta: np.ndarray, omega: float) ->
     ``k22 == k11``, which is the precise condition for the copy-coupling
     rotation to conserve the lifted quadratic.
     """
-    zeta = np.asarray(zeta, dtype=float)
-    d = inv.dim
-    u = zeta[d : 2 * d] - zeta[0:d]
-    v = zeta[3 * d :] - zeta[2 * d : 3 * d]
+    q, x, p, y = blocks(np.asarray(zeta, dtype=float), inv.dim)
+    u = x - q
+    v = y - p
     return float(
         0.5 * omega * (v @ (inv.k12 @ v) - u @ (inv.k12 @ u) + u @ ((inv.k22 - inv.k11) @ v))
     )

@@ -23,10 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_A, apply_AT, embed, restrict
+from .core import apply_A, apply_AT, defect_norm, embed, restrict
 from .errors import ConfigError, NonConvergence
-from .hamiltonians import EvalCounter, HamiltonianSystem
+from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
+
+__all__ = ["SolverConfig", "StepStats", "residual", "semiexplicit_step", "solve_mu"]
 
 SOLVER_METHODS = ("simplified_newton", "broyden")
 
@@ -54,16 +56,16 @@ class SolverConfig:
 
 @dataclass
 class StepStats:
-    """Cost accounting for one step.
+    """Telemetry of one step.
 
     ``iterations`` counts residual evaluations (projection) or fixed-point
-    sweeps (stage solves), and is 0 for an explicit step; ``vf_evals``
-    counts joint gradient evaluations, so ``vf_evals == iterations *
-    <gradient cost of one inner step>`` for a converged projection solve.
+    sweeps (stage solves), and is 0 for an explicit step.  Each of them
+    costs the same number of gradient evaluations, so a step's cost is
+    ``iterations`` times that per-pass cost (one pass for an explicit
+    step); the harness meters it with its own counter.
     """
 
     iterations: int
-    vf_evals: int
     converged: bool
     final_residual: float
     mu: np.ndarray | None = field(default=None, repr=False)
@@ -106,8 +108,6 @@ def solve_mu(
     """
     d2 = zeta_n.size // 2
     mu = np.zeros(d2) if mu0 is None else np.array(mu0, dtype=float)
-    meter = EvalCounter()
-    metered = system.with_counter(meter)
 
     inv_jac = None  # Broyden inverse-Jacobian state, allocated on first use
     prev_r = None
@@ -125,7 +125,7 @@ def solve_mu(
     while True:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                r, image = residual(metered, extended_step, dt, zeta_n, mu)
+                r, image = residual(system, extended_step, dt, zeta_n, mu)
             r_norm = float(np.max(np.abs(r)))
         except OverflowError:
             r_norm = np.inf
@@ -138,7 +138,7 @@ def solve_mu(
         if r0_norm is None:
             r0_norm = max(r_norm, 1e-300)
         if r_norm <= cfg.tol:
-            stats = StepStats(iterations, meter.n_grad, True, r_norm, mu=mu.copy())
+            stats = StepStats(iterations, True, r_norm, mu=mu.copy())
             return mu, image, stats
         if r_norm > DIVERGENCE_FACTOR * r0_norm:
             raise failure(f"projection solve diverged: residual {r_norm:.3e} from {r0_norm:.3e}")
@@ -184,6 +184,6 @@ def semiexplicit_step(
     zeta_n = embed(z_n)
     mu, image, stats = solve_mu(system, extended_step, dt, zeta_n, cfg, mu0=mu0)
     zeta_next = image + apply_AT(mu)
-    stats.defect_norm = float(np.linalg.norm(apply_A(zeta_next)))
+    stats.defect_norm = defect_norm(zeta_next)
     z_next = restrict(zeta_next, tol=cfg.tol)
     return z_next, stats

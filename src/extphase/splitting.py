@@ -22,8 +22,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .core import blocks
+from .errors import ConfigError
 from .hamiltonians import HamiltonianSystem
+
+__all__ = [
+    "CompositionScheme", "TaoParams", "composed_step", "composition_scheme", "coupling_flow",
+    "flow_a", "flow_b", "pihajoki_step", "tao_step",
+]
 
 # One step of an integrator on the doubled space: (system, dt, zeta) -> zeta'.
 ExtendedStep = Callable[[HamiltonianSystem, float, np.ndarray], np.ndarray]
@@ -97,26 +103,34 @@ def composition_scheme(label: str) -> CompositionScheme:
     raise ValueError(f"unknown composition label {label!r}, expected one of {COMPOSITION_LABELS}")
 
 
+def _drift(system: HamiltonianSystem, t: float, q, p, x, y) -> None:
+    """Push ``(x, y)`` in place for time ``t`` along the Hamiltonian vector
+    field taken at the frozen ``(q, p)``; one gradient evaluation."""
+    gq, gp = system.grad(q, p)
+    x += t * gp
+    y -= t * gq
+
+
+def _copy(system: HamiltonianSystem, zeta: np.ndarray):
+    """A fresh float copy of ``zeta`` and its ``(q, x, p, y)`` row views."""
+    out = np.array(zeta, dtype=float)
+    return out, blocks(out, system.dim)
+
+
 def flow_a(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
     """Exact flow freezing ``(q, y)``: pushes ``(x, p)`` for time ``t``.
 
     One gradient evaluation, taken at the frozen copy ``(q, y)``.
     """
-    d = _check_dim(system, zeta)
-    out = zeta.copy()
-    gq, gp = system.grad(out[0:d], out[3 * d :])
-    out[d : 2 * d] += t * gp
-    out[2 * d : 3 * d] -= t * gq
+    out, (q, x, p, y) = _copy(system, zeta)
+    _drift(system, t, q, y, x, p)
     return out
 
 
 def flow_b(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
     """Exact flow freezing ``(x, p)``: pushes ``(q, y)`` for time ``t``."""
-    d = _check_dim(system, zeta)
-    out = zeta.copy()
-    gq, gp = system.grad(out[d : 2 * d], out[2 * d : 3 * d])
-    out[0:d] += t * gp
-    out[3 * d :] -= t * gq
+    out, (q, x, p, y) = _copy(system, zeta)
+    _drift(system, t, x, p, q, y)
     return out
 
 
@@ -124,10 +138,14 @@ def pihajoki_step(system: HamiltonianSystem, dt: float, zeta: np.ndarray) -> np.
     """Strang step ``A(dt/2) B(dt) A(dt/2)`` on the doubled space.
 
     Second order, symmetric, symplectic on the doubled space; exactly three
-    gradient evaluations.
+    gradient evaluations.  The flows act in place on one copy of ``zeta``.
     """
     h = 0.5 * dt
-    return flow_a(system, h, flow_b(system, dt, flow_a(system, h, zeta)))
+    out, (q, x, p, y) = _copy(system, zeta)
+    _drift(system, h, q, y, x, p)  # A(dt/2)
+    _drift(system, dt, x, p, q, y)  # B(dt)
+    _drift(system, h, q, y, x, p)  # A(dt/2)
+    return out
 
 
 def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
@@ -137,28 +155,19 @@ def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
     ``2*omega*t`` while fixing the copy sums; costs no gradient evaluations.
     """
     zeta = np.asarray(zeta, dtype=float)
-    if zeta.size % 4 or zeta.size == 0:
-        raise DimensionMismatch("extended state must have length 4*d")
+    q, x, p, y = blocks(zeta)
     angle = 2.0 * omega * t
     if angle == 0.0:
         return zeta.copy()
     c = math.cos(angle)
     s = math.sin(angle)
-    d = zeta.size // 4
-    q, x = zeta[0:d], zeta[d : 2 * d]
-    p, y = zeta[2 * d : 3 * d], zeta[3 * d :]
     sq = q + x
     sp = p + y
     u = q - x
     v = p - y
     ur = c * u + s * v
     vr = c * v - s * u
-    out = np.empty_like(zeta)
-    out[0:d] = 0.5 * (sq + ur)
-    out[d : 2 * d] = 0.5 * (sq - ur)
-    out[2 * d : 3 * d] = 0.5 * (sp + vr)
-    out[3 * d :] = 0.5 * (sp - vr)
-    return out
+    return np.concatenate((0.5 * (sq + ur), 0.5 * (sq - ur), 0.5 * (sp + vr), 0.5 * (sp - vr)))
 
 
 def tao_step(
@@ -174,9 +183,14 @@ def tao_step(
     if params.omega == 0.0:
         return pihajoki_step(system, dt, zeta)
     h = 0.5 * dt
-    zeta = flow_b(system, h, flow_a(system, h, zeta))
-    zeta = coupling_flow(params.omega, dt, zeta)
-    return flow_a(system, h, flow_b(system, h, zeta))
+    out, (q, x, p, y) = _copy(system, zeta)
+    _drift(system, h, q, y, x, p)  # A(dt/2)
+    _drift(system, h, x, p, q, y)  # B(dt/2)
+    out = coupling_flow(params.omega, dt, out)  # C(dt), into a fresh array
+    q, x, p, y = blocks(out)
+    _drift(system, h, x, p, q, y)  # B(dt/2)
+    _drift(system, h, q, y, x, p)  # A(dt/2)
+    return out
 
 
 def composed_step(base: ExtendedStep, scheme: CompositionScheme) -> ExtendedStep:
@@ -190,10 +204,3 @@ def composed_step(base: ExtendedStep, scheme: CompositionScheme) -> ExtendedStep
         return zeta
 
     return step
-
-
-def _check_dim(system: HamiltonianSystem, zeta: np.ndarray) -> int:
-    d = system.dim
-    if zeta.shape != (4 * d,):
-        raise DimensionMismatch(f"extended state must have shape ({4 * d},), got {zeta.shape}")
-    return d

@@ -1,16 +1,48 @@
+import types
+
 import numpy as np
 import pytest
 
+import extphase
 from extphase import (
+    DimensionMismatch,
     NotOnDiagonal,
     apply_A,
     apply_AT,
+    blocks,
     defect_norm,
     embed,
     restrict,
 )
 
 from conftest import seeded_rng
+
+
+def test_blocks_is_the_row_view_q_x_p_y():
+    zeta = np.arange(8.0)
+    rows = blocks(zeta)
+    assert rows.shape == (4, 2)
+    assert rows.tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
+    assert np.shares_memory(rows, zeta)
+    rows[2] += 10.0  # the p rows write through to zeta
+    assert zeta.tolist() == [0, 1, 2, 3, 14, 15, 6, 7]
+    assert blocks(zeta, 2).shape == (4, 2)
+
+
+@pytest.mark.parametrize(
+    "zeta,d",
+    [(np.zeros(0), None), (np.zeros(6), None), (np.zeros((2, 4)), None), (np.zeros(8), 1)],
+)
+def test_blocks_rejects_bad_layouts(zeta, d):
+    with pytest.raises(DimensionMismatch):
+        blocks(zeta, d)
+
+
+def test_package_api_is_explicit():
+    names = extphase.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert not isinstance(getattr(extphase, name), types.ModuleType), name
 
 
 def test_embed_duplicates_blocks():

@@ -305,10 +305,13 @@ def test_cost_identity_guard_fires(monkeypatch, attribute, method):
 
 
 def test_cli_exit_code_on_nonconvergence(capsys):
-    code = main(
-        ["run", "--preset", "nls_bench", "--method", "pihajoki", "--t-end", "10.0"]
-    )
-    assert code == 2
+    for argv in (
+        ["--method", "pihajoki", "--t-end", "10.0"],
+        # a state near float range overflows the defect norm before it leaves it
+        ["--method", "pihajoki", "--dt", "0.05", "--t-end", "100"],
+        ["--method", "tao", "--dt", "0.05", "--t-end", "100"],
+    ):
+        assert main(["run", "--preset", "nls_bench", *argv]) == 2, argv
     capsys.readouterr()
 
 

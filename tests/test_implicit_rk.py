@@ -98,8 +98,8 @@ def test_stage_cost_accounting(oscillator):
         metered = oscillator.with_counter(counter)
         cfg = SolverConfig(tol=1e-12, max_iter=60)
         _z, stats = gl_step(metered, 0.1, np.array([1.0, 0.0]), gl_tableau(order), cfg)
-        assert stats.vf_evals == stages * stats.iterations
-        assert counter.n_grad == stats.vf_evals
+        assert stats.iterations >= 1
+        assert counter.n_grad == stages * stats.iterations
 
 
 @pytest.mark.parametrize("order", [2, 4, 6])

@@ -1,7 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from extphase import (
     EvalCounter,
@@ -26,7 +29,15 @@ from extphase import (
     testcase_Q as tc_quadratic_form,
 )
 
+from extphase.splitting import COMPOSITION_LABELS
+
 from conftest import LinearSystem, Oscillator, seeded_rng
+
+# Random lattice states, d in 1..4, in a range where every step stays finite.
+STATES = st.integers(1, 4).flatmap(
+    lambda d: arrays(np.float64, 4 * d, elements=st.floats(-1.0, 1.0))
+)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 # --- elementary flows ------------------------------------------------------
@@ -381,3 +392,40 @@ def test_steps_are_symplectic_on_doubled_space():
         lambda zz: tao_step(sys_, 0.1, zz, TaoParams(10.0)),
     ):
         assert symplecticity_defect(step, zeta) <= 1e-6
+
+
+# --- in-place kernels: properties over random states ------------------------
+
+
+@PROPERTY
+@given(
+    zeta=STATES,
+    dt=st.floats(-0.05, 0.05),
+    omega=st.floats(0.1, 50.0),
+    label=st.sampled_from(COMPOSITION_LABELS),
+)
+def test_flows_and_steps_leave_their_input_bitwise_unchanged(zeta, dt, omega, label):
+    sys_ = make_nls(zeta.size // 4)
+    tao = partial(tao_step, params=TaoParams(omega))
+    scheme = composition_scheme(label)
+    before = zeta.tobytes()
+    steps = (flow_a, flow_b, pihajoki_step, tao)
+    steps += (composed_step(pihajoki_step, scheme), composed_step(tao, scheme))
+    for step in steps:
+        out = step(sys_, dt, zeta)
+        assert zeta.tobytes() == before
+        assert not np.shares_memory(out, zeta)
+    out = coupling_flow(omega, dt, zeta)
+    assert zeta.tobytes() == before
+    assert not np.shares_memory(out, zeta)
+
+
+@PROPERTY
+@given(zeta=STATES, dt=st.floats(-0.05, 0.05), omega=st.floats(0.1, 50.0))
+def test_tao_step_matches_flow_composition_bitwise(zeta, dt, omega):
+    sys_ = make_nls(zeta.size // 4)
+    h = 0.5 * dt
+    inner = flow_b(sys_, h, flow_a(sys_, h, zeta))
+    composed = flow_a(sys_, h, flow_b(sys_, h, coupling_flow(omega, dt, inner)))
+    direct = tao_step(sys_, dt, zeta, TaoParams(omega))
+    assert direct.tobytes() == composed.tobytes()
