@@ -57,7 +57,6 @@ def _spec_from_args(args) -> "ExperimentSpec":
         overrides.setdefault("order", int(overrides["method"][2]))
     if overrides:
         spec = replace(spec, **overrides)
-        spec.validate()
     return spec
 
 
@@ -67,7 +66,6 @@ def _cmd_run(args) -> int:
         spec = replace(spec, record_stride=args.stride)
     if args.record_state:
         spec = replace(spec, record_state=True)
-    spec.validate()
     record = run_experiment(spec)
     if args.out:
         emit_csv(record, args.out)

@@ -48,7 +48,12 @@ MAX_RECORD_ROWS = 100_000
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Flat description of one integration run."""
+    """Flat description of one integration run.
+
+    A spec checks itself when it is built, by the constructor or by
+    :func:`dataclasses.replace`, and raises :class:`ConfigError` for any
+    field or combination of fields that no run accepts.
+    """
 
     system: str = "testcase"
     method: str = "semiexplicit"
@@ -70,7 +75,7 @@ class ExperimentSpec:
     record_state: bool = False
     name: str = "experiment"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}, expected one of {SYSTEMS}")
         if self.method not in METHODS:
@@ -81,6 +86,7 @@ class ExperimentSpec:
             raise ConfigError("t_end must be positive and finite")
         if self.dt > self.t_end * (1.0 + 1e-12):
             raise ConfigError("dt must not exceed t_end")
+        self.n_steps  # raises unless t_end is a whole number of dt steps
         if self.method.startswith("gl"):
             implied = int(self.method[2])
             if self.order not in (2, implied):
@@ -129,6 +135,14 @@ class ExperimentSpec:
                 raise ConfigError("vortex positions must be N pairs")
         elif self.q0 is None or self.p0 is None or len(self.q0) != n or len(self.p0) != n:
             raise ConfigError("vortex system requires planar positions or q0/p0 of length N")
+        return n
+
+    @property
+    def n_steps(self) -> int:
+        """Number of ``dt`` steps to ``t_end``, which must be a whole number."""
+        n = int(round(self.t_end / self.dt))
+        if n < 1 or abs(n * self.dt - self.t_end) > 1e-6 * max(self.t_end, 1.0):
+            raise ConfigError("t_end must be an integer number of steps")
         return n
 
     @property
@@ -229,9 +243,7 @@ def make_spec(mapping: dict) -> ExperimentSpec:
             mapping[key] = tuple(float(v) for v in mapping[key])
     if mapping.get("positions") is not None:
         mapping["positions"] = tuple(tuple(float(v) for v in pt) for pt in mapping["positions"])
-    spec = ExperimentSpec(**mapping)
-    spec.validate()
-    return spec
+    return ExperimentSpec(**mapping)
 
 
 def load_config(path) -> ExperimentSpec:
@@ -380,19 +392,19 @@ class TrajectoryRecord:
     itr_total: int
     vf_total: int
     complete: bool = True
-    failure: str | None = None
-    failure_kind: str | None = None
+    # the raised error itself, so its best iterate, residual and iterations stay readable
+    failure: NonConvergence | VortexCollision | None = None
 
     @property
     def rows(self) -> int:
         return self.steps.size
 
-
-def _step_count(spec: ExperimentSpec) -> int:
-    n = int(round(spec.t_end / spec.dt))
-    if n < 1 or abs(n * spec.dt - spec.t_end) > 1e-6 * max(spec.t_end, 1.0):
-        raise ConfigError("t_end must be an integer number of steps")
-    return n
+    @property
+    def failure_kind(self) -> str | None:
+        """``"non_convergence"`` or ``"collision"`` for an incomplete run."""
+        if self.failure is None:
+            return None
+        return "non_convergence" if isinstance(self.failure, NonConvergence) else "collision"
 
 
 def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
@@ -400,11 +412,10 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
     invariant drift at strided steps.
 
     Solver failures and vortex collisions do not raise: the partial record
-    is returned flagged incomplete with the failure kind attached.
+    is returned flagged incomplete with the raised error attached.
     """
-    spec.validate()
     system, z0, invs = build_system(spec)
-    n_steps = _step_count(spec)
+    n_steps = spec.n_steps
     stride = spec.record_stride or max(1, math.ceil(n_steps / MAX_RECORD_ROWS))
     adv = _Advancer(spec, system, z0)
 
@@ -433,7 +444,6 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
             states.append(z.copy())
 
     failure = None
-    failure_kind = None
     itr_total = 0
     record(0)
     k = 0
@@ -443,10 +453,9 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
             itr_total += adv.itr_last
             if k % stride == 0 or k == n_steps:
                 record(k)
-    except NonConvergence as exc:
-        failure, failure_kind = str(exc), "non_convergence"
-    except VortexCollision as exc:
-        failure, failure_kind = str(exc), "collision"
+    except (NonConvergence, VortexCollision) as exc:
+        # kept without its traceback, which would hold the run's frames alive
+        failure = exc.with_traceback(None)
 
     return TrajectoryRecord(
         spec=spec,
@@ -464,7 +473,6 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
         vf_total=adv.counter.n_grad,
         complete=failure is None,
         failure=failure,
-        failure_kind=failure_kind,
     )
 
 
@@ -477,9 +485,8 @@ def benchmark(spec: ExperimentSpec, repetitions: int) -> dict:
     """
     if repetitions < 1:
         raise ConfigError("repetitions must be at least 1")
-    spec.validate()
     system, z0, _ = build_system(spec)
-    n_steps = _step_count(spec)
+    n_steps = spec.n_steps
     elapsed = []
     itr_total = 0
     vf_total = 0
@@ -513,10 +520,9 @@ def benchmark(spec: ExperimentSpec, repetitions: int) -> dict:
 
 def final_state(spec: ExperimentSpec) -> np.ndarray:
     """Original-space state after integrating to ``t_end`` (no recording)."""
-    spec.validate()
     system, z0, _ = build_system(spec)
     adv = _Advancer(spec, system, z0)
-    for _ in range(_step_count(spec)):
+    for _ in range(spec.n_steps):
         adv.advance(spec.dt)
     return adv.state_z()
 

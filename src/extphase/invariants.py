@@ -6,8 +6,13 @@ A linear integral is ``L_a(z) = a^T z``; a quadratic one is
 Their lifts to the doubled space are ``Lhat(zeta) = ahat^T zeta`` with
 ``ahat = (a_q, a_q, a_p, a_p)/2`` and ``Qhat(zeta) = eta^T k xi / 2`` with
 the copy gathers ``eta = (q, y)``, ``xi = (x, p)``; both restrict to the
-originals on the diagonal.  ``Qhat`` is evaluated in the factored bilinear
-form; the full ``4d x 4d`` matrix is materialised only for testing.
+originals on the diagonal.  A lift is an invariant of the same kind on the
+doubled space, whose positions are ``(q, x)`` and momenta ``(p, y)``:
+:meth:`LinearInvariant.lift` and :meth:`QuadraticInvariant.lift` return
+one, so ``evaluate``, ``gradient``, ``matrix``, :func:`poisson_bracket`,
+:func:`infinitesimal_generator` and :func:`drift_series` serve both spaces.
+The lifted quadratic carries the ``2d x 2d`` blocks of ``Qhat``'s
+``4d x 4d`` matrix, so it costs O(d^2) storage.
 """
 
 from __future__ import annotations
@@ -16,16 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import blocks
+from .core import blocks, embed
 from .errors import DimensionMismatch
 from .hamiltonians import HamiltonianSystem
 
 __all__ = [
     "LinearInvariant", "QuadraticInvariant", "coupling_bracket", "coupling_preserves_quadratic",
-    "drift_series", "eval_extended_linear", "eval_extended_quadratic", "eval_linear",
-    "eval_quadratic", "extended_hamiltonian_gradient", "extended_poisson_bracket",
-    "infinitesimal_generator", "lift_linear", "lift_quadratic", "nls_mass", "poisson_bracket",
-    "symplecticity_defect", "tao_compatibility", "testcase_L", "testcase_Q",
+    "drift_series", "extended_hamiltonian_gradient", "infinitesimal_generator", "nls_mass",
+    "poisson_bracket", "symplecticity_defect", "tao_compatibility", "testcase_L", "testcase_Q",
     "vortex_angular_impulse", "vortex_linear_impulse_x", "vortex_linear_impulse_y",
 ]
 
@@ -59,10 +62,17 @@ class LinearInvariant:
         return self.a[self.dim :]
 
     def evaluate(self, z: np.ndarray) -> float:
-        return eval_linear(self, z)
+        z = np.asarray(z, dtype=float)
+        if z.shape != self.a.shape:
+            raise DimensionMismatch(f"state must have shape {self.a.shape}, got {z.shape}")
+        return float(self.a @ z)
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
         return self.a.copy()
+
+    def lift(self) -> LinearInvariant:
+        """The doubled-space invariant with coefficients ``(a_q, a_q, a_p, a_p) / 2``."""
+        return LinearInvariant(0.5 * embed(self.a))
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,12 @@ class QuadraticInvariant:
         return np.block([[self.k11, self.k12], [self.k12.T, self.k22]])
 
     def evaluate(self, z: np.ndarray) -> float:
-        return eval_quadratic(self, z)
+        z = np.asarray(z, dtype=float)
+        d = self._split(z)
+        q, p = z[:d], z[d:]
+        return float(
+            0.5 * (q @ (self.k11 @ q)) + q @ (self.k12 @ p) + 0.5 * (p @ (self.k22 @ p))
+        )
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
         d = self._split(z)
@@ -111,66 +126,21 @@ class QuadraticInvariant:
             raise DimensionMismatch(f"state must have shape ({2 * d},), got {z.shape}")
         return d
 
+    def lift(self) -> QuadraticInvariant:
+        """The lift ``eta^T k xi / 2`` as a quadratic on the doubled space.
 
-def eval_linear(inv: LinearInvariant, z: np.ndarray) -> float:
-    z = np.asarray(z, dtype=float)
-    if z.shape != inv.a.shape:
-        raise DimensionMismatch(f"state must have shape {inv.a.shape}, got {z.shape}")
-    return float(inv.a @ z)
+        With positions ``(q, x)`` and momenta ``(p, y)`` its blocks are
+        ``[[0, k11], [k11, 0]] / 2``, ``[[k12, 0], [0, k12]] / 2`` and
+        ``[[0, k22], [k22, 0]] / 2``.
+        """
+        z = np.zeros_like(self.k11)
 
+        def cross(blk):
+            return 0.5 * np.block([[z, blk], [blk, z]])
 
-def eval_quadratic(inv: QuadraticInvariant, z: np.ndarray) -> float:
-    z = np.asarray(z, dtype=float)
-    d = inv._split(z)
-    q, p = z[:d], z[d:]
-    return float(0.5 * (q @ (inv.k11 @ q)) + q @ (inv.k12 @ p) + 0.5 * (p @ (inv.k22 @ p)))
-
-
-def lift_linear(inv: LinearInvariant) -> np.ndarray:
-    """Doubled-space coefficients ``(a_q, a_q, a_p, a_p) / 2``."""
-    return 0.5 * np.concatenate((inv.a_q, inv.a_q, inv.a_p, inv.a_p))
-
-
-def eval_extended_linear(a_hat: np.ndarray, zeta: np.ndarray) -> float:
-    a_hat = np.asarray(a_hat, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if a_hat.shape != zeta.shape:
-        raise DimensionMismatch("lifted coefficients and state must have equal shape")
-    return float(a_hat @ zeta)
-
-
-def lift_quadratic(inv: QuadraticInvariant) -> np.ndarray:
-    """Materialise the symmetric ``4d x 4d`` lift (tests only; O(d^2) storage)."""
-    z = np.zeros_like(inv.k11)
-    return 0.5 * np.block(
-        [
-            [z, inv.k11, inv.k12, z],
-            [inv.k11, z, z, inv.k12],
-            [inv.k12.T, z, z, inv.k22],
-            [z, inv.k12.T, inv.k22, z],
-        ]
-    )
-
-
-def eval_extended_quadratic(inv: QuadraticInvariant, zeta: np.ndarray) -> float:
-    """Lifted quadratic in the factored form ``eta^T k xi / 2``."""
-    q, x, p, y = blocks(np.asarray(zeta, dtype=float), inv.dim)
-    return float(
-        0.5 * (q @ (inv.k11 @ x) + q @ (inv.k12 @ p) + x @ (inv.k12 @ y) + y @ (inv.k22 @ p))
-    )
-
-
-def extended_quadratic_gradient(inv: QuadraticInvariant, zeta: np.ndarray) -> np.ndarray:
-    """Gradient of the lifted quadratic with respect to ``(q, x, p, y)``."""
-    q, x, p, y = blocks(np.asarray(zeta, dtype=float), inv.dim)
-    return 0.5 * np.concatenate(
-        (
-            inv.k11 @ x + inv.k12 @ p,
-            inv.k11 @ q + inv.k12 @ y,
-            inv.k12.T @ q + inv.k22 @ y,
-            inv.k12.T @ x + inv.k22 @ p,
+        return QuadraticInvariant(
+            cross(self.k11), 0.5 * np.block([[self.k12, z], [z, self.k12]]), cross(self.k22)
         )
-    )
 
 
 def infinitesimal_generator(inv: QuadraticInvariant, z: np.ndarray) -> np.ndarray:
@@ -189,17 +159,6 @@ def poisson_bracket(grad_f, grad_g, z: np.ndarray) -> float:
         raise DimensionMismatch("gradients must have equal even length")
     d = gf.size // 2
     return float(gf[:d] @ gg[d:] - gf[d:] @ gg[:d])
-
-
-def extended_poisson_bracket(grad_f, grad_g, zeta: np.ndarray) -> float:
-    """Bracket on the doubled space, positions ``(q, x)``, momenta ``(p, y)``."""
-    gf = np.asarray(grad_f(zeta), dtype=float)
-    gg = np.asarray(grad_g(zeta), dtype=float)
-    if gf.shape != gg.shape:
-        raise DimensionMismatch("gradients must have equal shape")
-    blocks(gf)  # the doubled-space layout check
-    h = gf.size // 2
-    return float(gf[:h] @ gg[h:] - gf[h:] @ gg[:h])
 
 
 def extended_hamiltonian_gradient(system: HamiltonianSystem, zeta: np.ndarray) -> np.ndarray:

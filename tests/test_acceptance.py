@@ -19,10 +19,7 @@ import pytest
 
 import extphase as xp
 from extphase.harness import build_system
-from extphase.invariants import (
-    coupling_energy_gradient,
-    extended_quadratic_gradient,
-)
+from extphase.invariants import coupling_energy_gradient
 
 from conftest import seeded_rng
 
@@ -148,12 +145,12 @@ def test_criterion_3_lifted_invariants_along_uncoupled_step():
     sys_n = xp.make_nls(5)
     z0 = np.array([0.2, 0.1, -0.15, 0.05, -0.1, 0.1, -0.2, 0.05, 0.1, 0.15])
     zeta = xp.embed(z0)
-    mass = xp.nls_mass(5)
-    qh0 = xp.eval_extended_quadratic(mass, zeta)
+    mass_hat = xp.nls_mass(5).lift()
+    qh0 = mass_hat.evaluate(zeta)
     worst_q = 0.0
     for _ in range(10_000):
         zeta = xp.pihajoki_step(sys_n, 1e-3, zeta)
-        worst_q = max(worst_q, abs(xp.eval_extended_quadratic(mass, zeta) - qh0) / abs(qh0))
+        worst_q = max(worst_q, abs(mass_hat.evaluate(zeta) - qh0) / abs(qh0))
 
     # Linear half: the lattice admits no nonzero conserved linear form, so
     # the linear statement is exercised on systems that possess one, at the
@@ -161,22 +158,22 @@ def test_criterion_3_lifted_invariants_along_uncoupled_step():
     spec = xp.preset("vortex4")
     sys_v, zv0, _ = build_system(spec)
     zeta_v = xp.embed(zv0)
-    a_x = xp.lift_linear(xp.vortex_linear_impulse_x(sys_v.config.circulations))
-    a_y = xp.lift_linear(xp.vortex_linear_impulse_y(sys_v.config.circulations))
-    lx0, ly0 = float(a_x @ zeta_v), float(a_y @ zeta_v)
+    l_x = xp.vortex_linear_impulse_x(sys_v.config.circulations).lift()
+    l_y = xp.vortex_linear_impulse_y(sys_v.config.circulations).lift()
+    lx0, ly0 = l_x.evaluate(zeta_v), l_y.evaluate(zeta_v)
     sys_t = xp.make_testcase()
     zeta_t = xp.embed(np.array([-1.0, 2.0, 1.0, -1.0]))
-    a_t = xp.lift_linear(xp.testcase_L())
-    lt0 = float(a_t @ zeta_t)
+    l_t = xp.testcase_L().lift()
+    lt0 = l_t.evaluate(zeta_t)
     worst_l = 0.0
     for _ in range(10_000):
         zeta_v = xp.pihajoki_step(sys_v, 1e-3, zeta_v)
         zeta_t = xp.pihajoki_step(sys_t, 1e-3, zeta_t)
         worst_l = max(
             worst_l,
-            abs(float(a_x @ zeta_v) - lx0) / abs(lx0),
-            abs(float(a_y @ zeta_v) - ly0) / abs(ly0),
-            abs(float(a_t @ zeta_t) - lt0) / abs(lt0),
+            abs(l_x.evaluate(zeta_v) - lx0) / abs(lx0),
+            abs(l_y.evaluate(zeta_v) - ly0) / abs(ly0),
+            abs(l_t.evaluate(zeta_t) - lt0) / abs(lt0),
         )
 
     ok = worst_q <= 1e-11 and worst_l <= 1e-11
@@ -385,10 +382,8 @@ def test_criterion_8a_conventional_bracket_identity():
     from test_invariants import random_quadratic
 
     def numeric_bracket(inv, zeta):
-        return xp.extended_poisson_bracket(
-            lambda zz: extended_quadratic_gradient(inv, zz),
-            lambda zz: coupling_energy_gradient(omega, zz),
-            zeta,
+        return xp.poisson_bracket(
+            inv.lift().gradient, lambda zz: coupling_energy_gradient(omega, zz), zeta
         )
 
     worst = 0.0

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from extphase import (
     ConfigError,
     ExperimentSpec,
+    NonConvergence,
     PRESETS,
     TrajectoryRecord,
     benchmark,
@@ -72,6 +74,15 @@ def test_spec_validation_rules():
         preset("unknown_preset")
 
 
+def test_spec_checks_itself_on_construction():
+    # t_end = 1.0 is not a whole number of dt = 0.3 steps
+    with pytest.raises(ConfigError):
+        ExperimentSpec(dt=0.3, t_end=1.0)
+    with pytest.raises(ConfigError):
+        replace(preset("testcase"), dt=-1.0)
+    assert ExperimentSpec(dt=0.25, t_end=1.0).n_steps == 4
+
+
 def test_single_step_run_records_two_rows():
     spec = preset("testcase", method="semiexplicit", dt=0.1, t_end=0.1, tol=1e-12)
     record = run_experiment(spec)
@@ -123,6 +134,17 @@ def test_failure_produces_partial_record():
     assert not record.complete
     assert record.failure_kind == "non_convergence"
     assert record.total_steps < 10_000
+
+
+def test_failure_is_kept_as_data():
+    # the projection diverges on its first step; its error keeps the solve's state
+    record = run_experiment(preset("nls_bench", method="semiexplicit", dt=0.5, t_end=2.0))
+    assert not record.complete
+    assert record.failure_kind == "non_convergence"
+    assert isinstance(record.failure, NonConvergence)
+    assert record.failure.iterations >= 1
+    assert record.failure.best.shape == (10,)  # the multiplier, length 2d
+    assert np.isfinite(record.failure.final_residual)
 
 
 def test_csv_round_trip(tmp_path):
@@ -282,6 +304,7 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         ["--omega", "nan"],
         ["--method", "tao", "--omega", "1e308"],
         ["--method", "tao", "--omega", "1e308", "--order", "6", "--composition", "yoshida"],
+        ["--dt", "0.3", "--t-end", "1.0"],
     ):
         assert main(["run", "--preset", "testcase", *extra]) == 4, extra
         assert "configuration error:" in capsys.readouterr().err

@@ -10,15 +10,8 @@ from extphase import (
     coupling_preserves_quadratic,
     drift_series,
     embed,
-    eval_extended_linear,
-    eval_extended_quadratic,
-    eval_linear,
-    eval_quadratic,
     extended_hamiltonian_gradient,
-    extended_poisson_bracket,
     infinitesimal_generator,
-    lift_linear,
-    lift_quadratic,
     make_nls,
     make_testcase,
     make_vortices,
@@ -52,25 +45,35 @@ def random_quadratic(rng, d):
     return QuadraticInvariant(k11, rng.normal(size=(d, d)), k22)
 
 
+def factored_lift(inv, zeta):
+    # the independent reference for QuadraticInvariant.lift: the bilinear
+    # form eta^T k xi / 2 with eta = (q, y) and xi = (x, p), written out
+    d = inv.dim
+    q, x, p, y = zeta[:d], zeta[d : 2 * d], zeta[2 * d : 3 * d], zeta[3 * d :]
+    return float(
+        0.5 * (q @ (inv.k11 @ x) + q @ (inv.k12 @ p) + x @ (inv.k12 @ y) + y @ (inv.k22 @ p))
+    )
+
+
 # --- evaluation ------------------------------------------------------------
 
 
 def test_eval_examples():
     mass = nls_mass(1)
-    assert eval_quadratic(mass, np.array([1.0, 1.0])) == 2.0
+    assert mass.evaluate(np.array([1.0, 1.0])) == 2.0
     z = canonical_from_planar(VORTEX4, VORTEX4.initial_positions)
-    assert eval_linear(vortex_linear_impulse_x(VORTEX4.circulations), z) == pytest.approx(
+    assert vortex_linear_impulse_x(VORTEX4.circulations).evaluate(z) == pytest.approx(
         28.5, rel=1e-14
     )
-    assert eval_linear(tc_linear_form(), np.zeros(4)) == 0.0
-    assert eval_quadratic(tc_quadratic_form(), np.zeros(4)) == 0.0
+    assert tc_linear_form().evaluate(np.zeros(4)) == 0.0
+    assert tc_quadratic_form().evaluate(np.zeros(4)) == 0.0
 
 
 def test_eval_dimension_checks():
     with pytest.raises(DimensionMismatch):
-        eval_linear(tc_linear_form(), np.zeros(6))
+        tc_linear_form().evaluate(np.zeros(6))
     with pytest.raises(DimensionMismatch):
-        eval_quadratic(nls_mass(2), np.zeros(6))
+        nls_mass(2).evaluate(np.zeros(6))
 
 
 def test_quadratic_block_symmetry_enforced():
@@ -82,29 +85,26 @@ def test_quadratic_block_symmetry_enforced():
 
 
 def test_lift_linear_coefficients():
-    a_hat = lift_linear(LinearInvariant(np.array([1.0, 0.0])))
-    assert a_hat.tolist() == [0.5, 0.5, 0.0, 0.0]
+    lifted = LinearInvariant(np.array([1.0, 0.0])).lift()
+    assert isinstance(lifted, LinearInvariant)
+    assert lifted.a.tolist() == [0.5, 0.5, 0.0, 0.0]
 
 
 def test_lifted_forms_restrict_to_originals():
     rng = seeded_rng(501)
     lin = tc_linear_form()
     quad = tc_quadratic_form()
-    a_hat = lift_linear(lin)
+    lin_hat, quad_hat = lin.lift(), quad.lift()
     for _ in range(100):
         z = rng.normal(size=4) * 2.0
         zeta = embed(z)
-        assert eval_extended_linear(a_hat, zeta) == pytest.approx(
-            eval_linear(lin, z), rel=1e-14, abs=1e-15
-        )
-        assert eval_extended_quadratic(quad, zeta) == pytest.approx(
-            eval_quadratic(quad, z), rel=1e-13, abs=1e-14
-        )
+        assert lin_hat.evaluate(zeta) == pytest.approx(lin.evaluate(z), rel=1e-14, abs=1e-15)
+        assert quad_hat.evaluate(zeta) == pytest.approx(quad.evaluate(z), rel=1e-13, abs=1e-14)
 
 
 def test_lifted_quadratic_matrix_for_doubled_identity():
     # kappa = 2I in one degree of freedom lifts to pure cross-copy blocks
-    k_hat = lift_quadratic(nls_mass(1))
+    k_hat = nls_mass(1).lift().matrix
     expected = np.array(
         [
             [0.0, 1.0, 0.0, 0.0],
@@ -120,13 +120,16 @@ def test_lifted_quadratic_matrix_matches_factored_form():
     rng = seeded_rng(502)
     for d in (1, 2, 3):
         inv = random_quadratic(rng, d)
-        k_hat = lift_quadratic(inv)
+        lifted = inv.lift()
+        assert isinstance(lifted, QuadraticInvariant) and lifted.dim == 2 * d
+        k_hat = lifted.matrix
         np.testing.assert_allclose(k_hat, k_hat.T, rtol=0, atol=0)
         for _ in range(30):
             zeta = rng.normal(size=4 * d)
+            factored = factored_lift(inv, zeta)
             direct = 0.5 * float(zeta @ (k_hat @ zeta))
-            factored = eval_extended_quadratic(inv, zeta)
-            assert factored == pytest.approx(direct, rel=1e-12, abs=1e-13)
+            assert direct == pytest.approx(factored, rel=1e-12, abs=1e-13)
+            assert lifted.evaluate(zeta) == pytest.approx(factored, rel=1e-12, abs=1e-13)
 
 
 def test_mass_lift_is_cross_copy_dot_products():
@@ -135,7 +138,7 @@ def test_mass_lift_is_cross_copy_dot_products():
     mass = nls_mass(d)
     zeta = rng.normal(size=4 * d)
     q, x, p, y = zeta[:d], zeta[d : 2 * d], zeta[2 * d : 3 * d], zeta[3 * d :]
-    assert eval_extended_quadratic(mass, zeta) == pytest.approx(q @ x + y @ p, rel=1e-14)
+    assert mass.lift().evaluate(zeta) == pytest.approx(q @ x + y @ p, rel=1e-14)
 
 
 def test_interleaved_lift_identity():
@@ -158,10 +161,10 @@ def test_interleaved_lift_identity():
         z = rng.normal(size=2 * d)
         zeta = embed(z)
         qbar = 0.5 * float(zeta @ (kbar @ zeta))
-        assert qbar == pytest.approx(eval_quadratic(inv, z), rel=1e-13, abs=1e-14)
+        assert qbar == pytest.approx(inv.evaluate(z), rel=1e-13, abs=1e-14)
     a_op = np.block([[eye, -eye, z_blk, z_blk], [z_blk, z_blk, eye, -eye]])
     proj = np.eye(4 * d) - a_op.T @ a_op
-    np.testing.assert_allclose(kbar @ proj, lift_quadratic(inv), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(kbar @ proj, inv.lift().matrix, rtol=0, atol=1e-15)
 
 
 # --- generators and brackets -------------------------------------------------
@@ -255,27 +258,20 @@ def test_lifted_invariants_commute_with_doubled_energy():
         def grad_hhat(zeta, system=system):
             return extended_hamiltonian_gradient(system, zeta)
 
-        def grad_qhat(zeta, inv=inv):
-            from extphase.invariants import extended_quadratic_gradient
-
-            return extended_quadratic_gradient(inv, zeta)
-
+        grad_qhat = inv.lift().gradient
         for _ in range(100):
-            assert abs(extended_poisson_bracket(grad_qhat, grad_hhat, draw())) <= 1e-10
+            assert abs(poisson_bracket(grad_qhat, grad_hhat, draw())) <= 1e-10
 
 
 def test_lifted_generator_consistent_with_lifted_matrix():
     rng = seeded_rng(509)
     d = 2
     inv = random_quadratic(rng, d)
-    k_hat = lift_quadratic(inv)
-    from extphase.invariants import extended_quadratic_gradient
-
+    lifted = inv.lift()
+    k_hat = lifted.matrix
     for _ in range(30):
         zeta = rng.normal(size=4 * d)
-        np.testing.assert_allclose(
-            extended_quadratic_gradient(inv, zeta), k_hat @ zeta, rtol=0, atol=1e-13
-        )
+        np.testing.assert_allclose(lifted.gradient(zeta), k_hat @ zeta, rtol=0, atol=1e-13)
 
 
 # --- coupling-energy bracket -------------------------------------------------
@@ -287,15 +283,12 @@ def test_coupling_bracket_closed_form_matches_numeric_bracket():
     rng = seeded_rng(510)
     for d in (1, 2, 3):
         inv = random_quadratic(rng, d)
-        from extphase.invariants import extended_quadratic_gradient
-
+        lifted = inv.lift()
         for _ in range(40):
             zeta = rng.normal(size=4 * d)
             omega = rng.uniform(0.5, 20.0)
-            numeric = extended_poisson_bracket(
-                lambda zz: extended_quadratic_gradient(inv, zz),
-                lambda zz: coupling_energy_gradient(omega, zz),
-                zeta,
+            numeric = poisson_bracket(
+                lifted.gradient, lambda zz: coupling_energy_gradient(omega, zz), zeta
             )
             closed = coupling_bracket(inv, zeta, omega)
             assert numeric == pytest.approx(closed, rel=1e-12, abs=1e-12)
@@ -317,19 +310,20 @@ def test_coupling_preservation_condition():
         zeta = rng.normal(size=4 * d)
         assert abs(coupling_bracket(good, zeta, 7.0)) <= 1e-12
     # conservation along the exact rotation itself
+    good_hat = good.lift()
     for _ in range(20):
         zeta = rng.normal(size=4 * d)
         t = rng.uniform(-1.0, 1.0)
-        before = eval_extended_quadratic(good, zeta)
-        after = eval_extended_quadratic(good, coupling_flow(7.0, t, zeta))
+        before = good_hat.evaluate(zeta)
+        after = good_hat.evaluate(coupling_flow(7.0, t, zeta))
         assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
 
 
 def test_opposite_sign_blocks_are_not_conserved_by_rotation():
     inv = QuadraticInvariant(np.array([[1.0]]), np.zeros((1, 1)), np.array([[-1.0]]))
     zeta = np.array([1.0, 0.0, 0.0, 0.0])
-    before = eval_extended_quadratic(inv, zeta)
-    after = eval_extended_quadratic(inv, coupling_flow(1.0, np.pi / 4.0, zeta))
+    before = inv.lift().evaluate(zeta)
+    after = inv.lift().evaluate(coupling_flow(1.0, np.pi / 4.0, zeta))
     assert abs(after - before) > 0.1
     # the bracket needs both copy gaps nonzero to see the k22 - k11 mismatch
     assert abs(coupling_bracket(inv, np.array([1.0, 0.0, 0.0, 0.5]), 1.0)) > 0.1

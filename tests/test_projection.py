@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from extphase import (
     EvalCounter,
     NonConvergence,
     SolverConfig,
+    VortexConfig,
     apply_A,
     apply_AT,
+    canonical_from_planar,
     composed_step,
     composition_scheme,
     embed,
     make_nls,
     make_testcase,
+    make_vortices,
+    nls_mass,
     pihajoki_step,
     residual,
     semiexplicit_step,
@@ -19,7 +25,11 @@ from extphase import (
     symplecticity_defect,
     testcase_L as tc_linear_form,
     testcase_Q as tc_quadratic_form,
+    vortex_angular_impulse,
+    vortex_linear_impulse_x,
+    vortex_linear_impulse_y,
 )
+from extphase.splitting import COMPOSITION_LABELS
 
 from conftest import seeded_rng
 
@@ -208,3 +218,66 @@ def test_projected_step_longer_horizon_drift():
         assert stats.converged
     assert abs(lin.evaluate(z) - l0) <= 1e-10
     assert abs(quad.evaluate(z) - q0) <= 1e-10
+
+
+# --- the paper's two steps, as one property --------------------------------
+
+
+@st.composite
+def systems_with_invariants(draw):
+    """A random vortex set or quartic lattice, a state, and its invariants."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        signs = [1.0, -1.0] + draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n - 2,
+                                            max_size=n - 2))
+        gammas = [sign * draw(st.floats(0.5, 2.0)) for sign in signs]
+        # distinct cells of a 3 x 3 grid of spacing 1.5, jittered: no two
+        # vortices start closer than 0.9
+        cells = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n, unique=True))
+        jitter = st.floats(-0.3, 0.3)
+        positions = [(1.5 * (c % 3) + draw(jitter), 1.5 * (c // 3) + draw(jitter)) for c in cells]
+        config = VortexConfig(gammas, positions)
+        invariants = [
+            vortex_linear_impulse_x(gammas),
+            vortex_linear_impulse_y(gammas),
+            vortex_angular_impulse(gammas),
+        ]
+        return make_vortices(config), canonical_from_planar(config, positions), invariants
+    d = draw(st.integers(1, 4))
+    z = draw(arrays(np.float64, 2 * d, elements=st.floats(-1.0, 1.0)))
+    return make_nls(d), z, [nls_mass(d)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    case=systems_with_invariants(),
+    label=st.sampled_from(COMPOSITION_LABELS),
+    dt=st.floats(0.01, 0.05),
+)
+def test_paper_two_steps_keep_every_invariant(case, label, dt):
+    """Step one: the doubled-space step keeps every lifted invariant to
+    round-off.  Step two: its symmetric projection keeps every invariant
+    within criteria 1 and 2's bound per step and is symmetric."""
+    system, z0, invariants = case
+    inner = composed_step(pihajoki_step, composition_scheme(label))
+
+    zeta = embed(z0)
+    for inv in invariants:
+        lifted = inv.lift()
+        start = lifted.evaluate(zeta)
+        zeta_k = zeta
+        for _ in range(3):
+            zeta_k = inner(system, dt, zeta_k)
+            assert abs(lifted.evaluate(zeta_k) - start) <= 1e-12 * max(1.0, abs(start))
+
+    cfg = SolverConfig(tol=1e-12)
+    z1, _ = semiexplicit_step(system, inner, dt, z0, cfg)
+    back, _ = semiexplicit_step(system, inner, -dt, z1, cfg)
+    assert np.max(np.abs(back - z0)) <= 10 * cfg.tol
+    z = z0
+    for _ in range(3):
+        z_next, _ = semiexplicit_step(system, inner, dt, z, cfg)
+        for inv in invariants:
+            before = inv.evaluate(z)
+            assert abs(inv.evaluate(z_next) - before) <= 1e-10 * max(1.0, abs(before))
+        z = z_next

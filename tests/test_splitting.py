@@ -15,10 +15,8 @@ from extphase import (
     composition_scheme,
     coupling_flow,
     embed,
-    eval_extended_quadratic,
     flow_a,
     flow_b,
-    lift_linear,
     make_nls,
     make_testcase,
     nls_mass,
@@ -126,12 +124,12 @@ def test_pihajoki_step_time_reversible():
 
 def test_pihajoki_step_preserves_lifted_mass_per_step():
     sys_ = make_nls(3)
-    mass = nls_mass(3)
+    mass_hat = nls_mass(3).lift()
     rng = seeded_rng(304)
     for _ in range(50):
         zeta = rng.normal(size=12)
-        before = eval_extended_quadratic(mass, zeta)
-        after = eval_extended_quadratic(mass, pihajoki_step(sys_, 0.05, zeta))
+        before = mass_hat.evaluate(zeta)
+        after = mass_hat.evaluate(pihajoki_step(sys_, 0.05, zeta))
         assert abs(after - before) <= 1e-12 * max(1.0, abs(before))
 
 
@@ -140,15 +138,15 @@ def test_lifted_invariants_constant_over_long_run():
     # constant to round-off in the doubled space
     sys_ = make_testcase()
     zeta = embed(np.array([-1.0, 2.0, 1.0, -1.0]))
-    a_hat = lift_linear(tc_linear_form())
-    q_inv = tc_quadratic_form()
-    l0 = float(a_hat @ zeta)
-    q0 = eval_extended_quadratic(q_inv, zeta)
+    l_hat = tc_linear_form().lift()
+    q_hat = tc_quadratic_form().lift()
+    l0 = l_hat.evaluate(zeta)
+    q0 = q_hat.evaluate(zeta)
     worst_l = worst_q = 0.0
     for _ in range(10_000):
         zeta = pihajoki_step(sys_, 0.1, zeta)
-        worst_l = max(worst_l, abs(float(a_hat @ zeta) - l0) / abs(l0))
-        worst_q = max(worst_q, abs(eval_extended_quadratic(q_inv, zeta) - q0) / abs(q0))
+        worst_l = max(worst_l, abs(l_hat.evaluate(zeta) - l0) / abs(l0))
+        worst_q = max(worst_q, abs(q_hat.evaluate(zeta) - q0) / abs(q0))
     assert worst_l <= 1e-12
     assert worst_q <= 1e-12
 
@@ -262,14 +260,14 @@ def test_coupled_step_conserves_compatible_lifted_quadratics():
     # the rotation conserves the lifted quadratic exactly when k12 is
     # antisymmetric and k22 == +k11; equal-block data (mass-like) qualifies
     sys_ = make_nls(2)
-    mass = nls_mass(2)
+    mass_hat = nls_mass(2).lift()
     params = TaoParams(50.0)
     rng = seeded_rng(310)
     zeta = rng.normal(size=8) * 0.5
-    before = eval_extended_quadratic(mass, zeta)
+    before = mass_hat.evaluate(zeta)
     for _ in range(200):
         zeta = tao_step(sys_, 1e-2, zeta, params)
-    after = eval_extended_quadratic(mass, zeta)
+    after = mass_hat.evaluate(zeta)
     assert abs(after - before) <= 1e-12 * max(1.0, abs(before))
 
 
@@ -288,9 +286,9 @@ def test_coupled_step_breaks_opposite_sign_quadratics():
     sys_ = SplitSquares()
     inv = QuadraticInvariant(np.array([[1.0]]), np.zeros((1, 1)), np.array([[-1.0]]))
     zeta = np.array([1.0, 0.0, 0.0, 0.0])  # off the diagonal
-    before = eval_extended_quadratic(inv, zeta)
+    before = inv.lift().evaluate(zeta)
     zeta1 = tao_step(sys_, 0.3, zeta, TaoParams(5.0))
-    after = eval_extended_quadratic(inv, zeta1)
+    after = inv.lift().evaluate(zeta1)
     assert abs(after - before) > 1e-6
 
 
