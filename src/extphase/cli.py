@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import ConfigError, NonConvergence, VortexCollision
 from .harness import (
     PRESETS,
+    ExperimentSpec,
     benchmark,
     convergence_study,
     emit_benchmark_csv,
@@ -43,29 +44,21 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--solver", help="simplified_newton | broyden")
 
 
-def _spec_from_args(args) -> "ExperimentSpec":
+def _spec_from_args(args) -> ExperimentSpec:
     if bool(args.preset) == bool(args.config):
         raise ConfigError("exactly one of --preset or --config is required")
     spec = preset(args.preset) if args.preset else load_config(args.config)
-    overrides = {}
-    for key in ("method", "order", "composition", "dt", "t_end", "omega", "tol", "max_iter", "solver"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if overrides.get("method", "").startswith("gl"):
+    # every option named after a spec field overrides it
+    names = [f.name for f in fields(ExperimentSpec)]
+    overrides = {key: getattr(args, key) for key in names if getattr(args, key, None) is not None}
+    if overrides.get("method") in ("gl2", "gl4", "gl6"):
         overrides.setdefault("composition", None)
         overrides.setdefault("order", int(overrides["method"][2]))
-    if overrides:
-        spec = replace(spec, **overrides)
-    return spec
+    return replace(spec, **overrides)
 
 
 def _cmd_run(args) -> int:
     spec = _spec_from_args(args)
-    if args.stride is not None:
-        spec = replace(spec, record_stride=args.stride)
-    if args.record_state:
-        spec = replace(spec, record_state=True)
     record = run_experiment(spec)
     if args.out:
         emit_csv(record, args.out)
@@ -79,7 +72,8 @@ def _cmd_run(args) -> int:
         f"max drift [{drift_text}]"
     )
     if not record.complete:
-        print(f"run incomplete: {record.failure}", file=sys.stderr)
+        k = record.failed_step
+        print(f"run incomplete at step {k} (t={k * spec.dt:g}): {record.failure}", file=sys.stderr)
         return EXIT_NONCONVERGENCE if record.failure_kind == "non_convergence" else EXIT_SINGULAR
     return EXIT_OK
 
@@ -120,8 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arguments(p_run)
     p_run.add_argument("--out", help="trajectory CSV path")
     p_run.add_argument("--svg", help="drift chart SVG path")
-    p_run.add_argument("--stride", type=int, help="record every k-th step")
-    p_run.add_argument("--record-state", action="store_true", help="append state columns")
+    p_run.add_argument("--stride", dest="record_stride", type=int, help="record every k-th step")
+    p_run.add_argument("--record-state", action="store_const", const=True,
+                       help="append state columns")
     p_run.set_defaults(fn=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="time the bare stepping loop")
@@ -142,6 +137,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # argparse printed a usage error, or the help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, VortexCollision
+from .errors import ConfigError, DimensionMismatch, VortexCollision
 
 __all__ = [
     "CountingSystem", "EvalCounter", "HamiltonianSystem", "NlsLattice", "PointVortexSystem",
@@ -165,7 +165,7 @@ class VortexConfig:
         if gammas.ndim != 1 or gammas.size == 0:
             raise DimensionMismatch("circulations must be a non-empty vector")
         if np.any(gammas == 0.0) or not np.isfinite(gammas).all():
-            raise ValueError("all circulations must be finite and nonzero")
+            raise ConfigError("all circulations must be finite and nonzero")
         object.__setattr__(self, "circulations", gammas)
         if self.initial_positions is not None:
             pos = np.asarray(self.initial_positions, dtype=float)

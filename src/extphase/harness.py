@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -46,6 +48,15 @@ COMPOSITIONS = {"triple_jump": "triple_jump_4", "suzuki": "suzuki_4", "yoshida":
 MAX_RECORD_ROWS = 100_000
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a number a float holds, inf and nan included; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        isinstance(value, float) or abs(value) <= sys.float_info.max)
+
+
+_TYPES = {"str": str, "int": numbers.Integral, "bool": bool, "tuple": tuple}  # float fields: _real
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Flat description of one integration run.
@@ -76,6 +87,18 @@ class ExperimentSpec:
     name: str = "experiment"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            ok = _real(value) if kind == "float" else isinstance(value, _TYPES[kind]) and (
+                isinstance(value, bool) == (kind == "bool"))
+            if not (ok or value is None and optional):
+                raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
+        blocks = [b for b in (self.gammas, self.q0, self.p0) if b is not None]
+        blocks += self.positions or ()
+        if not all(isinstance(b, tuple) and all(_real(v) and math.isfinite(v) for v in b)
+                   for b in blocks):
+            raise ConfigError("gammas, positions, q0 and p0 must hold finite numbers")
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}, expected one of {SYSTEMS}")
         if self.method not in METHODS:
@@ -127,7 +150,7 @@ class ExperimentSpec:
                 if block is None or len(block) != self.d:
                     raise ConfigError("nls requires q0 and p0 of length d")
             return self.d
-        if self.gammas is None:
+        if not self.gammas:
             raise ConfigError("vortex system requires circulations")
         n = len(self.gammas)
         if self.positions is not None:
@@ -140,7 +163,8 @@ class ExperimentSpec:
     @property
     def n_steps(self) -> int:
         """Number of ``dt`` steps to ``t_end``, which must be a whole number."""
-        n = int(round(self.t_end / self.dt))
+        ratio = self.t_end / self.dt
+        n = int(round(ratio)) if math.isfinite(ratio) else 0
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-6 * max(self.t_end, 1.0):
             raise ConfigError("t_end must be an integer number of steps")
         return n
@@ -237,13 +261,12 @@ def make_spec(mapping: dict) -> ExperimentSpec:
     unknown = set(mapping) - _SPEC_FIELDS
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    mapping = dict(mapping)
-    for key in ("gammas", "q0", "p0"):
-        if mapping.get(key) is not None:
-            mapping[key] = tuple(float(v) for v in mapping[key])
-    if mapping.get("positions") is not None:
-        mapping["positions"] = tuple(tuple(float(v) for v in pt) for pt in mapping["positions"])
-    return ExperimentSpec(**mapping)
+    # JSON lists become the spec's tuples; the spec checks what they hold
+    return ExperimentSpec(**{key: _tuples(value) for key, value in mapping.items()})
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
 def load_config(path) -> ExperimentSpec:
@@ -251,7 +274,7 @@ def load_config(path) -> ExperimentSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a flat JSON object")
@@ -259,30 +282,36 @@ def load_config(path) -> ExperimentSpec:
 
 
 def build_system(spec: ExperimentSpec):
-    """Instantiate the system, initial state, and its named invariants."""
-    if spec.system == "testcase":
-        system = make_testcase()
-        q0 = spec.q0 if spec.q0 is not None else (-1.0, 2.0)
-        p0 = spec.p0 if spec.p0 is not None else (1.0, -1.0)
-        z0 = np.array(q0 + p0, dtype=float)
-        invs = [("L", inv_mod.testcase_L()), ("Q", inv_mod.testcase_Q())]
-    elif spec.system == "nls":
-        system = make_nls(spec.d)
-        z0 = np.array(spec.q0 + spec.p0, dtype=float)
-        invs = [("mass", inv_mod.nls_mass(spec.d))]
-    else:
-        config = VortexConfig(spec.gammas, spec.positions)
-        system = make_vortices(config)
-        if spec.positions is not None:
-            z0 = canonical_from_planar(config, spec.positions)
-        else:
-            z0 = np.array(spec.q0 + spec.p0, dtype=float)
-        g = config.circulations
-        invs = [
-            ("L_a", inv_mod.vortex_linear_impulse_x(g)),
-            ("L_b", inv_mod.vortex_linear_impulse_y(g)),
-            ("Q_kappa", inv_mod.vortex_angular_impulse(g)),
-        ]
+    """Instantiate the system, initial state, and its named invariants; raise
+    :class:`ConfigError` if they cannot be evaluated at the initial state."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            if spec.system == "testcase":
+                system = make_testcase()
+                q0 = spec.q0 if spec.q0 is not None else (-1.0, 2.0)
+                p0 = spec.p0 if spec.p0 is not None else (1.0, -1.0)
+                z0 = np.array(q0 + p0, dtype=float)
+                invs = [("L", inv_mod.testcase_L()), ("Q", inv_mod.testcase_Q())]
+            elif spec.system == "nls":
+                system = make_nls(spec.d)
+                z0 = np.array(spec.q0 + spec.p0, dtype=float)
+                invs = [("mass", inv_mod.nls_mass(spec.d))]
+            else:
+                config = VortexConfig(spec.gammas, spec.positions)
+                system = make_vortices(config)
+                if spec.positions is not None:
+                    z0 = canonical_from_planar(config, spec.positions)
+                else:
+                    z0 = np.array(spec.q0 + spec.p0, dtype=float)
+                g = config.circulations
+                invs = [
+                    ("L_a", inv_mod.vortex_linear_impulse_x(g)),
+                    ("L_b", inv_mod.vortex_linear_impulse_y(g)),
+                    ("Q_kappa", inv_mod.vortex_angular_impulse(g)),
+                ]
+            system.energy_z(z0), [inv.evaluate(z0) for _, inv in invs]  # only to see they evaluate
+    except (ArithmeticError, ValueError) as exc:  # math's range and domain errors too
+        raise ConfigError(f"initial data the system cannot evaluate: {exc}") from exc
     return system, z0, invs
 
 
@@ -332,46 +361,48 @@ def _make_step(spec: ExperimentSpec):
         if not np.isfinite(zeta).all():
             raise NonConvergence("state is no longer finite; the copies separated")
         # an explicit step is one pass of fixed cost, with no iterations
-        return zeta, StepStats(0, True, 0.0, defect_norm=defect)
+        return zeta, StepStats(0, 0.0, defect_norm=defect)
 
     return step, cost
 
 
-class _Advancer:
-    """Steps one run and checks each step's gradient cost."""
+class _Run:
+    """One run, stepped by iterating it: each iteration takes step ``k``, checks
+    its gradient cost and yields ``k``.  ``stats`` and ``spent`` are the last
+    step's (zero before the first), ``itr_total`` sums the steps' iterations,
+    and a step that raises leaves ``k`` at its own number."""
 
     def __init__(self, spec: ExperimentSpec, system: HamiltonianSystem, z0: np.ndarray):
+        self.spec = spec
         self.counter = EvalCounter()
         self.system = system.with_counter(self.counter)
         self.extended = spec.method in ("pihajoki", "tao")
         self._step, self.cost_per_pass = _make_step(spec)
-        z0 = np.asarray(z0, dtype=float)
         self.state = embed(z0) if self.extended else z0
-        self.itr_last = 0
-        self.defect_last = 0.0
-        self.vf_last = 0
-        self.converged_steps = 0
+        self.k = 0
+        self.itr_total = 0
+        self.stats = StepStats(0, 0.0)
+        self.spent = 0
 
-    def state_z(self) -> np.ndarray:
+    @property
+    def z(self) -> np.ndarray:
+        """Original-space state after step ``k``."""
         if self.extended:
             q, _, p, _ = blocks(self.state)
             return np.concatenate((q, p))
         return self.state
 
-    def advance(self, dt: float) -> None:
-        before = self.counter.n_grad
-        self.state, stats = self._step(self.system, dt, self.state)
-        self.itr_last = stats.iterations
-        self.defect_last = stats.defect_norm
-        self.converged_steps += int(stats.converged)
-        spent = self.counter.n_grad - before
-        self.vf_last = spent
-        expected = self.cost_per_pass * max(stats.iterations, 1)  # explicit: one pass
-        if spent != expected:
-            raise AssertionError(
-                f"cost accounting violated: spent {spent} gradient evaluations, "
-                f"expected {expected}"
-            )
+    def __iter__(self):
+        for self.k in range(1, self.spec.n_steps + 1):
+            before = self.counter.n_grad
+            self.state, self.stats = self._step(self.system, self.spec.dt, self.state)
+            self.spent = self.counter.n_grad - before
+            expected = self.cost_per_pass * max(self.stats.iterations, 1)  # explicit: one pass
+            if self.spent != expected:
+                raise AssertionError(f"cost accounting violated: spent {self.spent} "
+                                     f"gradient evaluations, expected {expected}")
+            self.itr_total += self.stats.iterations
+            yield self.k
 
 
 @dataclass
@@ -391,13 +422,21 @@ class TrajectoryRecord:
     total_steps: int
     itr_total: int
     vf_total: int
-    complete: bool = True
     # the raised error itself, so its best iterate, residual and iterations stay readable
     failure: NonConvergence | VortexCollision | None = None
 
     @property
     def rows(self) -> int:
         return self.steps.size
+
+    @property
+    def complete(self) -> bool:
+        return self.failure is None
+
+    @property
+    def failed_step(self) -> int | None:
+        """Number of the step an incomplete run failed at, ``None`` if complete."""
+        return None if self.failure is None else self.total_steps + 1
 
     @property
     def failure_kind(self) -> str | None:
@@ -417,40 +456,35 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
     system, z0, invs = build_system(spec)
     n_steps = spec.n_steps
     stride = spec.record_stride or max(1, math.ceil(n_steps / MAX_RECORD_ROWS))
-    adv = _Advancer(spec, system, z0)
+    run = _Run(spec, system, z0)
 
     e0 = system.energy_z(z0)
     e_scale = max(abs(e0), inv_mod.DRIFT_FLOOR)
     inv0 = [inv.evaluate(z0) for _, inv in invs]
     inv_scale = [max(abs(v), inv_mod.DRIFT_FLOOR) for v in inv0]
 
-    steps, times, defect, energy_err, itr, vf = [], [], [], [], [], []
+    steps, defect, energy_err, itr, vf = [], [], [], [], []
     drifts = {name: [] for name, _ in invs}
     states = [] if spec.record_state else None
 
     def record(k: int) -> None:
-        z = adv.state_z()
+        z = run.z
         steps.append(k)
-        times.append(k * spec.dt)
-        defect.append(adv.defect_last if k else 0.0)
+        defect.append(run.stats.defect_norm)
         # a blown-up state records inf/nan here rather than a warning
         with np.errstate(over="ignore", invalid="ignore"):
             energy_err.append(abs(system.energy_z(z) - e0) / e_scale)
             for (name, inv), v0, scale in zip(invs, inv0, inv_scale):
                 drifts[name].append(abs(inv.evaluate(z) - v0) / scale)
-        itr.append(adv.itr_last if k else 0)
-        vf.append(adv.vf_last if k else 0)
+        itr.append(run.stats.iterations)
+        vf.append(run.spent)
         if states is not None:
             states.append(z.copy())
 
     failure = None
-    itr_total = 0
     record(0)
-    k = 0
     try:
-        for k in range(1, n_steps + 1):
-            adv.advance(spec.dt)
-            itr_total += adv.itr_last
+        for k in run:
             if k % stride == 0 or k == n_steps:
                 record(k)
     except (NonConvergence, VortexCollision) as exc:
@@ -461,17 +495,16 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
         spec=spec,
         invariant_names=[name for name, _ in invs],
         steps=np.array(steps, dtype=int),
-        times=np.array(times),
+        times=np.array(steps, dtype=int) * spec.dt,
         defect=np.array(defect),
         energy_err=np.array(energy_err),
         drifts={name: np.array(vals) for name, vals in drifts.items()},
         itr=np.array(itr, dtype=int),
         vf=np.array(vf, dtype=int),
         states=np.array(states) if states is not None else None,
-        total_steps=n_steps if failure is None else max(k - 1, 0),
-        itr_total=itr_total,
-        vf_total=adv.counter.n_grad,
-        complete=failure is None,
+        total_steps=n_steps if failure is None else run.k - 1,
+        itr_total=run.itr_total,
+        vf_total=run.counter.n_grad,
         failure=failure,
     )
 
@@ -488,19 +521,12 @@ def benchmark(spec: ExperimentSpec, repetitions: int) -> dict:
     system, z0, _ = build_system(spec)
     n_steps = spec.n_steps
     elapsed = []
-    itr_total = 0
-    vf_total = 0
-    converged = 0
     for _ in range(repetitions):
-        adv = _Advancer(spec, system, z0)
-        itr_total = 0
+        run = _Run(spec, system, z0)
         start = time.perf_counter()
-        for _ in range(n_steps):
-            adv.advance(spec.dt)
-            itr_total += adv.itr_last
+        for _ in run:
+            pass
         elapsed.append(time.perf_counter() - start)
-        vf_total = adv.counter.n_grad
-        converged = adv.converged_steps
     return {
         "method": spec.method_label,
         "order": spec.order if not spec.method.startswith("gl") else int(spec.method[2]),
@@ -508,23 +534,24 @@ def benchmark(spec: ExperimentSpec, repetitions: int) -> dict:
         "t_end": spec.t_end,
         "tol": spec.tol,
         "time_s": sum(elapsed) / len(elapsed),
-        "itr_avg": itr_total / n_steps,
-        "vf_avg": vf_total / n_steps,
-        "converged_steps": converged,
+        "itr_avg": run.itr_total / n_steps,
+        "vf_avg": run.counter.n_grad / n_steps,
+        # every step taken converged: a step that does not raises
+        "converged_steps": run.k,
         "total_steps": n_steps,
         # exact integer tallies, handy for cost-identity checks
-        "itr_total": itr_total,
-        "vf_total": vf_total,
+        "itr_total": run.itr_total,
+        "vf_total": run.counter.n_grad,
     }
 
 
 def final_state(spec: ExperimentSpec) -> np.ndarray:
     """Original-space state after integrating to ``t_end`` (no recording)."""
     system, z0, _ = build_system(spec)
-    adv = _Advancer(spec, system, z0)
-    for _ in range(spec.n_steps):
-        adv.advance(spec.dt)
-    return adv.state_z()
+    run = _Run(spec, system, z0)
+    for _ in run:
+        pass
+    return run.z
 
 
 def convergence_study(
@@ -538,6 +565,8 @@ def convergence_study(
     final-state error.
     """
     dts = sorted((float(v) for v in dt_list), reverse=True)
+    if not all(dt > 0.0 and math.isfinite(dt) for dt in dts):
+        raise ConfigError("step sizes must be positive and finite")
     if len(dts) < 4:
         raise ConfigError("need at least four step sizes")
     ratios = [dts[i] / dts[i + 1] for i in range(len(dts) - 1)]
@@ -569,58 +598,33 @@ def convergence_study(
 # Flat-file emission
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _csv_lines(columns, specs: dict):
+    """Header and rows of ``(name, values)`` columns, formatted by ``specs`` or ``.17g``."""
+    yield ",".join(name for name, _ in columns)
+    formats = [specs.get(name, ".17g") for name, _ in columns]
+    for row in zip(*(values for _, values in columns)):
+        yield ",".join([format(v, fmt) for fmt, v in zip(formats, row)])
 
 
 def emit_csv(record: TrajectoryRecord, path) -> None:
     """Write the record using the documented column schema, 17 significant
     digits, `,` separator, `.` decimal."""
-    names = record.invariant_names
-    header = ["step", "t", "defect_norm", "energy_rel_err"]
-    header += [f"{name}_rel_err" for name in names]
-    header += ["itr", "vf_evals"]
-    d = None
+    columns = [("step", record.steps), ("t", record.times), ("defect_norm", record.defect),
+               ("energy_rel_err", record.energy_err)]
+    columns += [(f"{name}_rel_err", record.drifts[name]) for name in record.invariant_names]
+    columns += [("itr", record.itr), ("vf_evals", record.vf)]
     if record.states is not None and record.rows:
         d = record.states.shape[1] // 2
-        header += [f"q{i + 1}" for i in range(d)] + [f"p{i + 1}" for i in range(d)]
-    lines = [",".join(header)]
-    for i in range(record.rows):
-        row = [
-            str(int(record.steps[i])),
-            _fmt(record.times[i]),
-            _fmt(record.defect[i]),
-            _fmt(record.energy_err[i]),
-        ]
-        row += [_fmt(record.drifts[name][i]) for name in names]
-        row += [str(int(record.itr[i])), str(int(record.vf[i]))]
-        if d is not None:
-            row += [_fmt(v) for v in record.states[i]]
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+        labels = [f"q{i + 1}" for i in range(d)] + [f"p{i + 1}" for i in range(d)]
+        columns += zip(labels, record.states.T)
+    _write_lines(path, _csv_lines(columns, {"step": "d", "itr": "d", "vf_evals": "d"}))
 
 
 def emit_benchmark_csv(rows: list, path) -> None:
-    header = "method,order,dt,t_end,tol,time_s,itr_avg,vf_avg,converged_steps,total_steps"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row["method"]),
-                    str(int(row["order"])),
-                    _fmt(row["dt"]),
-                    _fmt(row["t_end"]),
-                    _fmt(row["tol"]),
-                    _fmt(row["time_s"]),
-                    _fmt(row["itr_avg"]),
-                    _fmt(row["vf_avg"]),
-                    str(int(row["converged_steps"])),
-                    str(int(row["total_steps"])),
-                ]
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    keys = ("method", "order", "dt", "t_end", "tol", "time_s", "itr_avg", "vf_avg",
+            "converged_steps", "total_steps")
+    specs = {"method": "s", "order": "d", "converged_steps": "d", "total_steps": "d"}
+    _write_lines(path, _csv_lines([(key, [row[key] for row in rows]) for key in keys], specs))
 
 
 def load_csv(path) -> dict:
@@ -641,30 +645,32 @@ def load_csv(path) -> dict:
 def emit_svg(record: TrajectoryRecord, path) -> None:
     """Render defect and per-invariant drift panels with log-scale y axes.
 
-    Zero values cannot be shown on a log axis and are omitted from the
-    polylines (the CSV keeps them).
+    Zero and non-finite values cannot be shown on a log axis and are
+    omitted from the polylines (the CSV keeps them).
     """
-    panels = [("defect", record.times, record.defect)]
-    for name in record.invariant_names:
-        panels.append((f"{name} drift", record.times, record.drifts[name]))
+    _write_lines(path, _svg_lines(record))
+
+
+def _svg_lines(record: TrajectoryRecord):
+    ts = record.times
+    panels = [("defect", record.defect)]
+    panels += [(f"{name} drift", record.drifts[name]) for name in record.invariant_names]
     width, height, margin = 360, 280, 45
-    parts = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width * len(panels)}" '
         f'height="{height}" font-family="sans-serif" font-size="11">'
-    ]
-    for idx, (title, ts, values) in enumerate(panels):
+    )
+    for idx, (title, values) in enumerate(panels):
         x0 = idx * width + margin
         y0 = margin
         plot_w = width - 2 * margin
         plot_h = height - 2 * margin
-        keep = values > 0.0
-        parts.append(
+        keep = np.isfinite(values) & (values > 0.0)
+        yield (
             f'<rect x="{x0}" y="{y0}" width="{plot_w}" height="{plot_h}" '
             'fill="none" stroke="black"/>'
         )
-        parts.append(
-            f'<text x="{x0 + plot_w / 2:.1f}" y="{y0 - 8}" text-anchor="middle">{title}</text>'
-        )
+        yield f'<text x="{x0 + plot_w / 2:.1f}" y="{y0 - 8}" text-anchor="middle">{title}</text>'
         if keep.any():
             logv = np.log10(values[keep])
             tk = ts[keep]
@@ -676,28 +682,24 @@ def emit_svg(record: TrajectoryRecord, path) -> None:
             xs = x0 + (tk - t_lo) / t_span * plot_w
             ys = y0 + (hi - logv) / (hi - lo) * plot_h
             points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-            parts.append(f'<polyline points="{points}" fill="none" stroke="#1f77b4"/>')
-            parts.append(
-                f'<text x="{x0 - 6}" y="{y0 + 10}" text-anchor="end">1e{hi:.1f}</text>'
-            )
-            parts.append(
-                f'<text x="{x0 - 6}" y="{y0 + plot_h}" text-anchor="end">1e{lo:.1f}</text>'
-            )
+            yield f'<polyline points="{points}" fill="none" stroke="#1f77b4"/>'
+            yield f'<text x="{x0 - 6}" y="{y0 + 10}" text-anchor="end">1e{hi:.1f}</text>'
+            yield f'<text x="{x0 - 6}" y="{y0 + plot_h}" text-anchor="end">1e{lo:.1f}</text>'
         else:
-            parts.append(
+            yield (
                 f'<text x="{x0 + plot_w / 2:.1f}" y="{y0 + plot_h / 2:.1f}" '
                 'text-anchor="middle" fill="#777">all values zero</text>'
             )
-        parts.append(
-            f'<text x="{x0 + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle">t</text>'
-        )
-    parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+        yield f'<text x="{x0 + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle">t</text>'
+    yield "</svg>"
 
 
-def _write_text(path, text: str) -> None:
+def _write_lines(path, lines) -> None:
+    """Write ``lines`` to ``path`` one at a time, each ending in a newline."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc

@@ -124,5 +124,5 @@ def gl_step(
                 iterations=sweeps,
             )
     z_next = z + dt * (tableau.b @ k)
-    stats = StepStats(sweeps, True, change)
+    stats = StepStats(sweeps, change)
     return z_next, stats

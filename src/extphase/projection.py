@@ -66,7 +66,6 @@ class StepStats:
     """
 
     iterations: int
-    converged: bool
     final_residual: float
     mu: np.ndarray | None = field(default=None, repr=False)
     defect_norm: float = 0.0
@@ -138,7 +137,7 @@ def solve_mu(
         if r0_norm is None:
             r0_norm = max(r_norm, 1e-300)
         if r_norm <= cfg.tol:
-            stats = StepStats(iterations, True, r_norm, mu=mu.copy())
+            stats = StepStats(iterations, r_norm, mu=mu.copy())
             return mu, image, stats
         if r_norm > DIVERGENCE_FACTOR * r0_norm:
             raise failure(f"projection solve diverged: residual {r_norm:.3e} from {r0_norm:.3e}")

@@ -1,8 +1,13 @@
+import io
 import json
-from dataclasses import replace
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extphase import (
     ConfigError,
@@ -23,6 +28,7 @@ from extphase import (
     run_experiment,
 )
 from extphase.cli import main
+from extphase.harness import emit_benchmark_csv
 
 
 def test_presets_carry_reference_configurations():
@@ -134,6 +140,7 @@ def test_failure_produces_partial_record():
     assert not record.complete
     assert record.failure_kind == "non_convergence"
     assert record.total_steps < 10_000
+    assert record.failed_step == record.total_steps + 1
 
 
 def test_failure_is_kept_as_data():
@@ -142,6 +149,7 @@ def test_failure_is_kept_as_data():
     assert not record.complete
     assert record.failure_kind == "non_convergence"
     assert isinstance(record.failure, NonConvergence)
+    assert record.failed_step == 1
     assert record.failure.iterations >= 1
     assert record.failure.best.shape == (10,)  # the multiplier, length 2d
     assert np.isfinite(record.failure.final_residual)
@@ -161,6 +169,40 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(cols["L_rel_err"], record.drifts["L"])
     np.testing.assert_array_equal(cols["q1"], record.states[:, 0])
     np.testing.assert_array_equal(cols["p2"], record.states[:, 3])
+
+
+def test_csv_text_is_pinned(tmp_path):
+    # integer columns print as integers and floats as format(v, ".17g"); every
+    # line ends in "\n", the last one too
+    record = run_experiment(preset("testcase", method="pihajoki", t_end=0.2, record_state=True))
+    path = tmp_path / "run.csv"
+    emit_csv(record, path)
+    assert path.read_text() == (
+        "step,t,defect_norm,energy_rel_err,L_rel_err,Q_rel_err,itr,vf_evals,q1,q2,p1,p2\n"
+        "0,0,0,0,0,0,0,0,-1,2,1,-1\n"
+        "1,0.10000000000000001,2.8142940332165515e-07,1.3236054444628723e-08,"
+        "1.7771091265217365e-09,1.3278488234883903e-07,0,3,-1.0181503432109111,"
+        "1.9957005772187952,0.98789977415457453,-1.0042858165875543\n"
+        "2,0.20000000000000001,5.630756661107505e-07,2.6512184439819841e-08,"
+        "3.5555369759521227e-09,2.6595308636837939e-07,0,3,-1.0363006864234703,"
+        "1.9913827872069909,0.97579954831024796,-1.0085623903691419\n"
+    )
+    emit_benchmark_csv([benchmark(preset("testcase", method="tao", t_end=0.2), 1)], path)
+    assert re.fullmatch(
+        r"method,order,dt,t_end,tol,time_s,itr_avg,vf_avg,converged_steps,total_steps\n"
+        r"tao-2,2,0\.10000000000000001,0\.20000000000000001,1e-14,[0-9.e+-]+,0,4,2,2\n",
+        path.read_text(),
+    )
+
+
+def test_svg_leaves_out_non_finite_values(tmp_path):
+    record = run_experiment(preset("testcase", method="pihajoki", t_end=0.3))
+    record.defect[1] = np.inf
+    record.drifts["L"][2] = np.nan
+    path = tmp_path / "plot.svg"
+    emit_svg(record, path)  # a RuntimeWarning here fails the test
+    text = path.read_text()
+    assert text.count("<polyline") == 3 and "nan" not in text and "inf" not in text
 
 
 def test_empty_record_gives_header_only_csv(tmp_path):
@@ -288,6 +330,20 @@ def test_cli_run_with_config_file(tmp_path):
     assert main(["run", "--config", str(path)]) == 0
 
 
+def test_cli_run_keeps_the_config_recording_settings(tmp_path, capsys):
+    cfg = {"system": "testcase", "method": "tao", "dt": 0.1, "t_end": 1.0,
+           "record_stride": 5, "record_state": True}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "r.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    cols = load_csv(out)
+    assert cols["step"].tolist() == [0, 5, 10] and "p2" in cols
+    assert main(["run", "--config", str(path), "--stride", "2", "--out", str(out)]) == 0
+    assert load_csv(out)["step"].tolist() == [0, 2, 4, 6, 8, 10]
+    capsys.readouterr()
+
+
 def test_cli_rejects_bad_configs(tmp_path, capsys):
     assert main(["run", "--preset", "testcase", "--config", "x.json"]) == 4
     path = tmp_path / "bad.json"
@@ -308,6 +364,37 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     ):
         assert main(["run", "--preset", "testcase", *extra]) == 4, extra
         assert "configuration error:" in capsys.readouterr().err
+    # field types, finite and evaluable initial data, and well-formed blocks
+    base = {"system": "testcase", "method": "pihajoki", "dt": 0.1, "t_end": 1.0}
+    vortex = {**base, "system": "vortex", "gammas": [1, 2], "positions": [[0, 0], [1, 1]]}
+    for cfg in (
+        {**base, "dt": "0.1"},
+        {**base, "tol": None},
+        {**base, "omega": "x"},
+        {**base, "record_stride": "2"},
+        {**base, "max_iter": 2.5},
+        {**base, "warm_start": "yes"},
+        {**base, "q0": ["a", "b"]},
+        {**base, "q0": [1e200, 0]},
+        {**base, "system": "nls", "d": 2, "q0": [1e100, 0], "p0": [0, 0]},
+        {**vortex, "gammas": 5},
+        {**vortex, "gammas": [0, 1]},
+        {**vortex, "positions": [1, 2]},
+        {**vortex, "positions": [[1e200, 0], [1, 1]]},
+    ):
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 4, cfg
+        assert "configuration error:" in capsys.readouterr().err
+    path.write_text('{"system": "testcase", "q0": [1e400, 0]}')
+    assert main(["run", "--config", str(path)]) == 4
+    # usage errors, and a step size that is not positive
+    for argv in (
+        ["run", "--preset", "nope"],
+        ["bench", "--preset", "testcase", "--dt", "x"],
+        ["converge", "--preset", "testcase", "--dt-list", "0.1,0.05,0.025,0"],
+    ):
+        assert main(argv) == 4, argv
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -335,7 +422,7 @@ def test_cli_exit_code_on_nonconvergence(capsys):
         ["--method", "tao", "--dt", "0.05", "--t-end", "100"],
     ):
         assert main(["run", "--preset", "nls_bench", *argv]) == 2, argv
-    capsys.readouterr()
+        assert re.search(r"run incomplete at step \d+ \(t=[0-9.e+-]+\): ", capsys.readouterr().err)
 
 
 def test_cli_exit_code_on_collision(tmp_path, capsys):
@@ -384,3 +471,107 @@ def test_cli_converge(capsys):
     assert "slope=" in out
     slope = float(out.strip().splitlines()[-1].split("=")[1])
     assert 1.8 <= slope <= 2.2
+
+
+# --- CLI failure surface -----------------------------------------------------
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 300),
+    st.sampled_from([10**400, -(10**400), 1e308, -1e308, 1e-320]),
+)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    NUMBERS,
+    st.lists(st.one_of(NUMBERS, st.text(max_size=2)), max_size=5),
+    st.lists(st.lists(NUMBERS, max_size=3), max_size=5),
+)
+
+
+def base_configs(x):
+    """One flat config per system, each with ``x`` as one entry of its initial data."""
+    return [
+        {"system": "testcase", "q0": [-1.0, x], "p0": [1.0, -1.0]},
+        {"system": "nls", "d": 2, "q0": [x, 0.1], "p0": [0.5, 0.0]},
+        {"system": "vortex", "gammas": [1.0, -2.0, x], "positions": [[1, 0], [-1, 0.5], [0, -1.5]]},
+        {"system": "vortex", "gammas": [1.0, -2.0, 3.0], "positions": [[x, 0], [-1, 0.5], [0, -1]]},
+    ]
+
+
+SPEC_KEYS = [f.name for f in fields(ExperimentSpec)]
+# per option: values a run mostly accepts, then values it mostly rejects
+OPTIONS = {
+    "--method": (["pihajoki", "tao", "semiexplicit", "gl2", "gl4", "gl6"], ["rk4", "gl"]),
+    "--order": (["2", "4", "6"], ["3", "x"]),
+    "--composition": (["triple_jump", "suzuki", "yoshida"], ["single", "bogus"]),
+    "--omega": (["10", "0", "1e3"], ["-1", "nan", "inf", "1e308"]),
+    "--tol": (["1e-10", "1e-12", "1e-6"], ["1e-17", "0", "nan", "inf"]),
+    "--solver": (["simplified_newton", "broyden"], ["newton"]),
+    "--stride": (["1", "3"], ["0", "-1", "x"]),
+    "--reps": (["1", "2"], ["0", "x"]),
+    "--dt": (["0.01", "0.05", "0.1"], ["0", "-0.1", "nan", "inf", "1e400", "x"]),
+    "--max-iter": (["50", "200"], ["1", "0", "-3", "2.5"]),
+}
+SPEC_FLAGS = ["--method", "--order", "--composition", "--omega", "--tol", "--solver"]
+COMMAND_FLAGS = {"run": ["--stride", "--record-state"], "bench": ["--reps"], "converge": []}
+
+
+def _pick(draw, choices):
+    """One of ``choices``, from its second list about one time in eight
+    (the draw that hypothesis starts from picks the first)."""
+    good, bad = choices
+    return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 7 else good))
+
+
+@st.composite
+def cli_argvs(draw, tmp: Path):
+    """An argv for ``cli.main``; a run it lets start is at most 20 steps of
+    at most 200 iterations each (and at most 2 repetitions)."""
+    command = _pick(draw, (["run", "bench", "converge"], ["walk"]))
+    argv = [command]
+    source = _pick(draw, (["preset", "config"], ["both", "neither"]))
+    if source in ("preset", "both"):
+        argv += ["--preset", _pick(draw, (sorted(PRESETS), ["nope"]))]
+    if source in ("config", "both"):
+        x = draw(NUMBERS) if draw(st.integers(0, 3)) == 3 else 2.0
+        config = draw(st.sampled_from(base_configs(x)))
+        for key in draw(st.lists(st.sampled_from(SPEC_KEYS + ["bogus"]), max_size=2)):
+            config[key] = draw(JUNK)
+        path = tmp / "config.json"
+        path.write_text(_pick(draw, ([json.dumps(config)], ["not json", "[1, 2]"])))
+        argv += ["--config", str(path)]
+    dt = _pick(draw, OPTIONS["--dt"])
+    # a whole number of steps, at most 20, when dt is one a run accepts
+    horizon = draw(st.integers(1, 20)) * float(dt) if dt in OPTIONS["--dt"][0] else 1.0
+    t_end = repr(horizon) if dt in OPTIONS["--dt"][0] else dt
+    argv += ["--dt", dt, "--t-end", t_end, "--max-iter", _pick(draw, OPTIONS["--max-iter"])]
+    if command == "converge" or draw(st.integers(0, 7)) == 7:
+        # four halvings of t_end, so that the reference run is 320 steps
+        halvings = ",".join(repr(horizon / 2**i) for i in range(1, 5))
+        bad = ["0.1,0.05,0.025,0", "0.1,0.05", "a,b", "-0.1,-0.2,-0.4,-0.8"]
+        argv += ["--dt-list", _pick(draw, ([halvings], bad))]
+    # mostly the flags the command takes, sometimes one it does not
+    flags = SPEC_FLAGS + COMMAND_FLAGS.get(command, [])
+    if draw(st.integers(0, 7)) == 7:
+        flags = flags + ["--stride", "--reps", "--bogus"]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)):
+        if flag == "--record-state":
+            argv += [flag]
+        else:
+            argv += [flag, _pick(draw, OPTIONS.get(flag, (["1"], ["x"])))]
+    for flag, name in (("--out", "out.csv"), ("--svg", "out.svg")):
+        if command != "converge" and draw(st.booleans()) and (flag == "--out" or command == "run"):
+            argv += [flag, str(tmp / _pick(draw, ([name], [f"missing/{name}"])))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_returns_a_documented_exit_code(tmp_path_factory, data):
+    argv = data.draw(cli_argvs(tmp_path_factory.getbasetemp()))
+    # a leaked RuntimeWarning is an error here too (pyproject filterwarnings)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv

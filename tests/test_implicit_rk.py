@@ -77,7 +77,7 @@ def test_midpoint_matches_cayley_rotation(oscillator):
     exact = np.linalg.solve(np.eye(2) - 0.5 * dt * j, (np.eye(2) + 0.5 * dt * j) @ z0)
     cfg = SolverConfig(tol=1e-14, max_iter=60)
     z1, stats = gl_step(oscillator, dt, z0, gl_tableau(2), cfg)
-    assert stats.converged
+    assert stats.final_residual <= cfg.tol
     np.testing.assert_allclose(z1, exact, rtol=0, atol=10 * cfg.tol)
     np.testing.assert_allclose(exact, [0.9975 / 1.0025, -0.1 / 1.0025], rtol=1e-15)
 
