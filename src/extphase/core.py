@@ -4,11 +4,12 @@ A point of the original phase space is a flat float64 array ``z = (q, p)``
 of length ``2*d``.  A point of the doubled (extended) phase space is a flat
 array ``zeta = (q, x, p, y)`` of length ``4*d``: ``(q, p)`` and ``(x, y)``
 are two copies of the original variables.  This module alone stores that
-block order: every other module reads or writes the four blocks through
-:func:`blocks`, which also holds the one check of the layout's shape.
-The diagonal subspace ``x == q, y == p`` is the kernel of the constraint
-operator implemented by :func:`apply_A`; its transpose is :func:`apply_AT`
-and ``A @ A.T == 2*I`` holds exactly.
+layout.  Every other module reads a point through :func:`halves` (the
+positions and momenta, in either space) or :func:`blocks` (the four rows of
+a doubled point) and builds one with :func:`join`; these hold the one check
+of the layout's shape.  The diagonal subspace ``x == q, y == p`` is the
+kernel of the constraint operator implemented by :func:`apply_A`; its
+transpose is :func:`apply_AT` and ``A @ A.T == 2*I`` holds exactly.
 
 All functions here are pure and allocation-light, and each checks the
 shape of its operand, raising :class:`DimensionMismatch` on a bad layout.
@@ -20,10 +21,34 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOnDiagonal
 
-__all__ = ["DIAGONAL_TOL", "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "restrict"]
+__all__ = [
+    "DIAGONAL_TOL", "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join",
+    "restrict",
+]
 
 # Relative tolerance for diagonal membership, scaled by max(1, |zeta|_inf).
 DIAGONAL_TOL = 1e-12
+
+
+def _block_length(point: np.ndarray, parts: int, d: int | None) -> int:
+    """Length ``d`` of the ``parts`` equal blocks of a flat point, checked."""
+    n, rest = divmod(point.size, parts)
+    if rest or not n or point.ndim != 1 or d not in (None, n):
+        expected = f"{parts}*d with d >= 1" if d is None else str(parts * d)
+        raise DimensionMismatch(f"state must have length {expected}, got shape {point.shape}")
+    return n
+
+
+def halves(z: np.ndarray, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The views ``(positions, momenta)`` of a flat point of either space.
+
+    For ``z = (q, p)`` they are ``q`` and ``p``; for a doubled point
+    ``(q, x, p, y)`` they are ``(q, x)`` and ``(p, y)``.  Raises
+    :class:`DimensionMismatch` unless ``z`` is a flat array of length
+    ``2*d`` (any positive even length when ``d`` is None).
+    """
+    n = _block_length(z, 2, d)
+    return z[:n], z[n:]
 
 
 def blocks(zeta: np.ndarray, d: int | None = None) -> np.ndarray:
@@ -35,23 +60,28 @@ def blocks(zeta: np.ndarray, d: int | None = None) -> np.ndarray:
     unless ``zeta`` is flat with length ``4*d`` (any positive multiple of 4
     when ``d`` is None).
     """
-    if zeta.ndim != 1 or zeta.size == 0 or zeta.size % 4 or d not in (None, zeta.size // 4):
-        expected = "4*d with d >= 1" if d is None else str(4 * d)
-        raise DimensionMismatch(
-            f"extended state must have length {expected}, got shape {zeta.shape}"
-        )
+    _block_length(zeta, 4, d)
     return zeta.reshape(4, -1)
+
+
+def join(*parts: np.ndarray) -> np.ndarray:
+    """A fresh flat point from its blocks in layout order: ``(q, p)`` or
+    ``(q, x, p, y)``; the inverse of :func:`halves` and :func:`blocks`.
+
+    Raises :class:`DimensionMismatch` unless there are two or four flat
+    arrays of one positive length.
+    """
+    shapes = [block.shape for block in parts]
+    if len(parts) not in (2, 4) or len(shapes[0]) != 1 or not shapes[0][0] or (
+            shapes.count(shapes[0]) != len(parts)):
+        raise DimensionMismatch(f"a point joins 2 or 4 flat blocks of one length, got {shapes}")
+    return np.concatenate(parts)
 
 
 def embed(z: np.ndarray) -> np.ndarray:
     """Duplicate ``z = (q, p)`` into the diagonal point ``(q, q, p, p)``."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size % 2 or z.size == 0:
-        raise DimensionMismatch(f"state must have even positive length, got shape {z.shape}")
-    zeta = np.empty(2 * z.size)
-    rows = blocks(zeta)
-    rows[0::2] = rows[1::2] = z.reshape(2, -1)
-    return zeta
+    q, p = halves(np.asarray(z, dtype=float))
+    return join(q, q, p, p)
 
 
 def restrict(zeta: np.ndarray, tol: float = DIAGONAL_TOL) -> np.ndarray:
@@ -66,7 +96,7 @@ def restrict(zeta: np.ndarray, tol: float = DIAGONAL_TOL) -> np.ndarray:
     gap = np.max(np.abs(apply_A(zeta)))
     if gap > tol * max(1.0, np.max(np.abs(zeta))):
         raise NotOnDiagonal(f"diagonal defect {gap:.3e} exceeds tolerance {tol:.3e}")
-    return np.concatenate((q, p))
+    return join(q, p)
 
 
 def apply_A(zeta: np.ndarray) -> np.ndarray:
@@ -80,10 +110,8 @@ def apply_AT(mu: np.ndarray) -> np.ndarray:
 
     That is the embedding of ``mu = (mu1, mu2)`` with its second copy negated.
     """
-    out = embed(mu)
-    second = blocks(out)[1::2]
-    np.negative(second, out=second)
-    return out
+    m1, m2 = halves(np.asarray(mu, dtype=float))
+    return join(m1, -m1, m2, -m2)
 
 
 def defect_norm(zeta: np.ndarray) -> float:

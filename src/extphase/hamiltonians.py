@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import halves, join
 from .errors import ConfigError, DimensionMismatch, VortexCollision
 
 __all__ = [
@@ -50,17 +51,13 @@ class HamiltonianSystem(ABC):
         """Joint gradient ``(D1H, D2H)``; one vector-field evaluation."""
 
     def energy_z(self, z: np.ndarray) -> float:
-        d = self.dim
-        return self.energy(z[:d], z[d:])
+        """Value of the Hamiltonian at the flat point ``z = (q, p)``."""
+        return self.energy(*halves(z, self.dim))
 
     def vector_field(self, z: np.ndarray) -> np.ndarray:
         """Canonical right-hand side ``(D2H, -D1H)`` at ``z = (q, p)``."""
-        d = self.dim
-        gq, gp = self.grad(z[:d], z[d:])
-        out = np.empty(2 * d)
-        out[:d] = gp
-        out[d:] = -gq
-        return out
+        gq, gp = self.grad(*halves(z, self.dim))
+        return join(gp, -gq)
 
     def with_counter(self, counter: EvalCounter) -> "CountingSystem":
         return CountingSystem(self, counter)
@@ -254,22 +251,14 @@ def canonical_from_planar(config: VortexConfig, positions) -> np.ndarray:
     if pos.shape != (config.n, 2):
         raise DimensionMismatch("positions must have shape (N, 2)")
     s = np.sqrt(np.abs(config.circulations))
-    q = s * pos[:, 0]
-    p = s * np.sign(config.circulations) * pos[:, 1]
-    return np.concatenate((q, p))
+    return join(s * pos[:, 0], s * np.sign(config.circulations) * pos[:, 1])
 
 
 def planar_from_canonical(config: VortexConfig, z) -> np.ndarray:
     """Inverse of :func:`canonical_from_planar`; returns positions (N, 2)."""
-    z = np.asarray(z, dtype=float)
-    n = config.n
-    if z.shape != (2 * n,):
-        raise DimensionMismatch("state must have length 2*N")
+    q, p = halves(np.asarray(z, dtype=float), config.n)
     s = np.sqrt(np.abs(config.circulations))
-    out = np.empty((n, 2))
-    out[:, 0] = z[:n] / s
-    out[:, 1] = z[n:] / (s * np.sign(config.circulations))
-    return out
+    return np.column_stack((q / s, p / (s * np.sign(config.circulations))))
 
 
 def check_gradient(system: HamiltonianSystem, z: np.ndarray, h: float = 1e-5) -> float:
@@ -280,11 +269,9 @@ def check_gradient(system: HamiltonianSystem, z: np.ndarray, h: float = 1e-5) ->
     noise on individual near-zero components.
     """
     z = np.asarray(z, dtype=float)
-    d = system.dim
-    gq, gp = system.grad(z[:d], z[d:])
-    analytic = np.concatenate((gq, gp))
-    numeric = np.empty(2 * d)
-    for i in range(2 * d):
+    analytic = join(*system.grad(*halves(z, system.dim)))
+    numeric = np.empty_like(analytic)
+    for i in range(z.size):
         zp = z.copy()
         zm = z.copy()
         zp[i] += h

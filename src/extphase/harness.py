@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import invariants as inv_mod
-from .core import blocks, defect_norm, embed
+from .core import blocks, defect_norm, embed, halves, join
 from .errors import ConfigError, NonConvergence, VortexCollision
 from .hamiltonians import (
     EvalCounter,
@@ -286,29 +286,26 @@ def build_system(spec: ExperimentSpec):
     :class:`ConfigError` if they cannot be evaluated at the initial state."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
+            q0, p0 = spec.q0, spec.p0
             if spec.system == "testcase":
                 system = make_testcase()
-                q0 = spec.q0 if spec.q0 is not None else (-1.0, 2.0)
-                p0 = spec.p0 if spec.p0 is not None else (1.0, -1.0)
-                z0 = np.array(q0 + p0, dtype=float)
+                q0, p0 = q0 or (-1.0, 2.0), p0 or (1.0, -1.0)  # the reference state by default
                 invs = [("L", inv_mod.testcase_L()), ("Q", inv_mod.testcase_Q())]
             elif spec.system == "nls":
                 system = make_nls(spec.d)
-                z0 = np.array(spec.q0 + spec.p0, dtype=float)
                 invs = [("mass", inv_mod.nls_mass(spec.d))]
             else:
                 config = VortexConfig(spec.gammas, spec.positions)
                 system = make_vortices(config)
                 if spec.positions is not None:
-                    z0 = canonical_from_planar(config, spec.positions)
-                else:
-                    z0 = np.array(spec.q0 + spec.p0, dtype=float)
+                    q0, p0 = halves(canonical_from_planar(config, spec.positions))
                 g = config.circulations
                 invs = [
                     ("L_a", inv_mod.vortex_linear_impulse_x(g)),
                     ("L_b", inv_mod.vortex_linear_impulse_y(g)),
                     ("Q_kappa", inv_mod.vortex_angular_impulse(g)),
                 ]
+            z0 = join(*np.array((q0, p0), dtype=float))
             system.energy_z(z0), [inv.evaluate(z0) for _, inv in invs]  # only to see they evaluate
     except (ArithmeticError, ValueError) as exc:  # math's range and domain errors too
         raise ConfigError(f"initial data the system cannot evaluate: {exc}") from exc
@@ -356,7 +353,7 @@ def _make_step(spec: ExperimentSpec):
             with np.errstate(over="ignore", invalid="ignore"):
                 zeta = inner(system, dt, zeta)
                 defect = defect_norm(zeta)
-        except OverflowError:
+        except (ArithmeticError, ValueError):  # math's range and domain errors
             zeta = np.full_like(zeta, np.nan)
         if not np.isfinite(zeta).all():
             raise NonConvergence("state is no longer finite; the copies separated")
@@ -388,8 +385,7 @@ class _Run:
     def z(self) -> np.ndarray:
         """Original-space state after step ``k``."""
         if self.extended:
-            q, _, p, _ = blocks(self.state)
-            return np.concatenate((q, p))
+            return join(*blocks(self.state)[::2])  # the first copy (q, p)
         return self.state
 
     def __iter__(self):
@@ -446,6 +442,14 @@ class TrajectoryRecord:
         return "non_convergence" if isinstance(self.failure, NonConvergence) else "collision"
 
 
+def _relative_change(fn, z: np.ndarray, v0: float, scale: float) -> float:
+    """``|fn(z) - v0| / scale``; inf (nan) where ``fn`` leaves math's range (domain)."""
+    try:
+        return abs(fn(z) - v0) / scale
+    except (ArithmeticError, ValueError) as exc:
+        return math.inf if isinstance(exc, ArithmeticError) else math.nan
+
+
 def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
     """Integrate from 0 to ``t_end`` recording defect, energy error, and
     invariant drift at strided steps.
@@ -473,9 +477,9 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
         defect.append(run.stats.defect_norm)
         # a blown-up state records inf/nan here rather than a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            energy_err.append(abs(system.energy_z(z) - e0) / e_scale)
+            energy_err.append(_relative_change(system.energy_z, z, e0, e_scale))
             for (name, inv), v0, scale in zip(invs, inv0, inv_scale):
-                drifts[name].append(abs(inv.evaluate(z) - v0) / scale)
+                drifts[name].append(_relative_change(inv.evaluate, z, v0, scale))
         itr.append(run.stats.iterations)
         vf.append(run.spent)
         if states is not None:
@@ -614,8 +618,8 @@ def emit_csv(record: TrajectoryRecord, path) -> None:
     columns += [(f"{name}_rel_err", record.drifts[name]) for name in record.invariant_names]
     columns += [("itr", record.itr), ("vf_evals", record.vf)]
     if record.states is not None and record.rows:
-        d = record.states.shape[1] // 2
-        labels = [f"q{i + 1}" for i in range(d)] + [f"p{i + 1}" for i in range(d)]
+        q, _ = halves(record.states[0])
+        labels = [f"q{i}" for i in range(1, q.size + 1)] + [f"p{i}" for i in range(1, q.size + 1)]
         columns += zip(labels, record.states.T)
     _write_lines(path, _csv_lines(columns, {"step": "d", "itr": "d", "vf_evals": "d"}))
 
@@ -628,18 +632,18 @@ def emit_benchmark_csv(rows: list, path) -> None:
 
 
 def load_csv(path) -> dict:
-    """Parse a CSV written by :func:`emit_csv` into column arrays."""
+    """Parse a CSV written by :func:`emit_csv` into float column arrays."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+            header = fh.readline().strip().split(",")
+            start = fh.tell()
+            table = np.empty((0, len(header)))  # a header-only file, which loadtxt warns on
+            if fh.readline().strip():
+                fh.seek(start)
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not a table of numbers
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    header = lines[0].split(",")
-    columns = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
-            columns[name].append(float(cell))
-    return {name: np.array(vals) for name, vals in columns.items()}
+    return dict(zip(header, table.T))
 
 
 def emit_svg(record: TrajectoryRecord, path) -> None:

@@ -102,7 +102,7 @@ def gl_step(
                 for i in range(s):
                     k_next[i] = system.vector_field(z + offsets[i])
                 change = float(np.max(np.abs(k_next - k)))
-        except OverflowError:
+        except (ArithmeticError, ValueError):  # math's range and domain errors
             change = np.inf
         sweeps += 1
         k, k_next = k_next, k  # buffer swap; k_next is fully rewritten next sweep

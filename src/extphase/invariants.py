@@ -18,10 +18,11 @@ The lifted quadratic carries the ``2d x 2d`` blocks of ``Qhat``'s
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import blocks, embed
+from .core import blocks, embed, halves, join
 from .errors import DimensionMismatch
 from .hamiltonians import HamiltonianSystem
 
@@ -43,31 +44,22 @@ class LinearInvariant:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        if a.ndim != 1 or a.size % 2 or a.size == 0:
-            raise DimensionMismatch("coefficient vector must have even positive length")
+        halves(a)  # the layout check
         if not np.isfinite(a).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "a", a)
 
-    @property
+    @cached_property  # evaluate reads it on every call
     def dim(self) -> int:
-        return self.a.size // 2
-
-    @property
-    def a_q(self) -> np.ndarray:
-        return self.a[: self.dim]
-
-    @property
-    def a_p(self) -> np.ndarray:
-        return self.a[self.dim :]
+        return halves(self.a)[0].size
 
     def evaluate(self, z: np.ndarray) -> float:
         z = np.asarray(z, dtype=float)
-        if z.shape != self.a.shape:
-            raise DimensionMismatch(f"state must have shape {self.a.shape}, got {z.shape}")
+        halves(z, self.dim)  # the layout check
         return float(self.a @ z)
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
+        halves(np.asarray(z, dtype=float), self.dim)  # the layout check
         return self.a.copy()
 
     def lift(self) -> LinearInvariant:
@@ -108,23 +100,14 @@ class QuadraticInvariant:
         return np.block([[self.k11, self.k12], [self.k12.T, self.k22]])
 
     def evaluate(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        d = self._split(z)
-        q, p = z[:d], z[d:]
+        q, p = halves(np.asarray(z, dtype=float), self.dim)
         return float(
             0.5 * (q @ (self.k11 @ q)) + q @ (self.k12 @ p) + 0.5 * (p @ (self.k22 @ p))
         )
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        d = self._split(z)
-        q, p = z[:d], z[d:]
-        return np.concatenate((self.k11 @ q + self.k12 @ p, self.k12.T @ q + self.k22 @ p))
-
-    def _split(self, z: np.ndarray) -> int:
-        d = self.dim
-        if z.shape != (2 * d,):
-            raise DimensionMismatch(f"state must have shape ({2 * d},), got {z.shape}")
-        return d
+        q, p = halves(np.asarray(z, dtype=float), self.dim)
+        return join(self.k11 @ q + self.k12 @ p, self.k12.T @ q + self.k22 @ p)
 
     def lift(self) -> QuadraticInvariant:
         """The lift ``eta^T k xi / 2`` as a quadratic on the doubled space.
@@ -145,20 +128,17 @@ class QuadraticInvariant:
 
 def infinitesimal_generator(inv: QuadraticInvariant, z: np.ndarray) -> np.ndarray:
     """Symmetry direction ``J k z = (k12^T q + k22 p, -k11 q - k12 p)``."""
-    z = np.asarray(z, dtype=float)
-    d = inv._split(z)
-    q, p = z[:d], z[d:]
-    return np.concatenate((inv.k12.T @ q + inv.k22 @ p, -(inv.k11 @ q) - inv.k12 @ p))
+    q, p = halves(np.asarray(z, dtype=float), inv.dim)
+    return join(inv.k12.T @ q + inv.k22 @ p, -(inv.k11 @ q) - inv.k12 @ p)
 
 
 def poisson_bracket(grad_f, grad_g, z: np.ndarray) -> float:
-    """Canonical bracket ``DF^T J DG`` from two gradient callables."""
-    gf = np.asarray(grad_f(z), dtype=float)
-    gg = np.asarray(grad_g(z), dtype=float)
-    if gf.shape != gg.shape or gf.size % 2:
-        raise DimensionMismatch("gradients must have equal even length")
-    d = gf.size // 2
-    return float(gf[:d] @ gg[d:] - gf[d:] @ gg[:d])
+    """Canonical bracket ``DF^T J DG`` at ``z`` from two gradient callables."""
+    z = np.asarray(z, dtype=float)
+    d = halves(z)[0].size
+    fq, fp = halves(np.asarray(grad_f(z), dtype=float), d)
+    gq, gp = halves(np.asarray(grad_g(z), dtype=float), d)
+    return float(fq @ gp - fp @ gq)
 
 
 def extended_hamiltonian_gradient(system: HamiltonianSystem, zeta: np.ndarray) -> np.ndarray:
@@ -166,7 +146,7 @@ def extended_hamiltonian_gradient(system: HamiltonianSystem, zeta: np.ndarray) -
     q, x, p, y = blocks(np.asarray(zeta, dtype=float), system.dim)
     g1q, g1p = system.grad(q, y)
     g2q, g2p = system.grad(x, p)
-    return np.concatenate((g1q, g2q, g2p, g1p))
+    return join(g1q, g2q, g2p, g1p)
 
 
 def coupling_energy_gradient(omega: float, zeta: np.ndarray) -> np.ndarray:
@@ -174,7 +154,7 @@ def coupling_energy_gradient(omega: float, zeta: np.ndarray) -> np.ndarray:
     q, x, p, y = blocks(np.asarray(zeta, dtype=float))
     u = x - q
     v = y - p
-    return omega * np.concatenate((-u, u, -v, v))
+    return omega * join(-u, u, -v, v)
 
 
 def coupling_bracket(inv: QuadraticInvariant, zeta: np.ndarray, omega: float) -> float:
@@ -228,9 +208,8 @@ def symplecticity_defect(map_fn, point: np.ndarray, fd_step: float | None = None
     structure matrix.
     """
     point = np.asarray(point, dtype=float)
+    m = halves(point)[0].size
     n = point.size
-    if n % 2:
-        raise DimensionMismatch("point must live in an even-dimensional space")
     if fd_step is None:
         fd_step = float(np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, np.max(np.abs(point))))
     jac = np.empty((n, n))
@@ -240,7 +219,6 @@ def symplecticity_defect(map_fn, point: np.ndarray, fd_step: float | None = None
         zp[j] += fd_step
         zm[j] -= fd_step
         jac[:, j] = (np.asarray(map_fn(zp)) - np.asarray(map_fn(zm))) / (2.0 * fd_step)
-    m = n // 2
     w = np.zeros((n, n))
     w[:m, m:] = np.eye(m)
     w[m:, :m] = -np.eye(m)
@@ -291,13 +269,13 @@ def testcase_Q() -> QuadraticInvariant:
 def vortex_linear_impulse_x(circulations) -> LinearInvariant:
     """First linear impulse component ``sum_i G_i X_i`` in canonical form."""
     g = np.asarray(circulations, dtype=float)
-    return LinearInvariant(np.concatenate((np.sqrt(np.abs(g)) * np.sign(g), np.zeros(g.size))))
+    return LinearInvariant(join(np.sqrt(np.abs(g)) * np.sign(g), np.zeros(g.size)))
 
 
 def vortex_linear_impulse_y(circulations) -> LinearInvariant:
     """Second linear impulse component ``sum_i G_i Y_i`` in canonical form."""
     g = np.asarray(circulations, dtype=float)
-    return LinearInvariant(np.concatenate((np.zeros(g.size), np.sqrt(np.abs(g)))))
+    return LinearInvariant(join(np.zeros(g.size), np.sqrt(np.abs(g))))
 
 
 def vortex_angular_impulse(circulations) -> QuadraticInvariant:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_A, apply_AT, defect_norm, embed, restrict
+from .core import apply_A, apply_AT, blocks, defect_norm, embed, halves, restrict
 from .errors import ConfigError, NonConvergence
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
@@ -105,8 +105,9 @@ def solve_mu(
     Raises :class:`NonConvergence` when the iteration cap is hit or the
     residual grows by more than ``1e4`` over its initial size.
     """
-    d2 = zeta_n.size // 2
-    mu = np.zeros(d2) if mu0 is None else np.array(mu0, dtype=float)
+    d = blocks(zeta_n).shape[1]
+    mu = np.zeros(2 * d) if mu0 is None else np.array(mu0, dtype=float)
+    halves(mu, d)  # a warm start must be (mu1, mu2), one entry per constraint
 
     inv_jac = None  # Broyden inverse-Jacobian state, allocated on first use
     prev_r = None
@@ -126,7 +127,7 @@ def solve_mu(
             with np.errstate(over="ignore", invalid="ignore"):
                 r, image = residual(system, extended_step, dt, zeta_n, mu)
             r_norm = float(np.max(np.abs(r)))
-        except OverflowError:
+        except (ArithmeticError, ValueError):  # math's range and domain errors
             r_norm = np.inf
         iterations += 1
         if not np.isfinite(r_norm):
@@ -150,7 +151,7 @@ def solve_mu(
             mu = mu - 0.25 * r
         else:
             if inv_jac is None:
-                inv_jac = np.eye(d2) / 4.0
+                inv_jac = np.eye(mu.size) / 4.0
             else:
                 s = mu - prev_mu
                 delta = r - prev_r

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import blocks
+from .core import blocks, join
 from .errors import ConfigError
 from .hamiltonians import HamiltonianSystem
 
@@ -167,7 +167,7 @@ def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
     v = p - y
     ur = c * u + s * v
     vr = c * v - s * u
-    return np.concatenate((0.5 * (sq + ur), 0.5 * (sq - ur), 0.5 * (sp + vr), 0.5 * (sp - vr)))
+    return join(0.5 * (sq + ur), 0.5 * (sq - ur), 0.5 * (sp + vr), 0.5 * (sp - vr))
 
 
 def tao_step(

@@ -2,17 +2,28 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import extphase
 from extphase import (
     DimensionMismatch,
+    LinearInvariant,
     NotOnDiagonal,
+    VortexConfig,
     apply_A,
     apply_AT,
     blocks,
     defect_norm,
     embed,
+    halves,
+    infinitesimal_generator,
+    join,
+    make_nls,
+    nls_mass,
+    planar_from_canonical,
+    poisson_bracket,
     restrict,
+    symplecticity_defect,
 )
 
 from conftest import seeded_rng
@@ -36,6 +47,85 @@ def test_blocks_is_the_row_view_q_x_p_y():
 def test_blocks_rejects_bad_layouts(zeta, d):
     with pytest.raises(DimensionMismatch):
         blocks(zeta, d)
+
+
+def bits(a: np.ndarray) -> list:
+    return a.view(np.uint64).tolist()
+
+
+LAYOUT = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@LAYOUT
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(st.floats(), min_size=4 * d, max_size=4 * d)))
+def test_layout_round_trips_bitwise(values):
+    zeta = np.array(values)
+    d = zeta.size // 4
+    z = zeta[: 2 * d].copy()
+    q, p = halves(z, d)
+    assert np.shares_memory(q, z) and np.shares_memory(p, z)
+    assert bits(q) == bits(z)[:d] and bits(join(q, p)) == bits(z)
+    positions, momenta = halves(zeta, 2 * d)  # (q, x) and (p, y)
+    assert bits(positions) == bits(zeta)[: 2 * d]
+    assert bits(join(positions, momenta)) == bits(zeta)
+    assert bits(join(*blocks(zeta, d))) == bits(zeta)
+
+
+def _bad_point(d: int, kind: str, k: int) -> np.ndarray:
+    """A point no reader of dimension ``d`` accepts; ``k`` in 1..6 sizes it."""
+    if kind == "odd":
+        return np.ones(2 * k - 1)
+    if kind == "empty":
+        return np.ones(0)
+    if kind == "2-D":
+        return np.ones((k, 2 * d))
+    return np.ones(2 * (d + k))  # wrong d
+
+
+def _layout_readers(d: int) -> dict:
+    """Every reader of a ``(q, p)`` point of dimension ``d``."""
+    system = make_nls(d)
+    linear = LinearInvariant(np.arange(1.0, 2 * d + 1))
+    quadratic = nls_mass(d)
+    return {
+        "energy_z": system.energy_z,
+        "vector_field": system.vector_field,
+        "LinearInvariant.evaluate": linear.evaluate,
+        "LinearInvariant.gradient": linear.gradient,
+        "QuadraticInvariant.evaluate": quadratic.evaluate,
+        "QuadraticInvariant.gradient": quadratic.gradient,
+        "poisson_bracket": lambda z: poisson_bracket(linear.gradient, quadratic.gradient, z),
+        "infinitesimal_generator": lambda z: infinitesimal_generator(quadratic, z),
+        "planar_from_canonical": lambda z: planar_from_canonical(VortexConfig(np.ones(d)), z),
+    }
+
+
+# readers of a point of any dimension, which a wrong d does not fault
+ANY_DIMENSION = {"symplecticity_defect": lambda z: symplecticity_defect(np.copy, z), "embed": embed}
+
+
+@LAYOUT
+@given(
+    st.integers(1, 5), st.sampled_from(["odd", "empty", "2-D", "wrong d"]), st.integers(1, 6)
+)
+def test_every_layout_reader_rejects_a_bad_layout(d, kind, k):
+    bad = _bad_point(d, kind, k)
+    readers = _layout_readers(d)
+    if kind != "wrong d":
+        readers.update(ANY_DIMENSION)
+    for name, reader in readers.items():
+        with pytest.raises(DimensionMismatch):
+            reader(bad)
+            pytest.fail(f"{name} accepted shape {bad.shape} at d={d}")
+
+
+@pytest.mark.parametrize(
+    "parts", [(), (np.ones(2),), (np.ones(2),) * 3, (np.ones(2), np.ones(3)), (np.ones(0),) * 2,
+              (np.ones((1, 2)),) * 2, (np.ones(1),) * 3 + (np.ones(2),)],
+)
+def test_join_rejects_parts_that_are_not_a_point(parts):
+    with pytest.raises(DimensionMismatch):
+        join(*parts)
 
 
 def test_package_api_is_explicit():

@@ -6,10 +6,13 @@ import pytest
 from extphase import (
     DimensionMismatch,
     EvalCounter,
+    SolverConfig,
     VortexCollision,
     VortexConfig,
     canonical_from_planar,
     check_gradient,
+    gl_step,
+    gl_tableau,
     make_nls,
     make_testcase,
     make_vortices,
@@ -107,6 +110,19 @@ def test_vortex_collision_guard():
         sys_.energy(z[:2], z[2:])
     with pytest.raises(VortexCollision):
         VortexConfig((1.0, 1.0), ((0.5, 0.5), (0.5, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "system,state", [(make_testcase(), np.arange(6.0)), (make_testcase(), np.arange(3.0)),
+                     (make_nls(3), np.arange(4.0)), (make_nls(3), np.arange(8.0))],
+)
+def test_wrong_length_state_is_a_dimension_mismatch(system, state):
+    with pytest.raises(DimensionMismatch):
+        system.energy_z(state)
+    with pytest.raises(DimensionMismatch):
+        system.vector_field(state)
+    with pytest.raises(DimensionMismatch):
+        gl_step(system, 0.01, state, gl_tableau(4), SolverConfig())
 
 
 def test_vortex_config_validation():

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
@@ -226,6 +227,20 @@ def test_empty_record_gives_header_only_csv(tmp_path):
     emit_csv(record, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("step,")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        columns = load_csv(path)
+    assert list(columns) == lines[0].split(",")
+    assert all(values.dtype == float and values.size == 0 for values in columns.values())
+
+
+def test_load_csv_turns_an_unreadable_file_into_a_config_error(tmp_path):
+    with pytest.raises(ConfigError):
+        load_csv(tmp_path / "missing.csv")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("step,t\n0,zero\n")
+    with pytest.raises(ConfigError):
+        load_csv(bad)
 
 
 def test_svg_emission(tmp_path):
@@ -416,13 +431,26 @@ def test_cost_identity_guard_fires(monkeypatch, attribute, method):
 
 def test_cli_exit_code_on_nonconvergence(capsys):
     for argv in (
-        ["--method", "pihajoki", "--t-end", "10.0"],
+        ["run", "--preset", "nls_bench", "--method", "pihajoki", "--t-end", "10.0"],
         # a state near float range overflows the defect norm before it leaves it
-        ["--method", "pihajoki", "--dt", "0.05", "--t-end", "100"],
-        ["--method", "tao", "--dt", "0.05", "--t-end", "100"],
+        ["run", "--preset", "nls_bench", "--method", "pihajoki", "--dt", "0.05", "--t-end", "100"],
+        ["run", "--preset", "nls_bench", "--method", "tao", "--dt", "0.05", "--t-end", "100"],
+        # math.sin(inf) in the gradient, and math.exp overflowing in a recorded energy
+        ["run", "--preset", "testcase", "--method", "pihajoki", "--dt", "16", "--t-end", "3200"],
+        ["bench", "--preset", "testcase", "--method", "pihajoki", "--dt", "16", "--t-end", "3200"],
+        ["run", "--preset", "testcase", "--method", "tao", "--dt", "8", "--t-end", "1600"],
     ):
-        assert main(["run", "--preset", "nls_bench", *argv]) == 2, argv
-        assert re.search(r"run incomplete at step \d+ \(t=[0-9.e+-]+\): ", capsys.readouterr().err)
+        assert main(argv) == 2, argv
+        expected = r"run incomplete at step \d+ \(t=[0-9.e+-]+\): " if argv[0] == "run" else (
+            "solver failed to converge: ")
+        assert re.search(expected, capsys.readouterr().err), argv
+
+
+def test_a_diagnostic_beyond_math_range_records_inf():
+    record = run_experiment(preset("testcase", method="tao", dt=8.0, t_end=1600.0))
+    assert record.failure_kind == "non_convergence"
+    assert np.isinf(record.energy_err).any()
+    assert np.isfinite(record.energy_err[:2]).all()
 
 
 def test_cli_exit_code_on_collision(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from extphase import (
+    DimensionMismatch,
     EvalCounter,
     NonConvergence,
     SolverConfig,
@@ -122,6 +123,13 @@ def test_solver_divergence_guard():
         solve_mu(sys_, pihajoki_step, 0.5, embed(z0), cfg)
     assert err.value.iterations < 200  # the guard fired, not the iteration cap
     assert np.isfinite(err.value.final_residual)
+
+
+@pytest.mark.parametrize("mu0", [np.zeros(6), np.zeros(3), np.zeros((2, 2))])
+def test_a_warm_start_of_the_wrong_shape_is_a_dimension_mismatch(mu0):
+    # not a solve that "no longer converges": the multiplier has length 2d
+    with pytest.raises(DimensionMismatch):
+        semiexplicit_step(make_testcase(), pihajoki_step, 0.1, Z0, SolverConfig(), mu0=mu0)
 
 
 def test_solver_iteration_cap():

@@ -10,8 +10,9 @@ Usage, from the repository root:
 one JSON object of named entries.  It covers every built-in preset under
 every method configuration: a 20-step run recording every step with its
 state, the SHA-256 of that run's CSV and SVG files, ``final_state``, and
-``benchmark``'s row without its timing.  It also covers 16 ``nls_bench``
-runs that fail, whose errors are compared as text.  Floats are stored
+``benchmark``'s row without its timing.  It also covers 20 runs that
+fail, 16 on ``nls_bench`` and 4 on ``testcase``, whose errors are
+compared as text.  Floats are stored
 with ``float.hex``, so equal entries are equal bit for bit.
 
 ``compare`` prints every entry that differs or is missing from one side
@@ -50,7 +51,9 @@ def method_configurations() -> list[dict]:
 
 
 def failure_configurations() -> list[dict]:
-    """16 ``nls_bench`` runs that fail on a step, each kind of method at least once."""
+    """20 runs that fail on a step, each kind of method at least once: 16 on
+    ``nls_bench`` and 4 ``testcase`` blow-ups at large steps, where the
+    explicit runs leave the range or domain of ``math``'s functions."""
     configs = []
     for order, composition in SCHEMES:
         scheme = dict(order=order, composition=composition)
@@ -64,6 +67,13 @@ def failure_configurations() -> list[dict]:
             dict(method="semiexplicit", solver=solver, dt=0.5, t_end=2.0, **scheme)
             for solver in SOLVERS
         ]
+    configs = [dict(preset="nls_bench", **config) for config in configs]
+    configs += [
+        dict(preset="testcase", method="pihajoki", dt=16.0, t_end=3200.0),
+        dict(preset="testcase", method="tao", dt=8.0, t_end=1600.0),
+        dict(preset="testcase", method="semiexplicit", dt=16.0, t_end=3200.0),
+        dict(preset="testcase", method="gl2", dt=16.0, t_end=3200.0),
+    ]
     return configs
 
 
@@ -127,8 +137,9 @@ def dump(src_dir: str, out_path: str) -> int:
 
                 _guarded(out, key, run)
         for config in failure_configurations():
-            key = "failure/nls_bench/" + ",".join(f"{k}={v}" for k, v in config.items())
-            spec = xp.preset("nls_bench", **config)
+            name = config.pop("preset")
+            key = f"failure/{name}/" + ",".join(f"{k}={v}" for k, v in config.items())
+            spec = xp.preset(name, **config)
 
             def run_failing(spec=spec, key=key):
                 _record_entries(xp, key, xp.run_experiment(spec), out, tmp_dir)
