@@ -22,7 +22,7 @@ import numpy as np
 
 from . import invariants as inv_mod
 from .core import blocks, defect_norm, embed, halves, join
-from .errors import ConfigError, NonConvergence, VortexCollision
+from .errors import ConfigError, DimensionMismatch, NonConvergence, VortexCollision
 from .hamiltonians import (
     EvalCounter,
     HamiltonianSystem,
@@ -44,7 +44,12 @@ __all__ = [
 
 METHODS = ("pihajoki", "tao", "semiexplicit", "gl2", "gl4", "gl6")
 SYSTEMS = ("testcase", "nls", "vortex")
-COMPOSITIONS = {"triple_jump": "triple_jump_4", "suzuki": "suzuki_4", "yoshida": "yoshida_6"}
+# the splitting scheme of each (order, composition) the doubled-space methods accept
+SCHEMES = {
+    (2, None): "single", (2, "single"): "single",
+    (4, None): "triple_jump_4", (4, "triple_jump"): "triple_jump_4", (4, "suzuki"): "suzuki_4",
+    (6, None): "yoshida_6", (6, "yoshida"): "yoshida_6",
+}
 MAX_RECORD_ROWS = 100_000
 
 
@@ -63,7 +68,9 @@ class ExperimentSpec:
 
     A spec checks itself when it is built, by the constructor or by
     :func:`dataclasses.replace`, and raises :class:`ConfigError` for any
-    field or combination of fields that no run accepts.
+    field or combination of fields that no run accepts.  It checks its
+    initial data by building its system with :func:`build_system`, so
+    coincident initial vortices raise :class:`VortexCollision` here.
     """
 
     system: str = "testcase"
@@ -110,23 +117,13 @@ class ExperimentSpec:
         if self.dt > self.t_end * (1.0 + 1e-12):
             raise ConfigError("dt must not exceed t_end")
         self.n_steps  # raises unless t_end is a whole number of dt steps
-        if self.method.startswith("gl"):
-            implied = int(self.method[2])
-            if self.order not in (2, implied):
-                raise ConfigError(f"order {self.order} conflicts with method {self.method}")
-            if self.composition is not None:
-                raise ConfigError("compositions do not apply to the Runge-Kutta methods")
+        if self.method.startswith("gl"):  # its own order (or the default 2), uncomposed
+            pairs = dict.fromkeys([(2, None), (int(self.method[2]), None)])
         else:
-            if self.order not in (2, 4, 6):
-                raise ConfigError("order must be 2, 4, or 6")
-            comp = self.composition
-            if self.order == 2 and comp not in (None, "single"):
-                raise ConfigError("order 2 admits no composition")
-            if self.order == 4 and comp not in (None, "triple_jump", "suzuki"):
-                raise ConfigError("order 4 uses the triple_jump or suzuki composition")
-            if self.order == 6 and comp not in (None, "yoshida"):
-                raise ConfigError("order 6 uses the yoshida composition")
-        SolverConfig(self.tol, self.max_iter, self.solver, self.warm_start)
+            pairs = SCHEMES
+        if (self.order, self.composition) not in pairs:
+            raise ConfigError(f"{self.method} takes (order, composition) in {list(pairs)}")
+        SolverConfig(self.tol, self.max_iter, self.solver)
         TaoParams(self.omega)
         if self.method == "tao":
             # the angle coupling_flow rotates by in each substep
@@ -135,30 +132,7 @@ class ExperimentSpec:
                 raise ConfigError("omega is too large: the coupling rotation angle overflows")
         if self.record_stride is not None and self.record_stride < 1:
             raise ConfigError("record_stride must be at least 1")
-        self._initial_state_shape()
-
-    def _initial_state_shape(self) -> int:
-        if self.system == "testcase":
-            for block in (self.q0, self.p0):
-                if block is not None and len(block) != 2:
-                    raise ConfigError("testcase initial blocks must have length 2")
-            return 2
-        if self.system == "nls":
-            if self.d is None or self.d < 1:
-                raise ConfigError("nls requires a positive dimension d")
-            for block in (self.q0, self.p0):
-                if block is None or len(block) != self.d:
-                    raise ConfigError("nls requires q0 and p0 of length d")
-            return self.d
-        if not self.gammas:
-            raise ConfigError("vortex system requires circulations")
-        n = len(self.gammas)
-        if self.positions is not None:
-            if len(self.positions) != n or any(len(pt) != 2 for pt in self.positions):
-                raise ConfigError("vortex positions must be N pairs")
-        elif self.q0 is None or self.p0 is None or len(self.q0) != n or len(self.p0) != n:
-            raise ConfigError("vortex system requires planar positions or q0/p0 of length N")
-        return n
+        build_system(self)  # the initial data must fit the system and evaluate
 
     @property
     def n_steps(self) -> int:
@@ -171,11 +145,7 @@ class ExperimentSpec:
 
     @property
     def scheme_label(self) -> str:
-        if self.order == 2:
-            return "single"
-        if self.order == 4:
-            return COMPOSITIONS[self.composition or "triple_jump"]
-        return COMPOSITIONS[self.composition or "yoshida"]
+        return SCHEMES[self.order, self.composition]
 
     @property
     def method_label(self) -> str:
@@ -283,32 +253,39 @@ def load_config(path) -> ExperimentSpec:
 
 def build_system(spec: ExperimentSpec):
     """Instantiate the system, initial state, and its named invariants; raise
-    :class:`ConfigError` if they cannot be evaluated at the initial state."""
+    :class:`ConfigError` if the initial data does not fit or evaluate there."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             q0, p0 = spec.q0, spec.p0
             if spec.system == "testcase":
                 system = make_testcase()
-                q0, p0 = q0 or (-1.0, 2.0), p0 or (1.0, -1.0)  # the reference state by default
-                invs = [("L", inv_mod.testcase_L()), ("Q", inv_mod.testcase_Q())]
+                # the reference state by default; an empty block is not a missing one
+                q0, p0 = (-1.0, 2.0) if q0 is None else q0, (1.0, -1.0) if p0 is None else p0
+                named = {"L": inv_mod.testcase_L, "Q": inv_mod.testcase_Q}
             elif spec.system == "nls":
+                if spec.d is None:
+                    raise ConfigError("no lattice dimension d")
                 system = make_nls(spec.d)
-                invs = [("mass", inv_mod.nls_mass(spec.d))]
+                named = {"mass": partial(inv_mod.nls_mass, spec.d)}
             else:
                 config = VortexConfig(spec.gammas, spec.positions)
                 system = make_vortices(config)
                 if spec.positions is not None:
                     q0, p0 = halves(canonical_from_planar(config, spec.positions))
-                g = config.circulations
-                invs = [
-                    ("L_a", inv_mod.vortex_linear_impulse_x(g)),
-                    ("L_b", inv_mod.vortex_linear_impulse_y(g)),
-                    ("Q_kappa", inv_mod.vortex_angular_impulse(g)),
-                ]
-            z0 = join(*np.array((q0, p0), dtype=float))
-            system.energy_z(z0), [inv.evaluate(z0) for _, inv in invs]  # only to see they evaluate
-    except (ArithmeticError, ValueError) as exc:  # math's range and domain errors too
-        raise ConfigError(f"initial data the system cannot evaluate: {exc}") from exc
+                named = {
+                    "L_a": partial(inv_mod.vortex_linear_impulse_x, config.circulations),
+                    "L_b": partial(inv_mod.vortex_linear_impulse_y, config.circulations),
+                    "Q_kappa": partial(inv_mod.vortex_angular_impulse, config.circulations),
+                }
+            if q0 is None or p0 is None:
+                raise ConfigError("no initial blocks q0 and p0 (or vortex positions)")
+            z0 = join(np.array(q0, dtype=float), np.array(p0, dtype=float))
+            system.energy_z(z0)  # checks z0's length before the invariants' d x d blocks exist
+            invs = [(name, make()) for name, make in named.items()]
+            [inv.evaluate(z0) for _, inv in invs]  # only to see they evaluate
+    # math's range and domain errors too; a ConfigError is a ValueError
+    except (ArithmeticError, ValueError, DimensionMismatch) as exc:
+        raise ConfigError(f"initial data the {spec.system} system cannot take: {exc}") from exc
     return system, z0, invs
 
 
@@ -322,7 +299,7 @@ def _make_step(spec: ExperimentSpec):
     looked up when the run starts or at call time, never at import, so a
     wrapper installed on one of them sees every call of the run.
     """
-    cfg = SolverConfig(spec.tol, spec.max_iter, spec.solver, spec.warm_start)
+    cfg = SolverConfig(spec.tol, spec.max_iter, spec.solver)
     if spec.method.startswith("gl"):
         tableau = gl_tableau(int(spec.method[2]))
         return partial(gl_step, tableau=tableau, cfg=cfg), tableau.stages
@@ -340,7 +317,7 @@ def _make_step(spec: ExperimentSpec):
 
         def step(system, dt, z):
             nonlocal mu_prev
-            mu0 = mu_prev if cfg.warm_start else None
+            mu0 = mu_prev if spec.warm_start else None
             z, stats = semiexplicit_step(system, inner, dt, z, cfg, mu0=mu0)
             mu_prev = stats.mu
             return z, stats

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extphase import (
     ConfigError,
@@ -16,6 +16,7 @@ from extphase import (
     NonConvergence,
     PRESETS,
     TrajectoryRecord,
+    VortexCollision,
     benchmark,
     convergence_study,
     emit_csv,
@@ -75,6 +76,10 @@ def test_spec_validation_rules():
         preset("testcase", method="gl4", composition="suzuki")
     with pytest.raises(ConfigError):
         preset("nls_bench", q0=(1.0,))
+    with pytest.raises(ConfigError, match="testcase system cannot take"):
+        preset("testcase", q0=())  # an empty block is not a missing one
+    with pytest.raises(ConfigError, match="dimension d"):
+        make_spec({"system": "nls", "q0": [1.0], "p0": [0.0]})
     with pytest.raises(ConfigError):
         make_spec({"system": "vortex", "dt": 0.1, "t_end": 1.0})
     with pytest.raises(ConfigError):
@@ -439,6 +444,12 @@ def test_cli_exit_code_on_nonconvergence(capsys):
         ["run", "--preset", "testcase", "--method", "pihajoki", "--dt", "16", "--t-end", "3200"],
         ["bench", "--preset", "testcase", "--method", "pihajoki", "--dt", "16", "--t-end", "3200"],
         ["run", "--preset", "testcase", "--method", "tao", "--dt", "8", "--t-end", "1600"],
+        # a solve converged to a tol near 1e-16 is on the diagonal up to the shift's rounding
+        ["run", "--preset", "nls_bench", "--tol", "1e-16", "--t-end", "0.1"],
+        ["bench", "--preset", "nls_bench", "--tol", "1e-16", "--t-end", "0.1"],
+        ["run", "--preset", "testcase", "--order", "4", "--composition", "triple_jump",
+         "--tol", "1e-16", "--t-end", "1"],
+        ["run", "--preset", "vortex4", "--solver", "broyden", "--tol", "1e-16", "--t-end", "0.5"],
     ):
         assert main(argv) == 2, argv
         expected = r"run incomplete at step \d+ \(t=[0-9.e+-]+\): " if argv[0] == "run" else (
@@ -529,6 +540,31 @@ def base_configs(x):
 
 
 SPEC_KEYS = [f.name for f in fields(ExperimentSpec)]
+
+
+@st.composite
+def flat_configs(draw):
+    """A config of ``base_configs``, sometimes with a junk entry in its initial
+    data, and with up to two fields (or an unknown key) set to junk."""
+    x = draw(NUMBERS) if draw(st.integers(0, 3)) == 3 else 2.0
+    config = draw(st.sampled_from(base_configs(x)))
+    for key in draw(st.lists(st.sampled_from(SPEC_KEYS + ["bogus"]), max_size=2)):
+        config[key] = draw(JUNK)
+    return config
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config=flat_configs())
+@example(config={"system": "testcase", "q0": [1e200, 0]})
+def test_a_spec_that_constructs_is_a_run_that_starts(config):
+    # the spec checks its initial data, so the run's own build of the system cannot fail
+    try:
+        spec = make_spec(config)
+    except (ConfigError, VortexCollision):
+        return
+    harness.build_system(spec)
+
+
 # per option: values a run mostly accepts, then values it mostly rejects
 OPTIONS = {
     "--method": (["pihajoki", "tao", "semiexplicit", "gl2", "gl4", "gl6"], ["rk4", "gl"]),
@@ -563,10 +599,7 @@ def cli_argvs(draw, tmp: Path):
     if source in ("preset", "both"):
         argv += ["--preset", _pick(draw, (sorted(PRESETS), ["nope"]))]
     if source in ("config", "both"):
-        x = draw(NUMBERS) if draw(st.integers(0, 3)) == 3 else 2.0
-        config = draw(st.sampled_from(base_configs(x)))
-        for key in draw(st.lists(st.sampled_from(SPEC_KEYS + ["bogus"]), max_size=2)):
-            config[key] = draw(JUNK)
+        config = draw(flat_configs())
         path = tmp / "config.json"
         path.write_text(_pick(draw, ([json.dumps(config)], ["not json", "[1, 2]"])))
         argv += ["--config", str(path)]

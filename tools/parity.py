@@ -10,9 +10,9 @@ Usage, from the repository root:
 one JSON object of named entries.  It covers every built-in preset under
 every method configuration: a 20-step run recording every step with its
 state, the SHA-256 of that run's CSV and SVG files, ``final_state``, and
-``benchmark``'s row without its timing.  It also covers 20 runs that
-fail, 16 on ``nls_bench`` and 4 on ``testcase``, whose errors are
-compared as text.  Floats are stored
+``benchmark``'s row without its timing.  It also covers 23 runs that
+fail, 16 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
+``tol=1e-16``, whose errors are compared as text.  Floats are stored
 with ``float.hex``, so equal entries are equal bit for bit.
 
 ``compare`` prints every entry that differs or is missing from one side
@@ -51,9 +51,11 @@ def method_configurations() -> list[dict]:
 
 
 def failure_configurations() -> list[dict]:
-    """20 runs that fail on a step, each kind of method at least once: 16 on
-    ``nls_bench`` and 4 ``testcase`` blow-ups at large steps, where the
-    explicit runs leave the range or domain of ``math``'s functions."""
+    """23 runs that fail on a step, each kind of method at least once: 16 on
+    ``nls_bench``, 4 ``testcase`` blow-ups at large steps, where the
+    explicit runs leave the range or domain of ``math``'s functions, and 3
+    projected runs whose solve stalls at ``tol=1e-16`` after steps that
+    converged to it."""
     configs = []
     for order, composition in SCHEMES:
         scheme = dict(order=order, composition=composition)
@@ -73,6 +75,9 @@ def failure_configurations() -> list[dict]:
         dict(preset="testcase", method="tao", dt=8.0, t_end=1600.0),
         dict(preset="testcase", method="semiexplicit", dt=16.0, t_end=3200.0),
         dict(preset="testcase", method="gl2", dt=16.0, t_end=3200.0),
+        dict(preset="nls_bench", tol=1e-16, t_end=0.1),
+        dict(preset="testcase", order=4, composition="triple_jump", tol=1e-16, t_end=1.0),
+        dict(preset="vortex4", solver="broyden", tol=1e-16, t_end=0.5),
     ]
     return configs
 
