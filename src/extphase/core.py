@@ -17,6 +17,8 @@ shape of its operand, raising :class:`DimensionMismatch` on a bad layout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotOnDiagonal
@@ -92,11 +94,11 @@ def restrict(zeta: np.ndarray, tol: float = DIAGONAL_TOL) -> np.ndarray:
     projection did not actually land on the diagonal.
     """
     zeta = np.asarray(zeta, dtype=float)
-    q, _, p, _ = blocks(zeta)
+    rows = blocks(zeta)
     gap = np.max(np.abs(apply_A(zeta)))
     if gap > tol * max(1.0, np.max(np.abs(zeta))):
         raise NotOnDiagonal(f"diagonal defect {gap:.3e} exceeds tolerance {tol:.3e}")
-    return join(q, p)
+    return join(rows[0], rows[2])
 
 
 def apply_A(zeta: np.ndarray) -> np.ndarray:
@@ -115,5 +117,7 @@ def apply_AT(mu: np.ndarray) -> np.ndarray:
 
 
 def defect_norm(zeta: np.ndarray) -> float:
-    """Euclidean norm of the copy mismatch ``(x - q, y - p)``."""
-    return float(np.linalg.norm(apply_A(zeta)))
+    """Euclidean norm of the copy mismatch ``(x - q, y - p)``: the square root
+    of its dot product with itself, as ``np.linalg.norm`` takes it."""
+    gap = apply_A(zeta)
+    return math.sqrt(gap.dot(gap))

@@ -57,7 +57,11 @@ class HamiltonianSystem(ABC):
     def vector_field(self, z: np.ndarray) -> np.ndarray:
         """Canonical right-hand side ``(D2H, -D1H)`` at ``z = (q, p)``."""
         gq, gp = self.grad(*halves(z, self.dim))
-        return join(gp, -gq)
+        out = np.empty(z.shape)
+        dq, dp = halves(out, self.dim)
+        dq[...] = gp
+        np.negative(gq, out=dp)
+        return out
 
     def with_counter(self, counter: EvalCounter) -> "CountingSystem":
         return CountingSystem(self, counter)
@@ -165,8 +169,11 @@ class VortexConfig:
             raise ConfigError("all circulations must be finite and nonzero")
         object.__setattr__(self, "circulations", gammas)
         if self.initial_positions is not None:
-            pos = np.asarray(self.initial_positions, dtype=float)
-            if pos.shape != (gammas.size, 2):
+            try:
+                pos = np.asarray(self.initial_positions, dtype=float)
+            except ValueError:  # ragged rows: NumPy cannot make them one array
+                pos = None
+            if pos is None or pos.shape != (gammas.size, 2):
                 raise DimensionMismatch("initial positions must have shape (N, 2)")
             diff = pos[:, None, :] - pos[None, :, :]
             dist2 = (diff**2).sum(axis=-1)
@@ -194,22 +201,22 @@ class PointVortexSystem(HamiltonianSystem):
         self.config = config
         self.dim = config.n
         g = config.circulations
-        self._sqrt = np.sqrt(np.abs(g))
-        self._sign = np.sign(g)
         self._gamma = g
+        self._sqrt = np.sqrt(np.abs(g))  # q_i = sqrt(|G_i|) X_i
+        self._signed_sqrt = self._sqrt * np.sign(g)  # p_i = sqrt(|G_i|) sgn(G_i) Y_i
+        self._grad_weights = -1.0 / (2.0 * math.pi) * g
+        self._diagonal = np.diag_indices(self.dim)
         self._pair_weights = np.triu(np.outer(g, g), 1)  # G_i G_j for i < j
 
     def _planar(self, q, p):
-        x = q / self._sqrt
-        y = p / (self._sqrt * self._sign)
-        return x, y
+        return q / self._sqrt, p / self._signed_sqrt
 
     def _pair_geometry(self, q, p):
         x, y = self._planar(q, p)
         dx = x[:, None] - x[None, :]
         dy = y[:, None] - y[None, :]
         r2 = dx * dx + dy * dy
-        np.fill_diagonal(r2, np.inf)
+        r2[self._diagonal] = np.inf
         if r2.min() < COLLISION_GUARD**2:
             raise VortexCollision(
                 f"vortices closer than {COLLISION_GUARD:g} in planar coordinates"
@@ -218,7 +225,7 @@ class PointVortexSystem(HamiltonianSystem):
 
     def energy(self, q, p) -> float:
         _, _, r2 = self._pair_geometry(q, p)  # a fresh array, free to overwrite
-        np.fill_diagonal(r2, 1.0)  # log(1) = 0 under the zero-diagonal weights
+        r2[self._diagonal] = 1.0  # log(1) = 0 under the zero-diagonal weights
         return float(-(self._pair_weights * np.log(r2)).sum() / (4.0 * math.pi))
 
     def grad(self, q, p):
@@ -226,11 +233,10 @@ class PointVortexSystem(HamiltonianSystem):
         g = self._gamma
         inv = 1.0 / r2  # diagonal is 1/inf = 0
         # planar gradient of H: dH/dX_i = -(G_i / 2 pi) sum_j G_j dx_ij / r_ij^2
-        coef = -1.0 / (2.0 * math.pi)
-        gx = coef * g * ((inv * dx) @ g)
-        gy = coef * g * ((inv * dy) @ g)
+        gx = self._grad_weights * ((inv * dx) @ g)
+        gy = self._grad_weights * ((inv * dy) @ g)
         # chain rule through the canonical scaling
-        return gx / self._sqrt, gy / (self._sqrt * self._sign)
+        return gx / self._sqrt, gy / self._signed_sqrt
 
 
 def make_testcase() -> TestcaseSystem:

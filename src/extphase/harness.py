@@ -330,9 +330,11 @@ def _make_step(spec: ExperimentSpec):
             with np.errstate(over="ignore", invalid="ignore"):
                 zeta = inner(system, dt, zeta)
                 defect = defect_norm(zeta)
+            # x - q is inf or nan where either copy is, so a finite defect means a finite state
+            finite = math.isfinite(defect) or np.isfinite(zeta).all()
         except (ArithmeticError, ValueError):  # math's range and domain errors
-            zeta = np.full_like(zeta, np.nan)
-        if not np.isfinite(zeta).all():
+            finite = False
+        if not finite:
             raise NonConvergence("state is no longer finite; the copies separated")
         # an explicit step is one pass of fixed cost, with no iterations
         return zeta, StepStats(0, 0.0, defect_norm=defect)
@@ -362,13 +364,18 @@ class _Run:
     def z(self) -> np.ndarray:
         """Original-space state after step ``k``."""
         if self.extended:
-            return join(*blocks(self.state)[::2])  # the first copy (q, p)
+            rows = blocks(self.state)
+            return join(rows[0], rows[2])  # the first copy (q, p)
         return self.state
 
     def __iter__(self):
         for self.k in range(1, self.spec.n_steps + 1):
             before = self.counter.n_grad
-            self.state, self.stats = self._step(self.system, self.spec.dt, self.state)
+            try:
+                self.state, self.stats = self._step(self.system, self.spec.dt, self.state)
+            except NonConvergence as exc:  # its passes were paid for, so they count
+                self.itr_total += exc.iterations
+                raise
             self.spent = self.counter.n_grad - before
             expected = self.cost_per_pass * max(self.stats.iterations, 1)  # explicit: one pass
             if self.spent != expected:
@@ -579,12 +586,26 @@ def convergence_study(
 # Flat-file emission
 
 
+# Rows converted to Python scalars at a time when a writer formats columns:
+# one conversion per chunk, and the memory of one chunk, not of a column.
+CHUNK_ROWS = 1024
+
+
+def _scalar_rows(columns):
+    """The rows of ``columns`` (arrays or lists) as tuples of Python scalars,
+    as far as the shortest column reaches."""
+    n = min((len(values) for values in columns), default=0)
+    for start in range(0, n, CHUNK_ROWS):
+        chunk = [values[start:start + CHUNK_ROWS] for values in columns]
+        yield from zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in chunk])
+
+
 def _csv_lines(columns, specs: dict):
     """Header and rows of ``(name, values)`` columns, formatted by ``specs`` or ``.17g``."""
     yield ",".join(name for name, _ in columns)
-    formats = [specs.get(name, ".17g") for name, _ in columns]
-    for row in zip(*(values for _, values in columns)):
-        yield ",".join([format(v, fmt) for fmt, v in zip(formats, row)])
+    template = ",".join("%" + specs.get(name, ".17g") for name, _ in columns)
+    for row in _scalar_rows([values for _, values in columns]):
+        yield template % row
 
 
 def emit_csv(record: TrajectoryRecord, path) -> None:
@@ -662,7 +683,7 @@ def _svg_lines(record: TrajectoryRecord):
             t_span = (t_hi - t_lo) or 1.0
             xs = x0 + (tk - t_lo) / t_span * plot_w
             ys = y0 + (hi - logv) / (hi - lo) * plot_h
-            points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+            points = " ".join(["%.2f,%.2f" % xy for xy in _scalar_rows((xs, ys))])
             yield f'<polyline points="{points}" fill="none" stroke="#1f77b4"/>'
             yield f'<text x="{x0 - 6}" y="{y0 + 10}" text-anchor="end">1e{hi:.1f}</text>'
             yield f'<text x="{x0 - 6}" y="{y0 + plot_h}" text-anchor="end">1e{lo:.1f}</text>'
@@ -680,7 +701,6 @@ def _write_lines(path, lines) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             for line in lines:
-                fh.write(line)
-                fh.write("\n")
+                fh.write(line + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc

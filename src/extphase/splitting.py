@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import blocks, join
+from .core import blocks
 from .errors import ConfigError
 from .hamiltonians import HamiltonianSystem
 
@@ -111,10 +111,17 @@ def _drift(system: HamiltonianSystem, t: float, q, p, x, y) -> None:
     y -= t * gq
 
 
+def _rows(zeta: np.ndarray, d: int | None = None) -> tuple:
+    """The ``(q, x, p, y)`` row views of a doubled point, taken by index:
+    unpacking the ``(4, d)`` view would iterate it, which costs more."""
+    rows = blocks(zeta, d)
+    return rows[0], rows[1], rows[2], rows[3]
+
+
 def _copy(system: HamiltonianSystem, zeta: np.ndarray):
     """A fresh float copy of ``zeta`` and its ``(q, x, p, y)`` row views."""
     out = np.array(zeta, dtype=float)
-    return out, blocks(out, system.dim)
+    return out, _rows(out, system.dim)
 
 
 def flow_a(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
@@ -153,21 +160,25 @@ def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
 
     Rotates the copy differences ``(q - x, p - y)`` by the angle
     ``2*omega*t`` while fixing the copy sums; costs no gradient evaluations.
+    Returns a fresh array: the rotation acts in place on one copy of ``zeta``.
     """
-    zeta = np.asarray(zeta, dtype=float)
-    q, x, p, y = blocks(zeta)
+    out = np.array(zeta, dtype=float)
+    rows = blocks(out)
     angle = 2.0 * omega * t
     if angle == 0.0:
-        return zeta.copy()
+        return out
     c = math.cos(angle)
     s = math.sin(angle)
-    sq = q + x
-    sp = p + y
-    u = q - x
-    v = p - y
-    ur = c * u + s * v
-    vr = c * v - s * u
-    return join(0.5 * (sq + ur), 0.5 * (sq - ur), 0.5 * (sp + vr), 0.5 * (sp - vr))
+    first, second = rows[0::2], rows[1::2]  # (q, p) and (x, y)
+    total = first + second
+    diff = first - second  # (u, v)
+    # (c u + s v, c v - s u); adding -s u rounds exactly as subtracting s u
+    diff_r = c * diff
+    diff_r += np.array(((s,), (-s,))) * diff[::-1]
+    np.add(total, diff_r, out=first)
+    np.subtract(total, diff_r, out=second)
+    out *= 0.5
+    return out
 
 
 def tao_step(
@@ -187,7 +198,7 @@ def tao_step(
     _drift(system, h, q, y, x, p)  # A(dt/2)
     _drift(system, h, x, p, q, y)  # B(dt/2)
     out = coupling_flow(params.omega, dt, out)  # C(dt), into a fresh array
-    q, x, p, y = blocks(out)
+    q, x, p, y = _rows(out)
     _drift(system, h, x, p, q, y)  # B(dt/2)
     _drift(system, h, q, y, x, p)  # A(dt/2)
     return out

@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from extphase import (
+    ConfigError,
     DimensionMismatch,
     EvalCounter,
     SolverConfig,
@@ -17,6 +21,7 @@ from extphase import (
     make_testcase,
     make_vortices,
     nls_mass,
+    make_spec,
     planar_from_canonical,
     poisson_bracket,
     preset,
@@ -132,6 +137,14 @@ def test_vortex_config_validation():
         VortexConfig((1.0, 1.0), ((0.0, 0.0),))
 
 
+def test_ragged_vortex_positions_name_their_shape():
+    message = "initial positions must have shape (N, 2)"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        VortexConfig((1.0, 1.0), ((0.0, 0.0), (1.0,)))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        make_spec({"system": "vortex", "gammas": [1.0, 1.0], "positions": [[0, 0], [1]]})
+
+
 def test_canonical_from_planar_scalings():
     cfg = VortexConfig((4.0,), ((1.0, 2.0),))
     z = canonical_from_planar(cfg, ((1.0, 2.0),))
@@ -231,3 +244,55 @@ def test_vortex_invariant_values_at_reference_state():
     assert vortex_linear_impulse_x(g).evaluate(z) == pytest.approx(28.5, rel=1e-14)
     assert vortex_linear_impulse_y(g).evaluate(z) == pytest.approx(10.5, rel=1e-14)
     assert vortex_angular_impulse(g).evaluate(z) == pytest.approx(20.0, rel=1e-14)
+
+
+def _seed_vortex_geometry(g, q, p):
+    sqrt, sign = np.sqrt(np.abs(g)), np.sign(g)
+    x, y = q / sqrt, p / (sqrt * sign)
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    r2 = dx * dx + dy * dy
+    np.fill_diagonal(r2, np.inf)
+    return dx, dy, r2
+
+
+def _seed_vortex_grad(g, q, p):
+    """The vortex gradient as first written, scalings recomputed per call."""
+    dx, dy, r2 = _seed_vortex_geometry(g, q, p)
+    inv = 1.0 / r2
+    coef = -1.0 / (2.0 * math.pi)
+    gx = coef * g * ((inv * dx) @ g)
+    gy = coef * g * ((inv * dy) @ g)
+    sqrt, sign = np.sqrt(np.abs(g)), np.sign(g)
+    return gx / sqrt, gy / (sqrt * sign)
+
+
+def _seed_vortex_energy(g, q, p):
+    _, _, r2 = _seed_vortex_geometry(g, q, p)
+    np.fill_diagonal(r2, 1.0)
+    return float(-(np.triu(np.outer(g, g), 1) * np.log(r2)).sum() / (4.0 * math.pi))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    gammas=st.integers(2, 10).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats(0.05, 20.0) | st.floats(-20.0, -0.05))
+    ),
+    data=st.data(),
+)
+def test_vortex_kernels_are_the_seed_formulas_bit_for_bit(gammas, data):
+    n = gammas.size
+    positions = data.draw(arrays(np.float64, (n, 2), elements=st.floats(-10.0, 10.0)))
+    gaps = positions[:, None, :] - positions[None, :, :]
+    assume(np.all((gaps**2).sum(axis=-1)[~np.eye(n, dtype=bool)] > 1e-6))
+    config = VortexConfig(gammas)
+    system = make_vortices(config)
+    z = canonical_from_planar(config, positions)
+    q, p = z[:n], z[n:]
+    gq, gp = system.grad(q, p)
+    sq, sp = _seed_vortex_grad(gammas, q, p)
+    assert gq.tobytes() == sq.tobytes() and gp.tobytes() == sp.tobytes()
+    energy = np.float64(system.energy(q, p))
+    assert energy.tobytes() == np.float64(_seed_vortex_energy(gammas, q, p)).tobytes()
+    assert system.vector_field(z).tobytes() == np.concatenate((sp, -sq)).tobytes()
+

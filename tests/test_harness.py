@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from extphase import (
     ConfigError,
@@ -161,6 +162,22 @@ def test_failure_is_kept_as_data():
     assert np.isfinite(record.failure.final_residual)
 
 
+def test_failed_runs_keep_the_cost_identity(capsys):
+    # the failing step's passes were paid for in gradients, so they are counted
+    stalled = ["run", "--preset", "testcase", "--order", "4", "--composition", "triple_jump",
+               "--tol", "1e-16", "--t-end", "1"]
+    assert main(stalled) == 2
+    assert "1 steps, itr_total=106, vf_total=954," in capsys.readouterr().out
+    for spec, cost in (
+        (preset("testcase", order=4, composition="triple_jump", tol=1e-16, t_end=1.0), 9),
+        (preset("nls_bench", method="gl4", order=4, tol=1e-16, t_end=0.1), 2),
+    ):
+        record = run_experiment(spec)
+        assert record.failure_kind == "non_convergence"
+        assert record.vf_total == cost * record.itr_total
+        assert record.itr_total == record.itr.sum() + record.failure.iterations
+
+
 def test_csv_round_trip(tmp_path):
     spec = preset("testcase", method="semiexplicit", t_end=1.0, tol=1e-12, record_state=True)
     record = run_experiment(spec)
@@ -199,6 +216,82 @@ def test_csv_text_is_pinned(tmp_path):
         r"tao-2,2,0\.10000000000000001,0\.20000000000000001,1e-14,[0-9.e+-]+,0,4,2,2\n",
         path.read_text(),
     )
+
+
+# Row counts around the writers' chunk of rows, and a few small ones.
+ROW_COUNTS = st.sampled_from(
+    [0, 1, 2, 7, harness.CHUNK_ROWS - 1, harness.CHUNK_ROWS, harness.CHUNK_ROWS + 1,
+     2 * harness.CHUNK_ROWS + 5]
+)
+ANY_FLOATS = arrays(np.float64, st.integers(1, 12), elements=st.floats() | st.sampled_from(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e300]))
+INTEGERS = arrays(np.int64, st.integers(1, 12), elements=st.integers(-2**62, 2**62))
+
+
+def _drawn_record(data, n: int, states: bool) -> TrajectoryRecord:
+    """A testcase record of ``n`` rows whose columns repeat drawn values."""
+    def column(strategy):
+        return np.resize(data.draw(strategy), n)
+
+    return TrajectoryRecord(
+        spec=preset("testcase", t_end=1.0),
+        invariant_names=["L", "Q"],
+        steps=column(INTEGERS),
+        times=column(ANY_FLOATS),
+        defect=column(ANY_FLOATS),
+        energy_err=column(ANY_FLOATS),
+        drifts={"L": column(ANY_FLOATS), "Q": column(ANY_FLOATS)},
+        itr=column(INTEGERS),
+        vf=column(INTEGERS),
+        states=np.resize(data.draw(ANY_FLOATS), (n, 4)) if states else None,
+        total_steps=n,
+        itr_total=0,
+        vf_total=0,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=ROW_COUNTS, states=st.booleans(), data=st.data())
+def test_csv_lines_are_format_per_value(tmp_path_factory, n, states, data):
+    record = _drawn_record(data, n, states)
+    names = ["step", "t", "defect_norm", "energy_rel_err", "L_rel_err", "Q_rel_err", "itr",
+             "vf_evals"]
+    columns = [record.steps, record.times, record.defect, record.energy_err,
+               record.drifts["L"], record.drifts["Q"], record.itr, record.vf]
+    if states and n:
+        names += ["q1", "q2", "p1", "p2"]
+        columns += list(record.states.T)
+    formats = ["d" if name in ("step", "itr", "vf_evals") else ".17g" for name in names]
+    expected = [",".join(names)] + [
+        ",".join(format(v, fmt) for fmt, v in zip(formats, row)) for row in zip(*columns)
+    ]
+    path = tmp_path_factory.mktemp("csv") / "run.csv"
+    emit_csv(record, path)
+    assert path.read_bytes() == "".join(line + "\n" for line in expected).encode()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=ROW_COUNTS.filter(bool), dt=st.floats(1e-3, 10.0), data=st.data())
+def test_svg_points_are_the_fstring_per_point(tmp_path_factory, n, dt, data):
+    record = _drawn_record(data, n, states=False)
+    record.times = np.arange(n) * dt
+    path = tmp_path_factory.mktemp("svg") / "plot.svg"
+    emit_svg(record, path)
+    expected = []
+    ts = record.times
+    t_span = (float(ts.max()) - float(ts.min())) or 1.0
+    for idx, values in enumerate((record.defect, record.drifts["L"], record.drifts["Q"])):
+        keep = np.isfinite(values) & (values > 0.0)
+        if not keep.any():
+            continue
+        logv = np.log10(values[keep])
+        lo, hi = float(logv.min()), float(logv.max())
+        if hi - lo < 1e-12:
+            lo, hi = lo - 1.0, hi + 1.0
+        xs = idx * 360 + 45 + (ts[keep] - float(ts.min())) / t_span * 270
+        ys = 45 + (hi - logv) / (hi - lo) * 190
+        expected.append(" ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)))
+    assert re.findall(r'<polyline points="([^"]*)"', path.read_text()) == expected
 
 
 def test_svg_leaves_out_non_finite_values(tmp_path):

@@ -427,3 +427,42 @@ def test_tao_step_matches_flow_composition_bitwise(zeta, dt, omega):
     composed = flow_a(sys_, h, flow_b(sys_, h, coupling_flow(omega, dt, inner)))
     direct = tao_step(sys_, dt, zeta, TaoParams(omega))
     assert direct.tobytes() == composed.tobytes()
+
+
+def _seed_coupling_flow(omega, t, zeta):
+    """The rotation as first written: twelve element-wise operations on the
+    four blocks and a concatenate."""
+    zeta = np.asarray(zeta, dtype=float)
+    d = zeta.size // 4
+    q, x, p, y = zeta[:d], zeta[d : 2 * d], zeta[2 * d : 3 * d], zeta[3 * d :]
+    angle = 2.0 * omega * t
+    if angle == 0.0:
+        return zeta.copy()
+    c = math.cos(angle)
+    s = math.sin(angle)
+    sq, sp, u, v = q + x, p + y, q - x, p - y
+    ur = c * u + s * v
+    vr = c * v - s * u
+    return np.concatenate((0.5 * (sq + ur), 0.5 * (sq - ur), 0.5 * (sp + vr), 0.5 * (sp - vr)))
+
+
+@PROPERTY
+@given(
+    zeta=st.integers(1, 6).flatmap(
+        lambda d: arrays(np.float64, 4 * d, elements=st.floats(-1e100, 1e100))
+    ),
+    omega=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+    t=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    layout=st.sampled_from(("float", "integer", "strided")),
+)
+def test_coupling_flow_is_the_seed_formula_bit_for_bit(zeta, omega, t, layout):
+    if layout == "integer":
+        zeta = np.clip(zeta, -1e15, 1e15).astype(np.int64)
+    elif layout == "strided":
+        zeta = np.repeat(zeta, 2)[::2]  # the same values, not contiguous
+    before = zeta.tobytes()
+    out = coupling_flow(omega, t, zeta)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert out.tobytes() == _seed_coupling_flow(omega, t, zeta).tobytes()
+    assert zeta.tobytes() == before and not np.shares_memory(out, zeta)
+

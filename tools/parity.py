@@ -12,8 +12,10 @@ every method configuration: a 20-step run recording every step with its
 state, the SHA-256 of that run's CSV and SVG files, ``final_state``, and
 ``benchmark``'s row without its timing.  It also covers 23 runs that
 fail, 16 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
-``tol=1e-16``, whose errors are compared as text.  Floats are stored
-with ``float.hex``, so equal entries are equal bit for bit.
+``tol=1e-16``, whose errors are compared as text; the SHA-256 of the CSV
+and SVG files of one full-horizon ``vortex4`` ``tao-2`` run (4,001 rows);
+and the bytes ``emit_benchmark_csv`` writes for a fixed row.  Floats are
+stored with ``float.hex``, so equal entries are equal bit for bit.
 
 ``compare`` prints every entry that differs or is missing from one side
 and exits 1 if there is any, 0 otherwise.
@@ -82,6 +84,18 @@ def failure_configurations() -> list[dict]:
     return configs
 
 
+# A benchmark row with every field set, its timing included.
+BENCHMARK_ROW = {
+    "method": "tao-2", "order": 2, "dt": 0.1, "t_end": 0.30000000000000004, "tol": 1e-14,
+    "time_s": 0.0012345678901234567, "itr_avg": 0.0, "vf_avg": 4.0, "converged_steps": 3,
+    "total_steps": 3,
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _values(array) -> list:
     flat = np.asarray(array).ravel().tolist()
     return [v.hex() if isinstance(v, float) else v for v in flat]
@@ -105,7 +119,7 @@ def _record_entries(xp, key: str, record, out: dict, tmp_dir: Path) -> None:
     for kind, emit in (("csv", xp.emit_csv), ("svg", xp.emit_svg)):
         path = tmp_dir / f"out.{kind}"
         emit(record, path)
-        out[f"{key}/{kind}_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        out[f"{key}/{kind}_sha256"] = _sha256(path)
 
 
 def _guarded(out: dict, key: str, fn) -> None:
@@ -150,6 +164,20 @@ def dump(src_dir: str, out_path: str) -> int:
                 _record_entries(xp, key, xp.run_experiment(spec), out, tmp_dir)
 
             _guarded(out, key, run_failing)
+
+        def run_full_horizon(key="full/vortex4/method=tao,order=2"):
+            record = xp.run_experiment(xp.preset("vortex4", method="tao", record_stride=1))
+            out[f"{key}/rows"] = record.rows
+            for kind, emit in (("csv", xp.emit_csv), ("svg", xp.emit_svg)):
+                emit(record, tmp_dir / f"full.{kind}")
+                out[f"{key}/{kind}_sha256"] = _sha256(tmp_dir / f"full.{kind}")
+
+        def write_benchmark_csv(key="emit_benchmark_csv"):
+            xp.harness.emit_benchmark_csv([BENCHMARK_ROW], tmp_dir / "bench.csv")
+            out[key] = (tmp_dir / "bench.csv").read_text(encoding="utf-8")
+
+        _guarded(out, "full/vortex4/method=tao,order=2", run_full_horizon)
+        _guarded(out, "emit_benchmark_csv", write_benchmark_csv)
     Path(out_path).write_text(json.dumps(out, sort_keys=True), encoding="utf-8")
     failed = sum(
         1 for k, v in out.items() if k.startswith("failure/") and k.endswith("/complete") and not v
