@@ -547,7 +547,7 @@ def convergence_study(
 ):
     """Least-squares order estimate from final-state errors over a dt sweep.
 
-    Requires at least four step sizes in geometric progression.  The
+    Requires at least four distinct step sizes in geometric progression.  The
     reference solution is a 3-stage Gauss run at ``min(dt)/20``.
     Returns ``(slope, errors)`` with ``errors`` mapping dt to the Euclidean
     final-state error.
@@ -557,6 +557,8 @@ def convergence_study(
         raise ConfigError("step sizes must be positive and finite")
     if len(dts) < 4:
         raise ConfigError("need at least four step sizes")
+    if len(set(dts)) < len(dts):
+        raise ConfigError("step sizes must be distinct")
     ratios = [dts[i] / dts[i + 1] for i in range(len(dts) - 1)]
     if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
         raise ConfigError("step sizes must form a geometric progression")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, UnsupportedOrder
+from .errors import UnsupportedOrder
 from .hamiltonians import HamiltonianSystem
-from .projection import SolverConfig, StepStats
+from .projection import SolverConfig, iterate
 
 __all__ = ["ButcherTableau", "gl_step", "gl_tableau"]
 
@@ -86,43 +86,21 @@ def gl_step(
 
     Sweeps update all stage derivatives ``k_i <- F(z + dt * sum_j a_ij k_j)``
     from the previous sweep's values, starting at ``k_i = 0``, until the
-    max-norm change falls to ``cfg.tol``.  Returns ``(z_next, stats)`` with
-    ``stats.iterations`` the sweep count; the step costs ``stages * sweeps``
-    gradient evaluations.
+    max-norm change falls to ``cfg.tol``; the projection's loop
+    (:func:`extphase.projection.iterate`) runs them.  Returns ``(z_next,
+    stats)`` with ``stats.iterations`` the sweep count; the step costs
+    ``stages * sweeps`` gradient evaluations.
     """
     z = np.asarray(z, dtype=float)
-    s = tableau.stages
-    k = np.zeros((s, z.size))
-    k_next = np.empty_like(k)
-    sweeps = 0
-    while True:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                offsets = dt * (tableau.a @ k)
-                for i in range(s):
-                    k_next[i] = system.vector_field(z + offsets[i])
-                change = float(np.max(np.abs(k_next - k)))
-        except (ArithmeticError, ValueError):  # math's range and domain errors
-            change = np.inf
-        sweeps += 1
-        k, k_next = k_next, k  # buffer swap; k_next is fully rewritten next sweep
-        if not np.isfinite(change):
-            raise NonConvergence(
-                "fixed-point stage values are no longer finite; reduce the step size",
-                best=k,
-                final_residual=change,
-                iterations=sweeps,
-            )
-        if change <= cfg.tol:
-            break
-        if sweeps >= cfg.max_iter:
-            raise NonConvergence(
-                f"fixed-point stage solve stalled at change {change:.3e} after "
-                f"{sweeps} sweeps (tol {cfg.tol:.1e}); reduce the step size",
-                best=k,
-                final_residual=change,
-                iterations=sweeps,
-            )
-    z_next = z + dt * (tableau.b @ k)
-    stats = StepStats(sweeps, change)
-    return z_next, stats
+
+    def sweep(k):
+        offsets = dt * (tableau.a @ k)
+        k_next = np.empty_like(k)
+        for i in range(tableau.stages):
+            k_next[i] = system.vector_field(z + offsets[i])
+        return k_next - k, k_next
+
+    k0 = np.zeros((tableau.stages, z.size))
+    _, k, stats = iterate(sweep, lambda _k, _change, k_next: k_next, k0, cfg,
+                          "fixed-point stage", "change")
+    return z + dt * (tableau.b @ k), stats

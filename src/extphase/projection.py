@@ -28,7 +28,7 @@ from .errors import ConfigError, NonConvergence
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
 
-__all__ = ["SolverConfig", "StepStats", "residual", "semiexplicit_step", "solve_mu"]
+__all__ = ["SolverConfig", "StepStats", "semiexplicit_step", "solve_mu"]
 
 SOLVER_METHODS = ("simplified_newton", "broyden")
 
@@ -70,20 +70,51 @@ class StepStats:
     defect_norm: float = 0.0
 
 
-def residual(
-    system: HamiltonianSystem,
-    extended_step: ExtendedStep,
-    dt: float,
-    zeta_n: np.ndarray,
-    mu: np.ndarray,
-):
-    """Projection residual ``A Phi(zeta_n + A^T mu) + 2 mu``.
+def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str):
+    """The one solve loop: evaluate, test, advance, until the residual is small.
 
-    Returns ``(r, image)`` with ``image = Phi(zeta_n + A^T mu)``, the
-    inner-step output; exactly one inner-step evaluation.
+    ``evaluate(x)`` returns ``(r, out)``, the residual at ``x`` and what the
+    caller keeps from that pass; ``advance(x, r, out)`` returns the next
+    iterate.  Iterates are rebound, never written in place, so the one with
+    the smallest residual is kept without a copy.  Returns ``(x, out,
+    stats)`` at the first pass with ``max|r| <= cfg.tol``.
+
+    Raises :class:`NonConvergence`, carrying the smallest-residual iterate
+    and its residual, when the residual is no longer finite (a math range
+    or domain error counts as such), grows by ``DIVERGENCE_FACTOR`` over its
+    first value, or the solve reaches ``cfg.max_iter`` passes.
+    ``subject`` and ``measure`` name the solve and its residual in the
+    message.
     """
-    image = extended_step(system, dt, zeta_n + apply_AT(mu))
-    return apply_A(image) + 2.0 * mu, image
+    x, best, best_norm, first, passes = x0, x0, np.inf, None, 0
+
+    def failure(message):
+        return NonConvergence(message, best=best, final_residual=best_norm, iterations=passes)
+
+    while True:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                r, out = evaluate(x)
+                norm = float(np.max(np.abs(r)))
+        except (ArithmeticError, ValueError):  # math's range and domain errors
+            norm = np.inf
+        passes += 1
+        if not np.isfinite(norm):
+            raise failure(f"{subject} {measure} is no longer finite; reduce the step size")
+        if norm < best_norm:
+            best, best_norm = x, norm
+        if first is None:
+            first = max(norm, 1e-300)
+        if norm <= cfg.tol:
+            return x, out, StepStats(passes, norm)
+        if norm > DIVERGENCE_FACTOR * first:
+            raise failure(f"{subject} solve diverged: {measure} {norm:.3e} from {first:.3e}")
+        if passes >= cfg.max_iter:
+            raise failure(
+                f"{subject} solve stalled at {measure} {norm:.3e} after "
+                f"{passes} iterations (tol {cfg.tol:.1e})"
+            )
+        x = advance(x, r, out)
 
 
 def solve_mu(
@@ -94,73 +125,44 @@ def solve_mu(
     cfg: SolverConfig,
     mu0: np.ndarray | None = None,
 ):
-    """Solve ``f(mu) = 0`` for the projection multiplier.
+    """Solve ``f(mu) = A Phi(zeta_n + A^T mu) + 2 mu = 0`` for the projection
+    multiplier, one inner-step evaluation per iteration.
 
     Returns ``(mu, image, stats)`` where ``image = Phi(zeta_n + A^T mu)`` is
     the inner-step output already computed at the accepted ``mu`` (so the
     caller never pays an extra step evaluation) and ``stats`` carries the
-    iteration/cost accounting.
-
-    Raises :class:`NonConvergence` when the iteration cap is hit or the
-    residual grows by more than ``1e4`` over its initial size.
+    iteration/cost accounting.  Failures raise as :func:`iterate` says.
     """
     d = blocks(zeta_n).shape[1]
     mu = np.zeros(2 * d) if mu0 is None else np.array(mu0, dtype=float)
     halves(mu, d)  # a warm start must be (mu1, mu2), one entry per constraint
 
-    inv_jac = None  # Broyden inverse-Jacobian state, allocated on first use
-    prev_r = None
-    prev_mu = None
-    best_mu = mu
-    best_norm = np.inf
-    r0_norm = None
-    iterations = 0
+    def evaluate(mu):
+        image = extended_step(system, dt, zeta_n + apply_AT(mu))
+        return apply_A(image) + 2.0 * mu, image
 
-    def failure(message):
-        return NonConvergence(
-            message, best=best_mu, final_residual=best_norm, iterations=iterations
-        )
+    def newton(mu, r, _image):
+        return mu - 0.25 * r
 
-    while True:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                r, image = residual(system, extended_step, dt, zeta_n, mu)
-            r_norm = float(np.max(np.abs(r)))
-        except (ArithmeticError, ValueError):  # math's range and domain errors
-            r_norm = np.inf
-        iterations += 1
-        if not np.isfinite(r_norm):
-            raise failure("projection residual is no longer finite; reduce the step size")
-        if r_norm < best_norm:
-            best_norm = r_norm
-            best_mu = mu.copy()
-        if r0_norm is None:
-            r0_norm = max(r_norm, 1e-300)
-        if r_norm <= cfg.tol:
-            stats = StepStats(iterations, r_norm, mu=mu.copy())
-            return mu, image, stats
-        if r_norm > DIVERGENCE_FACTOR * r0_norm:
-            raise failure(f"projection solve diverged: residual {r_norm:.3e} from {r0_norm:.3e}")
-        if iterations >= cfg.max_iter:
-            raise failure(
-                f"projection solve stalled at residual {r_norm:.3e} after "
-                f"{iterations} iterations (tol {cfg.tol:.1e})"
-            )
-        if cfg.method == "simplified_newton":
-            mu = mu - 0.25 * r
+    inv_jac = prev_mu = prev_r = None  # Broyden's inverse Jacobian and last pass
+
+    def broyden(mu, r, _image):
+        nonlocal inv_jac, prev_mu, prev_r
+        if inv_jac is None:
+            inv_jac = np.eye(mu.size) / 4.0
         else:
-            if inv_jac is None:
-                inv_jac = np.eye(mu.size) / 4.0
-            else:
-                s = mu - prev_mu
-                delta = r - prev_r
-                hy = inv_jac @ delta
-                denom = float(s @ hy)
-                if denom != 0.0:
-                    inv_jac += np.outer(s - hy, s @ inv_jac) / denom
-            prev_mu = mu
-            prev_r = r
-            mu = mu - inv_jac @ r
+            s = mu - prev_mu
+            hy = inv_jac @ (r - prev_r)
+            denom = float(s @ hy)
+            if denom != 0.0:
+                inv_jac += np.outer(s - hy, s @ inv_jac) / denom
+        prev_mu, prev_r = mu, r
+        return mu - inv_jac @ r
+
+    advance = newton if cfg.method == "simplified_newton" else broyden
+    mu, image, stats = iterate(evaluate, advance, mu, cfg, "projection", "residual")
+    stats.mu = mu
+    return mu, image, stats
 
 
 def semiexplicit_step(

@@ -162,6 +162,17 @@ def test_failure_is_kept_as_data():
     assert np.isfinite(record.failure.final_residual)
 
 
+def test_a_warm_started_projected_run_saves_gradients():
+    # 300 nls_bench steps, each solve starting from the last step's multiplier
+    cold, warm = (run_experiment(preset("nls_bench", t_end=0.3, warm_start=w)) for w in (False, True))
+    bound = cold.total_steps * cold.spec.tol
+    assert cold.complete and warm.complete and warm.total_steps == 300
+    assert warm.vf_total == 3 * warm.itr_total
+    assert warm.vf_total < cold.vf_total
+    assert cold.drifts["mass"].max() <= bound
+    assert warm.drifts["mass"].max() <= bound
+
+
 def test_failed_runs_keep_the_cost_identity(capsys):
     # the failing step's passes were paid for in gradients, so they are counted
     stalled = ["run", "--preset", "testcase", "--order", "4", "--composition", "triple_jump",
@@ -388,6 +399,9 @@ def test_convergence_study_input_validation():
         convergence_study(spec, [0.1, 0.05, 0.025], t_end=1.0)
     with pytest.raises(ConfigError):
         convergence_study(spec, [0.1, 0.05, 0.03, 0.02], t_end=1.0)
+    # a repeated size is a geometric progression of ratio 1 but leaves one point to fit
+    with pytest.raises(ConfigError, match="distinct"):
+        convergence_study(spec, [0.1, 0.1, 0.1, 0.1], t_end=1.0)
 
 
 def test_final_state_matches_recorded_run():
@@ -508,6 +522,10 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     ):
         assert main(argv) == 4, argv
     capsys.readouterr()
+    argv = ["converge", "--preset", "testcase", "--method", "gl4", "--t-end", "1",
+            "--dt-list", "0.1,0.1,0.1,0.1"]
+    assert main(argv) == 4
+    assert "step sizes must be distinct" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from extphase import (
     gl_step,
     gl_tableau,
     make_nls,
+    make_testcase,
     preset,
     run_experiment,
 )
@@ -128,3 +129,19 @@ def test_fixed_point_requires_small_steps():
     cfg = SolverConfig(tol=1e-10, max_iter=100)
     with pytest.raises(NonConvergence):
         gl_step(sys_, 0.5, z0, gl_tableau(2), cfg)
+
+
+def test_a_failed_gauss_solve_carries_its_smallest_change():
+    # testcase at dt=16: the sweeps grow until the divergence guard fires;
+    # the failure keeps the stage values whose own sweep changed them least
+    sys_ = make_testcase()
+    z0 = np.array([-1.0, 2.0, 1.0, -1.0])
+    tab = gl_tableau(2)
+    with pytest.raises(NonConvergence, match="fixed-point stage solve diverged: change") as err:
+        gl_step(sys_, 16.0, z0, tab, SolverConfig(tol=1e-14, max_iter=100))
+    first_change = float(np.max(np.abs(sys_.vector_field(z0))))
+    assert err.value.iterations < 100
+    assert err.value.final_residual <= first_change
+    k = err.value.best
+    change = float(np.max(np.abs(sys_.vector_field(z0 + 16.0 * tab.a[0, 0] * k[0]) - k[0])))
+    assert err.value.final_residual == change

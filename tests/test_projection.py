@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,6 @@ from extphase import (
     make_vortices,
     nls_mass,
     pihajoki_step,
-    residual,
     semiexplicit_step,
     solve_mu,
     symplecticity_defect,
@@ -30,6 +31,7 @@ from extphase import (
     vortex_linear_impulse_x,
     vortex_linear_impulse_y,
 )
+from extphase.projection import iterate
 from extphase.splitting import COMPOSITION_LABELS
 
 from conftest import seeded_rng
@@ -41,34 +43,87 @@ def identity_step(_system, _dt, zeta):
     return zeta.copy()
 
 
-def test_residual_of_identity_step_on_diagonal_is_zero():
-    sys_ = make_testcase()
+def test_identity_step_converges_at_once_with_residual_zero():
+    # on the diagonal, f(0) = A zeta_n = 0 for the identity inner step
     zeta = embed(Z0)
-    r, image = residual(sys_, identity_step, 0.1, zeta, np.zeros(4))
-    assert np.all(r == 0.0)
+    mu, image, stats = solve_mu(make_testcase(), identity_step, 0.1, zeta, SolverConfig())
+    assert stats.iterations == 1
+    assert stats.final_residual == 0.0
+    assert np.all(mu == 0.0)
     assert np.array_equal(image, zeta)
 
 
-def test_residual_zero_for_constant_gradient(linear_system):
-    # the plain Strang step lands on the diagonal when the gradient is constant
-    r, _ = residual(linear_system, pihajoki_step, 0.1, np.zeros(4), np.zeros(2))
-    np.testing.assert_allclose(r, 0.0, atol=1e-16)
-
-
-def test_residual_shift_algebra():
-    # r(mu) - r(0) = 2 mu + A(Phi(zeta + AT mu) - Phi(zeta))
+def test_a_solve_that_stops_at_once_reports_the_residual_bit_for_bit():
+    # one pass at mu0 = mu: f(mu) = A Phi(zeta + A^T mu) + 2 mu, as the
+    # failure's residual, with mu itself as the best iterate
     sys_ = make_testcase()
     zeta = embed(Z0)
     rng = seeded_rng(401)
     for _ in range(20):
         mu = 1e-3 * rng.normal(size=4)
-        lhs = residual(sys_, pihajoki_step, 0.1, zeta, mu)[0] - residual(
-            sys_, pihajoki_step, 0.1, zeta, np.zeros(4)
-        )[0]
-        moved = pihajoki_step(sys_, 0.1, zeta + apply_AT(mu))
-        still = pihajoki_step(sys_, 0.1, zeta)
-        rhs = 2.0 * mu + apply_A(moved) - apply_A(still)
-        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-15)
+        with pytest.raises(NonConvergence) as err:
+            solve_mu(sys_, pihajoki_step, 0.1, zeta, SolverConfig(max_iter=1), mu0=mu)
+        r = apply_A(pihajoki_step(sys_, 0.1, zeta + apply_AT(mu))) + 2.0 * mu
+        assert err.value.final_residual == float(np.max(np.abs(r)))
+        assert err.value.iterations == 1
+        assert np.array_equal(err.value.best, mu)
+
+
+# --- the one solve loop, on toy maps ----------------------------------------
+
+
+def scripted(residuals):
+    """A toy solve whose iterate ``[i]`` has residual ``residuals[i]``;
+    ``None`` there raises math's range error."""
+
+    def evaluate(x):
+        value = residuals[int(x[0])]
+        return np.array([math.exp(1e3) if value is None else value]), x
+
+    return evaluate, lambda x, _r, _out: x + 1.0
+
+
+def test_iterate_returns_the_first_iterate_within_tol():
+    # simplified Newton on f(x) = x: the residual halves each pass
+    x, out, stats = iterate(lambda x: (x, 2.0 * x), lambda x, r, _out: x - 0.5 * r,
+                            np.array([1.0]), SolverConfig(tol=1e-3), "toy", "residual")
+    assert stats.iterations == 11
+    assert x.tolist() == [2.0**-10] and stats.final_residual == 2.0**-10
+    assert out.tolist() == [2.0**-9]
+
+
+@pytest.mark.parametrize(
+    "residuals, max_iter, message",
+    [
+        # the iteration cap
+        ([0.5, 0.2, 0.3, 0.4], 4, "toy solve stalled at change 4.000e-01 after 4 iterations "
+         "(tol 1.0e-03)"),
+        # the divergence guard, against the first residual, not the best
+        ([0.5, 0.2, 0.3, 6e3], 50, "toy solve diverged: change 6.000e+03 from 5.000e-01"),
+        # a non-finite residual, and a math range error in the evaluation
+        ([0.5, 0.2, 0.3, np.nan], 50, "toy change is no longer finite; reduce the step size"),
+        ([0.5, 0.2, 0.3, None], 50, "toy change is no longer finite; reduce the step size"),
+    ],
+)
+def test_a_failed_solve_carries_its_smallest_residual_iterate(residuals, max_iter, message):
+    evaluate, advance = scripted(residuals)
+    with pytest.raises(NonConvergence) as err:
+        iterate(evaluate, advance, np.array([0.0]), SolverConfig(tol=1e-3, max_iter=max_iter),
+                "toy", "change")
+    assert str(err.value) == message
+    assert err.value.iterations == 4
+    assert err.value.best.tolist() == [1.0]
+    assert err.value.final_residual == 0.2
+
+
+def test_a_solve_that_is_not_finite_at_once_keeps_its_start():
+    evaluate, advance = scripted([np.inf])
+    x0 = np.array([0.0])
+    with pytest.raises(NonConvergence) as err:
+        iterate(evaluate, advance, x0, SolverConfig(), "toy", "change")
+    assert err.value.best is x0
+    assert err.value.final_residual == np.inf
+    assert err.value.iterations == 1
 
 
 def test_solver_config_validation():
@@ -87,8 +142,9 @@ def test_solve_converges_immediately_for_constant_gradient(linear_system):
     cfg = SolverConfig(tol=1e-12, max_iter=10)
     metered = linear_system.with_counter(counter)
     mu, _image, stats = solve_mu(metered, pihajoki_step, 0.1, np.zeros(4), cfg)
+    # the plain Strang step lands on the diagonal when the gradient is constant
     assert stats.iterations == 1
-    assert stats.final_residual <= cfg.tol
+    assert stats.final_residual <= 1e-16
     assert np.all(mu == 0.0)
     assert counter.n_grad == 3
 

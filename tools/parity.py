@@ -12,7 +12,9 @@ every method configuration: a 20-step run recording every step with its
 state, the SHA-256 of that run's CSV and SVG files, ``final_state``, and
 ``benchmark``'s row without its timing.  It also covers 23 runs that
 fail, 16 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
-``tol=1e-16``, whose errors are compared as text; the SHA-256 of the CSV
+``tol=1e-16``, whose errors are compared as text and, for a
+``NonConvergence``, by what they carry: ``iterations``, ``final_residual``
+and the SHA-256 of the ``best`` iterate's bytes; the SHA-256 of the CSV
 and SVG files of one full-horizon ``vortex4`` ``tao-2`` run (4,001 rows);
 and the bytes ``emit_benchmark_csv`` writes for a fixed row.  Floats are
 stored with ``float.hex``, so equal entries are equal bit for bit.
@@ -116,6 +118,13 @@ def _record_entries(xp, key: str, record, out: dict, tmp_dir: Path) -> None:
     out[f"{key}/complete"] = bool(record.complete)
     out[f"{key}/failure"] = None if record.failure is None else str(record.failure)
     out[f"{key}/failure_kind"] = record.failure_kind
+    if isinstance(record.failure, xp.NonConvergence):
+        best = record.failure.best
+        out[f"{key}/failure_data"] = [
+            record.failure.iterations,
+            float(record.failure.final_residual).hex(),
+            None if best is None else hashlib.sha256(np.asarray(best).tobytes()).hexdigest(),
+        ]
     for kind, emit in (("csv", xp.emit_csv), ("svg", xp.emit_svg)):
         path = tmp_dir / f"out.{kind}"
         emit(record, path)
