@@ -53,6 +53,16 @@ def test_identity_step_converges_at_once_with_residual_zero():
     assert np.array_equal(image, zeta)
 
 
+def test_residual_zero_for_constant_gradient(linear_system):
+    # the plain Strang step lands on the diagonal when the gradient is constant:
+    # the residual at mu = 0 is A Phi(zeta), and solve_mu reports its sup norm
+    zeta = np.zeros(4)
+    r = apply_A(pihajoki_step(linear_system, 0.1, zeta))
+    np.testing.assert_allclose(r, 0.0, atol=1e-16)
+    _mu, _image, stats = solve_mu(linear_system, pihajoki_step, 0.1, zeta, SolverConfig())
+    assert stats.final_residual == float(np.max(np.abs(r)))
+
+
 def test_a_solve_that_stops_at_once_reports_the_residual_bit_for_bit():
     # one pass at mu0 = mu: f(mu) = A Phi(zeta + A^T mu) + 2 mu, as the
     # failure's residual, with mu itself as the best iterate
