@@ -12,6 +12,7 @@ from dataclasses import fields, replace
 
 from .errors import ConfigError, NonConvergence, VortexCollision
 from .harness import (
+    GAUSS_ORDERS,
     PRESETS,
     ExperimentSpec,
     benchmark,
@@ -51,9 +52,9 @@ def _spec_from_args(args) -> ExperimentSpec:
     # every option named after a spec field overrides it
     names = [f.name for f in fields(ExperimentSpec)]
     overrides = {key: getattr(args, key) for key in names if getattr(args, key, None) is not None}
-    if overrides.get("method") in ("gl2", "gl4", "gl6"):
+    if overrides.get("method") in GAUSS_ORDERS:
         overrides.setdefault("composition", None)
-        overrides.setdefault("order", int(overrides["method"][2]))
+        overrides.setdefault("order", GAUSS_ORDERS[overrides["method"]])
     return replace(spec, **overrides)
 
 

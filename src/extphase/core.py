@@ -23,13 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOnDiagonal
 
-__all__ = [
-    "DIAGONAL_TOL", "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join",
-    "restrict",
-]
-
-# Relative tolerance for diagonal membership, scaled by max(1, |zeta|_inf).
-DIAGONAL_TOL = 1e-12
+__all__ = ["apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join", "restrict"]
 
 
 def _block_length(point: np.ndarray, parts: int, d: int | None) -> int:
@@ -86,7 +80,7 @@ def embed(z: np.ndarray) -> np.ndarray:
     return join(q, q, p, p)
 
 
-def restrict(zeta: np.ndarray, tol: float = DIAGONAL_TOL) -> np.ndarray:
+def restrict(zeta: np.ndarray, tol: float) -> np.ndarray:
     """Return the ``(q, p)`` block of a point lying on the diagonal.
 
     Raises :class:`NotOnDiagonal` if ``|A zeta|_inf`` exceeds

@@ -34,7 +34,7 @@ from .hamiltonians import (
 )
 from .implicit_rk import gl_step, gl_tableau
 from .projection import SolverConfig, StepStats, semiexplicit_step
-from .splitting import TaoParams, composed_step, composition_scheme, pihajoki_step, tao_step
+from .splitting import COMPOSITIONS, TaoParams, composed_step, pihajoki_step, tao_step
 
 __all__ = [
     "PRESETS", "ExperimentSpec", "TrajectoryRecord", "benchmark", "build_system",
@@ -42,14 +42,10 @@ __all__ = [
     "make_spec", "preset", "run_experiment",
 ]
 
-METHODS = ("pihajoki", "tao", "semiexplicit", "gl2", "gl4", "gl6")
+# the order of each Gauss-Legendre method, its number of stages doubled
+GAUSS_ORDERS = {"gl2": 2, "gl4": 4, "gl6": 6}
+METHODS = ("pihajoki", "tao", "semiexplicit", *GAUSS_ORDERS)
 SYSTEMS = ("testcase", "nls", "vortex")
-# the splitting scheme of each (order, composition) the doubled-space methods accept
-SCHEMES = {
-    (2, None): "single", (2, "single"): "single",
-    (4, None): "triple_jump_4", (4, "triple_jump"): "triple_jump_4", (4, "suzuki"): "suzuki_4",
-    (6, None): "yoshida_6", (6, "yoshida"): "yoshida_6",
-}
 MAX_RECORD_ROWS = 100_000
 
 
@@ -117,17 +113,17 @@ class ExperimentSpec:
         if self.dt > self.t_end * (1.0 + 1e-12):
             raise ConfigError("dt must not exceed t_end")
         self.n_steps  # raises unless t_end is a whole number of dt steps
-        if self.method.startswith("gl"):  # its own order (or the default 2), uncomposed
-            pairs = dict.fromkeys([(2, None), (int(self.method[2]), None)])
+        if self.method in GAUSS_ORDERS:  # its own order (or the default 2), uncomposed
+            pairs = dict.fromkeys([(2, None), (GAUSS_ORDERS[self.method], None)])
         else:
-            pairs = SCHEMES
+            pairs = COMPOSITIONS
         if (self.order, self.composition) not in pairs:
             raise ConfigError(f"{self.method} takes (order, composition) in {list(pairs)}")
         SolverConfig(self.tol, self.max_iter, self.solver)
         TaoParams(self.omega)
         if self.method == "tao":
             # the angle coupling_flow rotates by in each substep
-            gammas = composition_scheme(self.scheme_label).coefficients
+            gammas = COMPOSITIONS[self.order, self.composition].coefficients
             if not all(math.isfinite(2.0 * self.omega * (g * self.dt)) for g in gammas):
                 raise ConfigError("omega is too large: the coupling rotation angle overflows")
         if self.record_stride is not None and self.record_stride < 1:
@@ -144,14 +140,8 @@ class ExperimentSpec:
         return n
 
     @property
-    def scheme_label(self) -> str:
-        return SCHEMES[self.order, self.composition]
-
-    @property
     def method_label(self) -> str:
-        if self.method.startswith("gl"):
-            return self.method
-        return f"{self.method}-{self.order}"
+        return self.method if self.method in GAUSS_ORDERS else f"{self.method}-{self.order}"
 
 
 PRESETS: dict[str, dict] = {
@@ -300,11 +290,11 @@ def _make_step(spec: ExperimentSpec):
     wrapper installed on one of them sees every call of the run.
     """
     cfg = SolverConfig(spec.tol, spec.max_iter, spec.solver)
-    if spec.method.startswith("gl"):
-        tableau = gl_tableau(int(spec.method[2]))
+    if spec.method in GAUSS_ORDERS:
+        tableau = gl_tableau(GAUSS_ORDERS[spec.method])
         return partial(gl_step, tableau=tableau, cfg=cfg), tableau.stages
 
-    scheme = composition_scheme(spec.scheme_label)
+    scheme = COMPOSITIONS[spec.order, spec.composition]
     if spec.method == "tao":
         base = partial(tao_step, params=TaoParams(spec.omega))
         cost = (4 if spec.omega != 0.0 else 3) * len(scheme)
@@ -517,7 +507,7 @@ def benchmark(spec: ExperimentSpec, repetitions: int) -> dict:
         elapsed.append(time.perf_counter() - start)
     return {
         "method": spec.method_label,
-        "order": spec.order if not spec.method.startswith("gl") else int(spec.method[2]),
+        "order": GAUSS_ORDERS.get(spec.method, spec.order),
         "dt": spec.dt,
         "t_end": spec.t_end,
         "tol": spec.tol,
@@ -542,13 +532,11 @@ def final_state(spec: ExperimentSpec) -> np.ndarray:
     return run.z
 
 
-def convergence_study(
-    spec: ExperimentSpec, dt_list, t_end: float | None = None, ref_tol: float = 1e-14
-):
+def convergence_study(spec: ExperimentSpec, dt_list, t_end: float | None = None):
     """Least-squares order estimate from final-state errors over a dt sweep.
 
     Requires at least four distinct step sizes in geometric progression.  The
-    reference solution is a 3-stage Gauss run at ``min(dt)/20``.
+    reference solution is a 3-stage Gauss run at ``min(dt)/20``, solved to ``1e-14``.
     Returns ``(slope, errors)`` with ``errors`` mapping dt to the Euclidean
     final-state error.
     """
@@ -570,7 +558,7 @@ def convergence_study(
         composition=None,
         dt=min(dts) / 20.0,
         t_end=horizon,
-        tol=ref_tol,
+        tol=1e-14,
         max_iter=500,
     )
     z_ref = final_state(ref_spec)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import blocks, embed, halves, join
 from .errors import DimensionMismatch
-from .hamiltonians import HamiltonianSystem
+from .hamiltonians import HamiltonianSystem, _central_differences
 
 __all__ = [
     "LinearInvariant", "QuadraticInvariant", "coupling_bracket", "coupling_preserves_quadratic",
@@ -199,8 +199,9 @@ def tao_compatibility(inv: QuadraticInvariant, tol: float = 1e-12) -> bool:
     )
 
 
-def symplecticity_defect(map_fn, point: np.ndarray, fd_step: float | None = None) -> float:
-    """Max-norm of ``J^T W J - W`` for the finite-difference Jacobian of a map.
+def symplecticity_defect(map_fn, point: np.ndarray) -> float:
+    """Max-norm of ``J^T W J - W`` for the central-difference Jacobian of a
+    map, taken with the step ``eps^(1/3) max(1, |point|_inf)``.
 
     ``W`` is the canonical structure matrix of the point's space: for a
     vector of length ``2m`` the positions are the first ``m`` entries.  For
@@ -210,15 +211,8 @@ def symplecticity_defect(map_fn, point: np.ndarray, fd_step: float | None = None
     point = np.asarray(point, dtype=float)
     m = halves(point)[0].size
     n = point.size
-    if fd_step is None:
-        fd_step = float(np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, np.max(np.abs(point))))
-    jac = np.empty((n, n))
-    for j in range(n):
-        zp = point.copy()
-        zm = point.copy()
-        zp[j] += fd_step
-        zm[j] -= fd_step
-        jac[:, j] = (np.asarray(map_fn(zp)) - np.asarray(map_fn(zm))) / (2.0 * fd_step)
+    step = float(np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, np.max(np.abs(point))))
+    jac = _central_differences(map_fn, point, step).T
     w = np.zeros((n, n))
     w[:m, m:] = np.eye(m)
     w[m:, :m] = -np.eye(m)

@@ -27,14 +27,12 @@ from .errors import ConfigError
 from .hamiltonians import HamiltonianSystem
 
 __all__ = [
-    "CompositionScheme", "TaoParams", "composed_step", "composition_scheme", "coupling_flow",
+    "COMPOSITIONS", "CompositionScheme", "TaoParams", "composed_step", "coupling_flow",
     "flow_a", "flow_b", "pihajoki_step", "tao_step",
 ]
 
 # One step of an integrator on the doubled space: (system, dt, zeta) -> zeta'.
 ExtendedStep = Callable[[HamiltonianSystem, float, np.ndarray], np.ndarray]
-
-COMPOSITION_LABELS = ("single", "triple_jump_4", "suzuki_4", "yoshida_6")
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class TaoParams:
 class CompositionScheme:
     """Palindromic substep fractions for a symmetric composition."""
 
-    label: str
     coefficients: tuple
 
     def __post_init__(self):
@@ -90,17 +87,19 @@ def _yoshida6() -> tuple:
     return (w3, w2, w1, w0, w1, w2, w3)
 
 
-def composition_scheme(label: str) -> CompositionScheme:
-    """Named substep schedules: identity, two 4th-order ones, one 6th-order."""
-    if label == "single":
-        return CompositionScheme("single", (1.0,))
-    if label == "triple_jump_4":
-        return CompositionScheme("triple_jump_4", _triple_jump())
-    if label == "suzuki_4":
-        return CompositionScheme("suzuki_4", _suzuki())
-    if label == "yoshida_6":
-        return CompositionScheme("yoshida_6", _yoshida6())
-    raise ValueError(f"unknown composition label {label!r}, expected one of {COMPOSITION_LABELS}")
+_SINGLE = CompositionScheme((1.0,))
+_TRIPLE_JUMP = CompositionScheme(_triple_jump())
+_YOSHIDA = CompositionScheme(_yoshida6())
+
+# The substep schedule of each (order, composition) a doubled-space run
+# accepts: the identity, two 4th-order ones and one 6th-order one, where a
+# composition of None is the order's default.
+COMPOSITIONS = {
+    (2, None): _SINGLE, (2, "single"): _SINGLE,
+    (4, None): _TRIPLE_JUMP, (4, "triple_jump"): _TRIPLE_JUMP,
+    (4, "suzuki"): CompositionScheme(_suzuki()),
+    (6, None): _YOSHIDA, (6, "yoshida"): _YOSHIDA,
+}
 
 
 def _drift(system: HamiltonianSystem, t: float, q, p, x, y) -> None:

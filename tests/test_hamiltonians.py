@@ -61,7 +61,7 @@ def test_testcase_gradient_closed_form():
 
 def test_testcase_gradient_vs_finite_differences():
     sys_ = make_testcase()
-    assert check_gradient(sys_, np.concatenate((Q0, P0)), h=1e-5) <= 1e-6
+    assert check_gradient(sys_, np.concatenate((Q0, P0))) <= 1e-6
 
 
 def test_nls_single_site():
@@ -82,7 +82,7 @@ def test_nls_gradient_vanishes_at_origin():
 def test_nls_gradient_at_benchmark_state():
     sys_ = make_nls(5)
     z = np.array([3, 0.01, 0.01, 0.01, 0.01, 1, 0, 0, 0, 0.0])
-    assert check_gradient(sys_, z, h=1e-5) <= 1e-6
+    assert check_gradient(sys_, z) <= 1e-6
 
 
 def test_nls_rotation_symmetry():
@@ -166,7 +166,7 @@ def test_planar_canonical_round_trip():
 def test_vortex_gradient_at_reference_state():
     sys_ = make_vortices(VORTEX4)
     z = canonical_from_planar(VORTEX4, VORTEX4.initial_positions)
-    assert check_gradient(sys_, z, h=1e-5) <= 1e-6
+    assert check_gradient(sys_, z) <= 1e-6
 
 
 def test_quadratic_energy_gradient_nearly_exact():
@@ -177,7 +177,7 @@ def test_quadratic_energy_gradient_nearly_exact():
     rng = seeded_rng(203)
     for _ in range(20):
         z = rng.normal(size=2)
-        assert check_gradient(sys_, z, h=1e-5) <= 1e-10
+        assert check_gradient(sys_, z) <= 1e-10
 
 
 @pytest.mark.parametrize("system_name", ["testcase", "nls", "vortex"])
@@ -194,7 +194,7 @@ def test_gradients_at_random_points(system_name):
         base = canonical_from_planar(VORTEX4, VORTEX4.initial_positions)
         points = [base + rng.uniform(-0.3, 0.3, size=8) for _ in range(100)]
     for z in points:
-        assert check_gradient(sys_, z, h=1e-5) <= 1e-6
+        assert check_gradient(sys_, z) <= 1e-6
 
 
 def test_eval_counter_counts_joint_gradients_only():

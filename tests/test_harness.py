@@ -4,6 +4,7 @@ import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from extphase import (
     VortexCollision,
     benchmark,
     convergence_study,
+    embed,
     emit_csv,
     emit_svg,
     final_state,
@@ -94,6 +96,56 @@ def test_spec_checks_itself_on_construction():
     with pytest.raises(ConfigError):
         replace(preset("testcase"), dt=-1.0)
     assert ExperimentSpec(dt=0.25, t_end=1.0).n_steps == 4
+
+
+_DOUBLED_PAIRS = [(2, None), (2, "single"), (4, None), (4, "triple_jump"), (4, "suzuki"),
+                  (6, None), (6, "yoshida")]
+_G4 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_S4 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+_W6 = (0.784513610477560, 0.235573213359357, -1.17767998417887)
+_W6_0 = 1.0 - 2.0 * (_W6[2] + _W6[1] + _W6[0])
+# the substep fractions each doubled-space (order, composition) composes
+_SCHEDULES = {
+    (2, None): (1.0,), (2, "single"): (1.0,),
+    (4, None): (_G4, 1.0 - 2.0 * _G4, _G4), (4, "triple_jump"): (_G4, 1.0 - 2.0 * _G4, _G4),
+    (4, "suzuki"): (_S4, _S4, 1.0 - 4.0 * _S4, _S4, _S4),
+    (6, None): (*_W6, _W6_0, *_W6[::-1]), (6, "yoshida"): (*_W6, _W6_0, *_W6[::-1]),
+}
+_GAUSS_PAIRS = {"gl2": [(2, None)], "gl4": [(2, None), (4, None)], "gl6": [(2, None), (6, None)]}
+
+
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_the_schedule_vocabulary_is_pinned(monkeypatch, method):
+    # every (order, composition) each method accepts or rejects, with the
+    # rejection's text, the cost of a pass and the substep fractions it composes
+    fractions = []
+
+    def recorder(system, dt, zeta, params=None):
+        fractions.append(dt)
+        return zeta
+
+    monkeypatch.setattr(harness, "pihajoki_step", recorder)
+    monkeypatch.setattr(harness, "tao_step", recorder)
+    pairs = _GAUSS_PAIRS.get(method, _DOUBLED_PAIRS)
+    for order in (2, 3, 4, 6):
+        for composition in (None, "single", "triple_jump", "suzuki", "yoshida", "bogus"):
+            build = partial(ExperimentSpec, method=method, order=order, composition=composition)
+            if (order, composition) not in pairs:
+                with pytest.raises(ConfigError) as info:
+                    build()
+                assert str(info.value) == f"{method} takes (order, composition) in {pairs}"
+                continue
+            spec = build()
+            step, cost = harness._make_step(spec)
+            if method in _GAUSS_PAIRS:
+                assert cost == int(method[2]) // 2
+                continue
+            fractions.clear()
+            system, z0, _ = harness.build_system(spec)
+            step(system, 1.0, z0 if method == "semiexplicit" else embed(z0))
+            schedule = _SCHEDULES[order, composition]
+            assert tuple(fractions) == schedule
+            assert cost == (4 if method == "tao" else 3) * len(schedule)
 
 
 def test_single_step_run_records_two_rows():

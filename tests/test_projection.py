@@ -14,8 +14,8 @@ from extphase import (
     apply_A,
     apply_AT,
     canonical_from_planar,
+    COMPOSITIONS,
     composed_step,
-    composition_scheme,
     embed,
     make_nls,
     make_testcase,
@@ -32,7 +32,6 @@ from extphase import (
     vortex_linear_impulse_y,
 )
 from extphase.projection import iterate
-from extphase.splitting import COMPOSITION_LABELS
 
 from conftest import seeded_rng
 
@@ -246,12 +245,16 @@ def test_projected_step_cost_accounting():
     assert counter.n_grad == 3 * stats.iterations
 
 
-@pytest.mark.parametrize("label,substeps", [("triple_jump_4", 3), ("suzuki_4", 5), ("yoshida_6", 7)])
-def test_projection_wraps_higher_order_compositions(label, substeps):
+@pytest.mark.parametrize("order,composition,substeps", [
+    pytest.param(4, "triple_jump", 3, id="triple_jump_4-3"),
+    pytest.param(4, "suzuki", 5, id="suzuki_4-5"),
+    pytest.param(6, "yoshida", 7, id="yoshida_6-7"),
+])
+def test_projection_wraps_higher_order_compositions(order, composition, substeps):
     counter = EvalCounter()
     sys_ = make_testcase().with_counter(counter)
     cfg = SolverConfig(tol=1e-12, max_iter=60)
-    step = composed_step(pihajoki_step, composition_scheme(label))
+    step = composed_step(pihajoki_step, COMPOSITIONS[order, composition])
     z1, stats = semiexplicit_step(sys_, step, 0.1, Z0, cfg)
     assert stats.final_residual <= cfg.tol
     assert counter.n_grad == 3 * substeps * stats.iterations
@@ -325,15 +328,15 @@ def systems_with_invariants(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     case=systems_with_invariants(),
-    label=st.sampled_from(COMPOSITION_LABELS),
+    key=st.sampled_from(list(COMPOSITIONS)),
     dt=st.floats(0.01, 0.05),
 )
-def test_paper_two_steps_keep_every_invariant(case, label, dt):
+def test_paper_two_steps_keep_every_invariant(case, key, dt):
     """Step one: the doubled-space step keeps every lifted invariant to
     round-off.  Step two: its symmetric projection keeps every invariant
     within criteria 1 and 2's bound per step and is symmetric."""
     system, z0, invariants = case
-    inner = composed_step(pihajoki_step, composition_scheme(label))
+    inner = composed_step(pihajoki_step, COMPOSITIONS[key])
 
     zeta = embed(z0)
     for inv in invariants:

@@ -10,9 +10,10 @@ from extphase import (
     EvalCounter,
     HamiltonianSystem,
     QuadraticInvariant,
+    COMPOSITIONS,
+    CompositionScheme,
     TaoParams,
     composed_step,
-    composition_scheme,
     coupling_flow,
     embed,
     flow_a,
@@ -26,8 +27,6 @@ from extphase import (
     testcase_L as tc_linear_form,
     testcase_Q as tc_quadratic_form,
 )
-
-from extphase.splitting import COMPOSITION_LABELS
 
 from conftest import LinearSystem, Oscillator, seeded_rng
 
@@ -296,7 +295,8 @@ def test_coupled_step_breaks_opposite_sign_quadratics():
 
 
 def test_triple_jump_coefficients():
-    scheme = composition_scheme("triple_jump_4")
+    scheme = COMPOSITIONS[4, "triple_jump"]
+    assert COMPOSITIONS[4, None] == scheme  # the 4th order's default
     g1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     assert scheme.coefficients == (g1, 1.0 - 2.0 * g1, g1)
     assert g1 == pytest.approx(1.35120719195966, rel=1e-13)
@@ -307,7 +307,7 @@ def test_triple_jump_coefficients():
 
 
 def test_suzuki_coefficients():
-    scheme = composition_scheme("suzuki_4")
+    scheme = COMPOSITIONS[4, "suzuki"]
     g = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
     assert scheme.coefficients == (g, g, 1.0 - 4.0 * g, g, g)
     c = np.array(scheme.coefficients)
@@ -316,7 +316,8 @@ def test_suzuki_coefficients():
 
 
 def test_yoshida_coefficients():
-    scheme = composition_scheme("yoshida_6")
+    scheme = COMPOSITIONS[6, "yoshida"]
+    assert COMPOSITIONS[6, None] == scheme  # the 6th order's default
     assert len(scheme) == 7
     w = scheme.coefficients
     assert w == w[::-1]
@@ -333,7 +334,7 @@ def test_single_scheme_calls_base_once():
         calls.append(dt)
         return state + dt
 
-    out = composed_step(base, composition_scheme("single"))(None, 0.25, np.zeros(1))
+    out = composed_step(base, COMPOSITIONS[2, "single"])(None, 0.25, np.zeros(1))
     assert calls == [0.25]
     assert out[0] == 0.25
 
@@ -345,34 +346,39 @@ def test_compose_applies_substeps_in_order():
         seen.append(dt)
         return state
 
-    scheme = composition_scheme("triple_jump_4")
+    scheme = COMPOSITIONS[4, "triple_jump"]
     composed_step(base, scheme)(None, 2.0, np.zeros(1))
     np.testing.assert_allclose(seen, [2.0 * g for g in scheme.coefficients], rtol=1e-15)
 
 
 def test_scheme_validation():
-    from extphase import CompositionScheme
+    with pytest.raises(ValueError):
+        CompositionScheme((0.7, 0.3))  # not palindromic
+    with pytest.raises(ValueError):
+        CompositionScheme((0.6, 0.6))  # does not sum to 1
 
-    with pytest.raises(ValueError):
-        CompositionScheme("bad", (0.7, 0.3))  # not palindromic
-    with pytest.raises(ValueError):
-        CompositionScheme("bad", (0.6, 0.6))  # does not sum to 1
-    with pytest.raises(ValueError):
-        composition_scheme("unknown")
+
+def test_every_schedule_is_a_symmetric_composition():
+    assert list(COMPOSITIONS) == [(2, None), (2, "single"), (4, None), (4, "triple_jump"),
+                                  (4, "suzuki"), (6, None), (6, "yoshida")]
+    for scheme in COMPOSITIONS.values():
+        assert isinstance(scheme, CompositionScheme)
+        assert scheme.coefficients == scheme.coefficients[::-1]
+        assert abs(sum(scheme.coefficients) - 1.0) <= 1e-14
 
 
 def test_composed_step_cost_scaling():
     sys0 = make_testcase()
     zeta = embed(np.array([-1.0, 2.0, 1.0, -1.0]))
-    for label, substeps in (("triple_jump_4", 3), ("suzuki_4", 5), ("yoshida_6", 7)):
+    for key, substeps in (((4, "triple_jump"), 3), ((4, "suzuki"), 5), ((6, "yoshida"), 7)):
         counter = EvalCounter()
         sys_ = sys0.with_counter(counter)
-        composed_step(pihajoki_step, composition_scheme(label))(sys_, 0.05, zeta)
+        composed_step(pihajoki_step, COMPOSITIONS[key])(sys_, 0.05, zeta)
         assert counter.n_grad == 3 * substeps
         counter = EvalCounter()
         sys_ = sys0.with_counter(counter)
         base = lambda s, dt, zz: tao_step(s, dt, zz, TaoParams(10.0))
-        composed_step(base, composition_scheme(label))(sys_, 0.05, zeta)
+        composed_step(base, COMPOSITIONS[key])(sys_, 0.05, zeta)
         assert counter.n_grad == 4 * substeps
 
 
@@ -400,12 +406,12 @@ def test_steps_are_symplectic_on_doubled_space():
     zeta=STATES,
     dt=st.floats(-0.05, 0.05),
     omega=st.floats(0.1, 50.0),
-    label=st.sampled_from(COMPOSITION_LABELS),
+    key=st.sampled_from(list(COMPOSITIONS)),
 )
-def test_flows_and_steps_leave_their_input_bitwise_unchanged(zeta, dt, omega, label):
+def test_flows_and_steps_leave_their_input_bitwise_unchanged(zeta, dt, omega, key):
     sys_ = make_nls(zeta.size // 4)
     tao = partial(tao_step, params=TaoParams(omega))
-    scheme = composition_scheme(label)
+    scheme = COMPOSITIONS[key]
     before = zeta.tobytes()
     steps = (flow_a, flow_b, pihajoki_step, tao)
     steps += (composed_step(pihajoki_step, scheme), composed_step(tao, scheme))
