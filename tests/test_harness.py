@@ -98,13 +98,11 @@ def test_spec_checks_itself_on_construction():
     assert ExperimentSpec(dt=0.25, t_end=1.0).n_steps == 4
 
 
-_DOUBLED_PAIRS = [(2, None), (2, "single"), (4, None), (4, "triple_jump"), (4, "suzuki"),
-                  (6, None), (6, "yoshida")]
 _G4 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _S4 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 _W6 = (0.784513610477560, 0.235573213359357, -1.17767998417887)
 _W6_0 = 1.0 - 2.0 * (_W6[2] + _W6[1] + _W6[0])
-# the substep fractions each doubled-space (order, composition) composes
+# the substep fractions of each (order, composition) a doubled-space method accepts
 _SCHEDULES = {
     (2, None): (1.0,), (2, "single"): (1.0,),
     (4, None): (_G4, 1.0 - 2.0 * _G4, _G4), (4, "triple_jump"): (_G4, 1.0 - 2.0 * _G4, _G4),
@@ -126,7 +124,7 @@ def test_the_schedule_vocabulary_is_pinned(monkeypatch, method):
 
     monkeypatch.setattr(harness, "pihajoki_step", recorder)
     monkeypatch.setattr(harness, "tao_step", recorder)
-    pairs = _GAUSS_PAIRS.get(method, _DOUBLED_PAIRS)
+    pairs = _GAUSS_PAIRS.get(method, list(_SCHEDULES))
     for order in (2, 3, 4, 6):
         for composition in (None, "single", "triple_jump", "suzuki", "yoshida", "bogus"):
             build = partial(ExperimentSpec, method=method, order=order, composition=composition)
