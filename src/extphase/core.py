@@ -9,10 +9,12 @@ positions and momenta, in either space) or :func:`blocks` (the four rows of
 a doubled point) and builds one with :func:`join`; these hold the one check
 of the layout's shape.  The diagonal subspace ``x == q, y == p`` is the
 kernel of the constraint operator implemented by :func:`apply_A`; its
-transpose is :func:`apply_AT` and ``A @ A.T == 2*I`` holds exactly.
+transpose is :func:`apply_AT` and ``A @ A.T == 2*I`` holds exactly, and
+:func:`shift` forms ``zeta + A^T mu`` in one buffer.
 
-All functions here are pure and allocation-light, and each checks the
-shape of its operand, raising :class:`DimensionMismatch` on a bad layout.
+All functions here are pure and allocation-light (:func:`shift` writes
+only into the ``out`` it is given), and each checks the shape of its
+operand, raising :class:`DimensionMismatch` on a bad layout.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotOnDiagonal
 
-__all__ = ["apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join", "restrict"]
+__all__ = [
+    "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join", "restrict", "shift",
+]
+
+# The sign of each copy's share of a multiplier: A^T mu is (mu1, -mu1, mu2, -mu2).
+_COPY_SIGNS = np.array(((1.0,), (-1.0,)))
 
 
 def _block_length(point: np.ndarray, parts: int, d: int | None) -> int:
@@ -80,18 +87,19 @@ def embed(z: np.ndarray) -> np.ndarray:
     return join(q, q, p, p)
 
 
-def restrict(zeta: np.ndarray, tol: float) -> np.ndarray:
+def restrict(zeta: np.ndarray, tol: float, gap: np.ndarray | None = None) -> np.ndarray:
     """Return the ``(q, p)`` block of a point lying on the diagonal.
 
     Raises :class:`NotOnDiagonal` if ``|A zeta|_inf`` exceeds
     ``tol * max(1, |zeta|_inf)``; a failure here signals that an upstream
-    projection did not actually land on the diagonal.
+    projection did not actually land on the diagonal.  ``gap`` is
+    ``apply_A(zeta)`` when the caller holds it already.
     """
     zeta = np.asarray(zeta, dtype=float)
     rows = blocks(zeta)
-    gap = np.max(np.abs(apply_A(zeta)))
-    if gap > tol * max(1.0, np.max(np.abs(zeta))):
-        raise NotOnDiagonal(f"diagonal defect {gap:.3e} exceeds tolerance {tol:.3e}")
+    worst = np.abs(apply_A(zeta) if gap is None else gap).max()
+    if worst > tol * max(1.0, np.abs(zeta).max()):
+        raise NotOnDiagonal(f"diagonal defect {worst:.3e} exceeds tolerance {tol:.3e}")
     return join(rows[0], rows[2])
 
 
@@ -110,8 +118,29 @@ def apply_AT(mu: np.ndarray) -> np.ndarray:
     return join(m1, -m1, m2, -m2)
 
 
-def defect_norm(zeta: np.ndarray) -> float:
+def shift(zeta: np.ndarray, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``zeta + A^T mu``, that is ``(q + mu1, x - mu1, p + mu2, y - mu2)``,
+    written into ``out`` (a flat float array of ``zeta``'s length) or into a
+    fresh array, and returned.
+
+    The rows ``(mu1, -mu1, mu2, -mu2)`` come from one broadcast product, so
+    the sums are those of ``zeta + apply_AT(mu)`` bit for bit.  Only the
+    sign of a nan taken from ``mu`` may differ, and a solve ends on such a
+    point, whose residual is not finite.
+    """
+    d = _block_length(zeta, 4, None)
+    mu = np.asarray(mu, dtype=float)
+    _block_length(mu, 2, d)
+    if out is not None:
+        _block_length(out, 4, d)
+    signed = mu.reshape(2, 1, d) * _COPY_SIGNS
+    return np.add(zeta, signed.reshape(-1), out=out)
+
+
+def defect_norm(zeta: np.ndarray, gap: np.ndarray | None = None) -> float:
     """Euclidean norm of the copy mismatch ``(x - q, y - p)``: the square root
-    of its dot product with itself, as ``np.linalg.norm`` takes it."""
-    gap = apply_A(zeta)
+    of its dot product with itself, as ``np.linalg.norm`` takes it.  ``gap``
+    is ``apply_A(zeta)`` when the caller holds it already."""
+    if gap is None:
+        gap = apply_A(zeta)
     return math.sqrt(gap.dot(gap))

@@ -139,18 +139,24 @@ class NlsLattice(HamiltonianSystem):
         return e
 
     def grad(self, q, p):
-        n2 = q * q + p * p
+        qq = q * q
+        pp = p * p
+        n2 = qq + pp
         gq = q * n2
         gp = p * n2
         if self.dim > 1:
-            s = q * q - p * p  # s_i = q_i^2 - p_i^2
+            s = qq - pp  # s_i = q_i^2 - p_i^2
             w = q * p
+            q2, p4, p2_neg, q4 = 2.0 * q, 4.0 * p, -2.0 * p, 4.0 * q
+            s_right, w_right, s_left, w_left = s[1:], w[1:], s[:-1], w[:-1]
+            # in-place subtraction on named views, so no slice is assigned back
+            gq_head, gp_head, gq_tail, gp_tail = gq[:-1], gp[:-1], gq[1:], gp[1:]
             # site j coupled to the right neighbour (term with left index j)
-            gq[:-1] -= 2.0 * q[:-1] * s[1:] + 4.0 * p[:-1] * w[1:]
-            gp[:-1] -= -2.0 * p[:-1] * s[1:] + 4.0 * q[:-1] * w[1:]
+            gq_head -= q2[:-1] * s_right + p4[:-1] * w_right
+            gp_head -= p2_neg[:-1] * s_right + q4[:-1] * w_right
             # site j coupled to the left neighbour (term with right index j)
-            gq[1:] -= 2.0 * q[1:] * s[:-1] + 4.0 * p[1:] * w[:-1]
-            gp[1:] -= -2.0 * p[1:] * s[:-1] + 4.0 * q[1:] * w[:-1]
+            gq_tail -= q2[1:] * s_left + p4[1:] * w_left
+            gp_tail -= p2_neg[1:] * s_left + q4[1:] * w_left
         return gq, gp
 
 

@@ -19,11 +19,12 @@ system up to the solve tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_A, apply_AT, blocks, defect_norm, embed, halves, restrict
+from .core import apply_A, blocks, defect_norm, embed, halves, restrict, shift
 from .errors import ConfigError, NonConvergence
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
@@ -34,6 +35,10 @@ SOLVER_METHODS = ("simplified_newton", "broyden")
 
 # Abort when the residual grows by this factor over its initial value.
 DIVERGENCE_FACTOR = 1e4
+
+# Room in the final diagonal check for the shift's rounding, about one ulp of
+# |zeta_next|, which a tol near 1e-16 lacks.
+SHIFT_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -84,37 +89,38 @@ def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str
     or domain error counts as such), grows by ``DIVERGENCE_FACTOR`` over its
     first value, or the solve reaches ``cfg.max_iter`` passes.
     ``subject`` and ``measure`` name the solve and its residual in the
-    message.
+    message.  Overflow and invalid operations are silent for the whole
+    solve: a residual that is no longer finite ends it as above.
     """
-    x, best, best_norm, first, passes = x0, x0, np.inf, None, 0
+    x, best, best_norm, first, passes = x0, x0, math.inf, None, 0
 
     def failure(message):
         return NonConvergence(message, best=best, final_residual=best_norm, iterations=passes)
 
-    while True:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            try:
                 r, out = evaluate(x)
-                norm = float(np.max(np.abs(r)))
-        except (ArithmeticError, ValueError):  # math's range and domain errors
-            norm = np.inf
-        passes += 1
-        if not np.isfinite(norm):
-            raise failure(f"{subject} {measure} is no longer finite; reduce the step size")
-        if norm < best_norm:
-            best, best_norm = x, norm
-        if first is None:
-            first = max(norm, 1e-300)
-        if norm <= cfg.tol:
-            return x, out, StepStats(passes, norm)
-        if norm > DIVERGENCE_FACTOR * first:
-            raise failure(f"{subject} solve diverged: {measure} {norm:.3e} from {first:.3e}")
-        if passes >= cfg.max_iter:
-            raise failure(
-                f"{subject} solve stalled at {measure} {norm:.3e} after "
-                f"{passes} iterations (tol {cfg.tol:.1e})"
-            )
-        x = advance(x, r, out)
+                norm = float(np.abs(r).max())
+            except (ArithmeticError, ValueError):  # math's range and domain errors
+                norm = math.inf
+            passes += 1
+            if not math.isfinite(norm):
+                raise failure(f"{subject} {measure} is no longer finite; reduce the step size")
+            if norm < best_norm:
+                best, best_norm = x, norm
+            if first is None:
+                first = max(norm, 1e-300)
+            if norm <= cfg.tol:
+                return x, out, StepStats(passes, norm)
+            if norm > DIVERGENCE_FACTOR * first:
+                raise failure(f"{subject} solve diverged: {measure} {norm:.3e} from {first:.3e}")
+            if passes >= cfg.max_iter:
+                raise failure(
+                    f"{subject} solve stalled at {measure} {norm:.3e} after "
+                    f"{passes} iterations (tol {cfg.tol:.1e})"
+                )
+            x = advance(x, r, out)
 
 
 def solve_mu(
@@ -132,14 +138,21 @@ def solve_mu(
     the inner-step output already computed at the accepted ``mu`` (so the
     caller never pays an extra step evaluation) and ``stats`` carries the
     iteration/cost accounting.  Failures raise as :func:`iterate` says.
+
+    Every pass writes its shifted point ``zeta_n + A^T mu`` into one buffer
+    of the solve, so the inner step must not keep a reference to its input
+    across calls; it may return it.
     """
     d = blocks(zeta_n).shape[1]
     mu = np.zeros(2 * d) if mu0 is None else np.array(mu0, dtype=float)
     halves(mu, d)  # a warm start must be (mu1, mu2), one entry per constraint
+    point = np.empty(4 * d)
 
     def evaluate(mu):
-        image = extended_step(system, dt, zeta_n + apply_AT(mu))
-        return apply_A(image) + 2.0 * mu, image
+        image = extended_step(system, dt, shift(zeta_n, mu, out=point))
+        r = apply_A(image)  # a fresh array on every pass: Broyden keeps the last one
+        r += 2.0 * mu
+        return r, image
 
     def newton(mu, r, _image):
         return mu - 0.25 * r
@@ -184,8 +197,8 @@ def semiexplicit_step(
     """
     zeta_n = embed(z_n)
     mu, image, stats = solve_mu(system, extended_step, dt, zeta_n, cfg, mu0=mu0)
-    zeta_next = image + apply_AT(mu)
-    stats.defect_norm = defect_norm(zeta_next)
-    # room for the shift's rounding, about one ulp of |zeta_next|, which tol ~ 1e-16 lacks
-    z_next = restrict(zeta_next, tol=cfg.tol + 4.0 * np.finfo(float).eps)
+    zeta_next = shift(image, mu)
+    gap = apply_A(zeta_next)  # taken once, for the defect and the diagonal check
+    stats.defect_norm = defect_norm(zeta_next, gap)
+    z_next = restrict(zeta_next, tol=cfg.tol + SHIFT_ROUNDING, gap=gap)
     return z_next, stats

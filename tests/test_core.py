@@ -3,6 +3,7 @@ import types
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import extphase
 from extphase import (
@@ -23,6 +24,7 @@ from extphase import (
     planar_from_canonical,
     poisson_bracket,
     restrict,
+    shift,
     symplecticity_defect,
 )
 
@@ -207,6 +209,31 @@ def test_shift_linearity():
         lhs = apply_A(zeta + apply_AT(mu))
         rhs = apply_A(zeta) + 2.0 * mu
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
+
+
+@LAYOUT
+@given(
+    st.integers(1, 5).flatmap(lambda d: st.tuples(
+        arrays(np.float64, 4 * d),
+        arrays(np.float64, 2 * d, elements=st.floats(allow_nan=False)),
+    ))
+)
+def test_shift_is_zeta_plus_AT_mu_bit_for_bit(pair):
+    # a nan in mu ends a solve, and only its sign could differ, so mu holds none
+    zeta, mu = pair
+    before = zeta.tobytes(), mu.tobytes()
+    with np.errstate(all="ignore"):
+        expected = (zeta + apply_AT(mu)).tobytes()
+        fresh = shift(zeta, mu)
+        out = np.full_like(zeta, np.nan)
+        into = shift(zeta, mu, out=out)
+    assert fresh.tobytes() == expected and not np.shares_memory(fresh, zeta)
+    assert into is out and out.tobytes() == expected
+    assert (zeta.tobytes(), mu.tobytes()) == before
+    with pytest.raises(DimensionMismatch):
+        shift(zeta, np.append(mu, 0.0))
+    with pytest.raises(DimensionMismatch):
+        shift(zeta, mu, out=np.empty(zeta.size + 4))
 
 
 def test_defect_norm_on_diagonal_is_zero():

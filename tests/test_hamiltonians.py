@@ -296,3 +296,46 @@ def test_vortex_kernels_are_the_seed_formulas_bit_for_bit(gammas, data):
     assert energy.tobytes() == np.float64(_seed_vortex_energy(gammas, q, p)).tobytes()
     assert system.vector_field(z).tobytes() == np.concatenate((sp, -sq)).tobytes()
 
+
+
+def _seed_nls_grad(d, q, p):
+    """The lattice gradient as first written."""
+    n2 = q * q + p * p
+    gq = q * n2
+    gp = p * n2
+    if d > 1:
+        s = q * q - p * p  # s_i = q_i^2 - p_i^2
+        w = q * p
+        # site j coupled to the right neighbour (term with left index j)
+        gq[:-1] -= 2.0 * q[:-1] * s[1:] + 4.0 * p[:-1] * w[1:]
+        gp[:-1] -= -2.0 * p[:-1] * s[1:] + 4.0 * q[:-1] * w[1:]
+        # site j coupled to the left neighbour (term with right index j)
+        gq[1:] -= 2.0 * q[1:] * s[:-1] + 4.0 * p[1:] * w[:-1]
+        gp[1:] -= -2.0 * p[1:] * s[:-1] + 4.0 * q[1:] * w[:-1]
+    return gq, gp
+
+
+# signed zeros, infinities, nan, subnormals and entries whose squares near float range
+LATTICE_EDGES = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-310, 1e150, -1e150]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda d: arrays(np.float64, 2 * d, elements=LATTICE_EDGES | st.floats(-10.0, 10.0))
+    )
+)
+def test_lattice_kernel_is_the_seed_formula_bit_for_bit(z):
+    d = z.size // 2
+    system = make_nls(d)
+    before = z.tobytes()
+    with np.errstate(all="ignore"):
+        gq, gp = system.grad(z[:d], z[d:])
+        sq, sp = _seed_nls_grad(d, z[:d], z[d:])
+        field = system.vector_field(z)
+        negated = -sq
+    assert gq.tobytes() == sq.tobytes() and gp.tobytes() == sp.tobytes()
+    assert field.tobytes() == np.concatenate((sp, negated)).tobytes()
+    assert z.tobytes() == before

@@ -16,12 +16,14 @@ from extphase import (
     canonical_from_planar,
     COMPOSITIONS,
     composed_step,
+    defect_norm,
     embed,
     make_nls,
     make_testcase,
     make_vortices,
     nls_mass,
     pihajoki_step,
+    restrict,
     semiexplicit_step,
     solve_mu,
     symplecticity_defect,
@@ -358,3 +360,84 @@ def test_paper_two_steps_keep_every_invariant(case, key, dt):
             before = inv.evaluate(z)
             assert abs(inv.evaluate(z_next) - before) <= 1e-10 * max(1.0, abs(before))
         z = z_next
+
+
+# --- the projected step pinned to its seed formulas ------------------------
+
+
+def _seed_projected_step(system, inner, dt, z_n, cfg, mu0):
+    """The projected step as first written: a fresh shifted point, residual
+    and end point on every pass, through the one solve loop."""
+    zeta_n = embed(z_n)
+    mu = np.zeros(zeta_n.size // 2) if mu0 is None else np.array(mu0, dtype=float)
+
+    def evaluate(mu):
+        image = inner(system, dt, zeta_n + apply_AT(mu))
+        return apply_A(image) + 2.0 * mu, image
+
+    inv_jac = prev_mu = prev_r = None
+
+    def advance(mu, r, _image):
+        nonlocal inv_jac, prev_mu, prev_r
+        if cfg.method == "simplified_newton":
+            return mu - 0.25 * r
+        if inv_jac is None:
+            inv_jac = np.eye(mu.size) / 4.0
+        else:
+            s = mu - prev_mu
+            hy = inv_jac @ (r - prev_r)
+            denom = float(s @ hy)
+            if denom != 0.0:
+                inv_jac += np.outer(s - hy, s @ inv_jac) / denom
+        prev_mu, prev_r = mu, r
+        return mu - inv_jac @ r
+
+    mu, image, stats = iterate(evaluate, advance, mu, cfg, "projection", "residual")
+    zeta_next = image + apply_AT(mu)
+    z_next = restrict(zeta_next, tol=cfg.tol + 4.0 * np.finfo(float).eps)
+    return z_next, mu, stats.iterations, stats.final_residual, defect_norm(zeta_next)
+
+
+def _bits(z_next, mu, iterations, final_residual, defect):
+    return (z_next.tobytes(), mu.tobytes(), iterations, float(final_residual).hex(),
+            float(defect).hex())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    case=systems_with_invariants(),
+    key=st.sampled_from(list(COMPOSITIONS)),
+    solver=st.sampled_from(["simplified_newton", "broyden"]),
+    warm=st.booleans(),
+    dt=st.floats(0.01, 0.05),
+    data=st.data(),
+)
+def test_the_projected_step_is_the_seed_formulas_and_owns_its_buffers(
+        case, key, solver, warm, dt, data):
+    """Two consecutive steps, cold or warm started, equal the seed formulas
+    bit for bit; they leave their input as it was, and what they return
+    shares no memory with it or with each other."""
+    system, z0, _ = case
+    inner = composed_step(pihajoki_step, COMPOSITIONS[key])
+    cfg = SolverConfig(tol=1e-12, method=solver)
+    d = z0.size // 2
+    mu0 = data.draw(arrays(np.float64, 2 * d, elements=st.floats(-1e-3, 1e-3))) if warm else None
+    inputs = [z0] if mu0 is None else [z0, mu0]
+    before = [a.tobytes() for a in inputs]
+
+    def step(z, mu_start):
+        z_next, stats = semiexplicit_step(system, inner, dt, z, cfg, mu0=mu_start)
+        seed = _seed_projected_step(system, inner, dt, z, cfg, mu_start)
+        result = (z_next, stats.mu, stats.iterations, stats.final_residual, stats.defect_norm)
+        assert _bits(*result) == _bits(*seed)
+        return z_next, stats.mu
+
+    z1, mu1 = step(z0, mu0)
+    assert [a.tobytes() for a in inputs] == before
+    kept = [z1.tobytes(), mu1.tobytes()]
+    z2, mu2 = step(z1, mu1 if warm else None)
+    assert [z1.tobytes(), mu1.tobytes()] == kept
+    returned = [z1, mu1, z2, mu2]
+    for i, a in enumerate(returned):
+        for b in inputs + returned[i + 1:]:
+            assert not np.shares_memory(a, b)

@@ -10,7 +10,11 @@ Usage, from the repository root:
 one JSON object of named entries.  It covers every built-in preset under
 every method configuration: a 20-step run recording every step with its
 state, the SHA-256 of that run's CSV and SVG files, ``final_state``, and
-``benchmark``'s row without its timing.  It also covers 23 runs that
+``benchmark``'s row without its timing.  It pins ``grad`` and
+``vector_field`` of each preset's system, and of the one-site lattice, at
+20 seeded points each: normal draws at three scales, signed zeros, and
+draws mixing in infinities, nan, subnormals and ``1e150``; a point a kernel
+refuses records its error.  It also covers 23 runs that
 fail, 16 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
 ``tol=1e-16``, whose errors are compared as text and, for a
 ``NonConvergence``, by what they carry: ``iterations``, ``final_residual``
@@ -84,6 +88,26 @@ def failure_configurations() -> list[dict]:
         dict(preset="vortex4", solver="broyden", tol=1e-16, t_end=0.5),
     ]
     return configs
+
+
+# Entries of the kernel points beside ordinary values: signed zeros, the
+# infinities, nan, subnormals, and values whose squares near float range.
+EDGE_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310, 1e150, -1e150)
+
+
+def kernel_points(size: int, seed: int) -> list:
+    """20 seeded flat points of length ``size``: six normal draws at the
+    scales 1e-3, 1 and 1e3, three of signed zeros, and eleven normal draws
+    with about half their entries replaced by ``EDGE_VALUES``."""
+    rng = np.random.default_rng(seed)
+    points = [rng.normal(size=size) * scale for scale in (1e-3, 1.0, 1e3) for _ in range(2)]
+    points += [np.zeros(size), -np.zeros(size), np.where(np.arange(size) % 2, -0.0, 0.0)]
+    for _ in range(11):
+        point = rng.normal(size=size)
+        mask = rng.random(size) < 0.5
+        point[mask] = rng.choice(EDGE_VALUES, size=int(mask.sum()))
+        points.append(point)
+    return points
 
 
 # A benchmark row with every field set, its timing included.
@@ -184,6 +208,20 @@ def dump(src_dir: str, out_path: str) -> int:
         def write_benchmark_csv(key="emit_benchmark_csv"):
             xp.harness.emit_benchmark_csv([BENCHMARK_ROW], tmp_dir / "bench.csv")
             out[key] = (tmp_dir / "bench.csv").read_text(encoding="utf-8")
+
+        systems = {name: xp.build_system(xp.preset(name))[0] for name in sorted(xp.PRESETS)}
+        systems["nls_d1"] = xp.make_nls(1)
+        for seed, (name, system) in enumerate(systems.items()):
+            for i, z in enumerate(kernel_points(2 * system.dim, seed)):
+                key = f"kernel/{name}/{i}"
+
+                def evaluate(system=system, z=z, key=key):
+                    with np.errstate(all="ignore"):
+                        out[f"{key}/point"] = _values(z)
+                        out[f"{key}/grad"] = _values(xp.join(*system.grad(*xp.halves(z))))
+                        out[f"{key}/vector_field"] = _values(system.vector_field(z))
+
+                _guarded(out, key, evaluate)
 
         _guarded(out, "full/vortex4/method=tao,order=2", run_full_horizon)
         _guarded(out, "emit_benchmark_csv", write_benchmark_csv)
