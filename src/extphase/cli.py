@@ -13,6 +13,7 @@ from dataclasses import fields, replace
 from .errors import ConfigError, NonConvergence, VortexCollision
 from .harness import (
     GAUSS_ORDERS,
+    METHODS,
     PRESETS,
     ExperimentSpec,
     benchmark,
@@ -24,6 +25,8 @@ from .harness import (
     preset,
     run_experiment,
 )
+from .projection import SOLVER_METHODS
+from .splitting import COMPOSITIONS
 
 EXIT_OK = 0
 EXIT_NONCONVERGENCE = 2
@@ -34,15 +37,15 @@ EXIT_CONFIG = 4
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS), help="built-in configuration")
     parser.add_argument("--config", help="flat JSON configuration file")
-    parser.add_argument("--method", help="pihajoki | tao | semiexplicit | gl2 | gl4 | gl6")
+    parser.add_argument("--method", help=" | ".join(METHODS))
     parser.add_argument("--order", type=int, help="2, 4, or 6 (extended-space methods)")
-    parser.add_argument("--composition", help="triple_jump | suzuki | yoshida")
+    parser.add_argument("--composition", help=" | ".join(c for _, c in COMPOSITIONS if c))
     parser.add_argument("--dt", type=float, help="time step")
     parser.add_argument("--t-end", dest="t_end", type=float, help="integration horizon")
     parser.add_argument("--omega", type=float, help="copy-coupling strength")
     parser.add_argument("--tol", type=float, help="nonlinear solve tolerance")
     parser.add_argument("--max-iter", dest="max_iter", type=int, help="solver iteration cap")
-    parser.add_argument("--solver", help="simplified_newton | broyden")
+    parser.add_argument("--solver", help=" | ".join(SOLVER_METHODS))
 
 
 def _spec_from_args(args) -> ExperimentSpec:

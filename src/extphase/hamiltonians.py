@@ -181,16 +181,29 @@ class VortexConfig:
                 pos = None
             if pos is None or pos.shape != (gammas.size, 2):
                 raise DimensionMismatch("initial positions must have shape (N, 2)")
-            diff = pos[:, None, :] - pos[None, :, :]
-            dist2 = (diff**2).sum(axis=-1)
-            np.fill_diagonal(dist2, np.inf)
-            if dist2.min() <= COLLISION_GUARD**2:
-                raise VortexCollision("initial vortex positions coincide")
+            _pair_geometry(pos[:, 0], pos[:, 1])  # the collision check
             object.__setattr__(self, "initial_positions", pos)
 
     @property
     def n(self) -> int:
         return self.circulations.size
+
+
+def _canonical_scaling(circulations) -> tuple[np.ndarray, np.ndarray]:
+    """``(sqrt|G|, sqrt|G| sgn G)``, the scalings ``q = sqrt|G| X``, ``p = sqrt|G| sgn(G) Y``."""
+    s = np.sqrt(np.abs(circulations))
+    return s, s * np.sign(circulations)
+
+
+def _pair_geometry(x, y):
+    """Pair differences and squared distances (inf diagonal); the one collision check."""
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    r2 = dx * dx + dy * dy
+    r2.flat[:: x.size + 1] = np.inf
+    if r2.min() < COLLISION_GUARD**2:
+        raise VortexCollision(f"vortices closer than {COLLISION_GUARD:g} in planar coordinates")
+    return dx, dy, r2
 
 
 class PointVortexSystem(HamiltonianSystem):
@@ -208,34 +221,20 @@ class PointVortexSystem(HamiltonianSystem):
         self.dim = config.n
         g = config.circulations
         self._gamma = g
-        self._sqrt = np.sqrt(np.abs(g))  # q_i = sqrt(|G_i|) X_i
-        self._signed_sqrt = self._sqrt * np.sign(g)  # p_i = sqrt(|G_i|) sgn(G_i) Y_i
+        self._sqrt, self._signed_sqrt = _canonical_scaling(g)
         self._grad_weights = -1.0 / (2.0 * math.pi) * g
-        self._diagonal = np.diag_indices(self.dim)
         self._pair_weights = np.triu(np.outer(g, g), 1)  # G_i G_j for i < j
 
     def _planar(self, q, p):
         return q / self._sqrt, p / self._signed_sqrt
 
-    def _pair_geometry(self, q, p):
-        x, y = self._planar(q, p)
-        dx = x[:, None] - x[None, :]
-        dy = y[:, None] - y[None, :]
-        r2 = dx * dx + dy * dy
-        r2[self._diagonal] = np.inf
-        if r2.min() < COLLISION_GUARD**2:
-            raise VortexCollision(
-                f"vortices closer than {COLLISION_GUARD:g} in planar coordinates"
-            )
-        return dx, dy, r2
-
     def energy(self, q, p) -> float:
-        _, _, r2 = self._pair_geometry(q, p)  # a fresh array, free to overwrite
-        r2[self._diagonal] = 1.0  # log(1) = 0 under the zero-diagonal weights
+        _, _, r2 = _pair_geometry(*self._planar(q, p))  # a fresh array, free to overwrite
+        r2.flat[:: self.dim + 1] = 1.0  # log(1) = 0 under the zero-diagonal weights
         return float(-(self._pair_weights * np.log(r2)).sum() / (4.0 * math.pi))
 
     def grad(self, q, p):
-        dx, dy, r2 = self._pair_geometry(q, p)
+        dx, dy, r2 = _pair_geometry(*self._planar(q, p))
         g = self._gamma
         inv = 1.0 / r2  # diagonal is 1/inf = 0
         # planar gradient of H: dH/dX_i = -(G_i / 2 pi) sum_j G_j dx_ij / r_ij^2
@@ -262,15 +261,15 @@ def canonical_from_planar(config: VortexConfig, positions) -> np.ndarray:
     pos = np.asarray(positions, dtype=float)
     if pos.shape != (config.n, 2):
         raise DimensionMismatch("positions must have shape (N, 2)")
-    s = np.sqrt(np.abs(config.circulations))
-    return join(s * pos[:, 0], s * np.sign(config.circulations) * pos[:, 1])
+    s, signed = _canonical_scaling(config.circulations)
+    return join(s * pos[:, 0], signed * pos[:, 1])
 
 
 def planar_from_canonical(config: VortexConfig, z) -> np.ndarray:
     """Inverse of :func:`canonical_from_planar`; returns positions (N, 2)."""
     q, p = halves(np.asarray(z, dtype=float), config.n)
-    s = np.sqrt(np.abs(config.circulations))
-    return np.column_stack((q / s, p / (s * np.sign(config.circulations))))
+    s, signed = _canonical_scaling(config.circulations)
+    return np.column_stack((q / s, p / signed))
 
 
 def _central_differences(fn, z: np.ndarray, h: float) -> np.ndarray:

@@ -76,9 +76,9 @@ class ExperimentSpec:
     order: int = 2
     composition: str | None = None
     omega: float = 10.0
-    tol: float = 1e-12
-    max_iter: int = 100
-    solver: str = "simplified_newton"
+    tol: float = SolverConfig.tol
+    max_iter: int = SolverConfig.max_iter
+    solver: str = SolverConfig.method
     warm_start: bool = False
     d: int | None = None
     gammas: tuple | None = None
@@ -416,14 +416,6 @@ class TrajectoryRecord:
         return "non_convergence" if isinstance(self.failure, NonConvergence) else "collision"
 
 
-def _relative_change(fn, z: np.ndarray, v0: float, scale: float) -> float:
-    """``|fn(z) - v0| / scale``; inf (nan) where ``fn`` leaves math's range (domain)."""
-    try:
-        return abs(fn(z) - v0) / scale
-    except (ArithmeticError, ValueError) as exc:
-        return math.inf if isinstance(exc, ArithmeticError) else math.nan
-
-
 def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
     """Integrate from 0 to ``t_end`` recording defect, energy error, and
     invariant drift at strided steps.
@@ -436,13 +428,8 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
     stride = spec.record_stride or max(1, math.ceil(n_steps / MAX_RECORD_ROWS))
     run = _Run(spec, system, z0)
 
-    e0 = system.energy_z(z0)
-    e_scale = max(abs(e0), inv_mod.DRIFT_FLOOR)
-    inv0 = [inv.evaluate(z0) for _, inv in invs]
-    inv_scale = [max(abs(v), inv_mod.DRIFT_FLOOR) for v in inv0]
-
-    steps, defect, energy_err, itr, vf = [], [], [], [], []
-    drifts = {name: [] for name, _ in invs}
+    steps, defect, energy, itr, vf = [], [], [], [], []
+    values = {name: [] for name, _ in invs}
     states = [] if spec.record_state else None
 
     def record(k: int) -> None:
@@ -451,9 +438,9 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
         defect.append(run.stats.defect_norm)
         # a blown-up state records inf/nan here rather than a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            energy_err.append(_relative_change(system.energy_z, z, e0, e_scale))
-            for (name, inv), v0, scale in zip(invs, inv0, inv_scale):
-                drifts[name].append(_relative_change(inv.evaluate, z, v0, scale))
+            energy.append(inv_mod._evaluate(system.energy_z, z))
+            for name, inv in invs:
+                values[name].append(inv_mod._evaluate(inv.evaluate, z))
         itr.append(run.stats.iterations)
         vf.append(run.spent)
         if states is not None:
@@ -475,8 +462,8 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
         steps=np.array(steps, dtype=int),
         times=np.array(steps, dtype=int) * spec.dt,
         defect=np.array(defect),
-        energy_err=np.array(energy_err),
-        drifts={name: np.array(vals) for name, vals in drifts.items()},
+        energy_err=inv_mod._relative_drift(energy),
+        drifts={name: inv_mod._relative_drift(series) for name, series in values.items()},
         itr=np.array(itr, dtype=int),
         vf=np.array(vf, dtype=int),
         states=np.array(states) if states is not None else None,

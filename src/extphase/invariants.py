@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import blocks, embed, halves, join
 from .errors import DimensionMismatch
-from .hamiltonians import HamiltonianSystem, _central_differences
+from .hamiltonians import HamiltonianSystem, _canonical_scaling, _central_differences
 
 __all__ = [
     "LinearInvariant", "QuadraticInvariant", "coupling_bracket", "coupling_preserves_quadratic",
@@ -219,25 +219,36 @@ def symplecticity_defect(map_fn, point: np.ndarray) -> float:
     return float(np.max(np.abs(jac.T @ w @ jac - w)))
 
 
+def _evaluate(fn, z: np.ndarray) -> float:
+    """``fn(z)``, or inf (nan) where ``fn`` leaves math's range (domain)."""
+    try:
+        return fn(z)
+    except (ArithmeticError, ValueError) as exc:
+        return np.inf if isinstance(exc, ArithmeticError) else np.nan
+
+
+def _relative_drift(values) -> np.ndarray:
+    """The drift rule ``|v - v_0| / max(|v_0|, DRIFT_FLOOR)`` along a series of values."""
+    values = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(values - values[0]) / max(abs(values[0]), DRIFT_FLOOR)
+
+
 def drift_series(states, invariants) -> dict:
     """Relative drift of each invariant along a recorded trajectory.
 
     ``states`` is a sequence of original-space vectors; ``invariants`` is a
     sequence of ``(name, evaluator)`` pairs where the evaluator is either an
-    invariant object or a plain callable.  Drift is relative to the initial
-    value, with a tiny floor so exactly-zero initial values degrade to
-    absolute error instead of dividing by zero.
+    invariant object or a plain callable.  Drift follows a run's rule: a zero
+    initial value degrades to absolute error, a blown-up state reads inf or nan.
     """
     states = [np.asarray(z, dtype=float) for z in states]
     if not states:
         raise ValueError("trajectory must contain at least one state")
-    out = {}
-    for name, inv in invariants:
-        fn = inv.evaluate if hasattr(inv, "evaluate") else inv
-        values = np.array([fn(z) for z in states])
-        scale = max(abs(values[0]), DRIFT_FLOOR)
-        out[name] = np.abs(values - values[0]) / scale
-    return out
+    evaluators = [(name, getattr(inv, "evaluate", inv)) for name, inv in invariants]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {name: _relative_drift([_evaluate(fn, z) for z in states])
+                for name, fn in evaluators}
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +274,13 @@ def testcase_Q() -> QuadraticInvariant:
 def vortex_linear_impulse_x(circulations) -> LinearInvariant:
     """First linear impulse component ``sum_i G_i X_i`` in canonical form."""
     g = np.asarray(circulations, dtype=float)
-    return LinearInvariant(join(np.sqrt(np.abs(g)) * np.sign(g), np.zeros(g.size)))
+    return LinearInvariant(join(_canonical_scaling(g)[1], np.zeros(g.size)))
 
 
 def vortex_linear_impulse_y(circulations) -> LinearInvariant:
     """Second linear impulse component ``sum_i G_i Y_i`` in canonical form."""
     g = np.asarray(circulations, dtype=float)
-    return LinearInvariant(join(np.zeros(g.size), np.sqrt(np.abs(g))))
+    return LinearInvariant(join(np.zeros(g.size), _canonical_scaling(g)[0]))
 
 
 def vortex_angular_impulse(circulations) -> QuadraticInvariant:

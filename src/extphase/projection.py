@@ -46,7 +46,7 @@ class SolverConfig:
     """Tolerance and iteration policy for the inner nonlinear solves."""
 
     tol: float = 1e-12
-    max_iter: int = 50
+    max_iter: int = 100
     method: str = "simplified_newton"
 
     def __post_init__(self):

@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from extphase import (
     vortex_linear_impulse_x,
     vortex_linear_impulse_y,
 )
+from extphase.hamiltonians import COLLISION_GUARD
 
 from conftest import seeded_rng
 
@@ -65,6 +67,8 @@ def test_testcase_gradient_vs_finite_differences():
 
 
 def test_nls_single_site():
+    with pytest.raises(DimensionMismatch):
+        make_nls(0)
     sys_ = make_nls(1)
     q, p = np.array([1.0]), np.array([1.0])
     assert sys_.energy(q, p) == pytest.approx(1.0, rel=1e-15)
@@ -115,6 +119,20 @@ def test_vortex_collision_guard():
         sys_.energy(z[:2], z[2:])
     with pytest.raises(VortexCollision):
         VortexConfig((1.0, 1.0), ((0.5, 0.5), (0.5, 0.5)))
+    # one rule for initial positions and evaluated states: closer than the guard collides
+    for gap, collides in ((COLLISION_GUARD, False), (0.5 * COLLISION_GUARD, True), (0.0, True)):
+        positions = ((0.0, 0.0), (gap, 0.0))
+        z = canonical_from_planar(cfg, positions)
+        verdicts = []
+        for check in (partial(VortexConfig, (1.0, 1.0), positions),
+                      partial(sys_.energy, z[:2], z[2:]), partial(sys_.grad, z[:2], z[2:])):
+            try:
+                check()
+                verdicts.append(None)
+            except VortexCollision as exc:
+                verdicts.append(str(exc))
+        expected = "vortices closer than 1e-12 in planar coordinates" if collides else None
+        assert verdicts == [expected] * 3, gap
 
 
 @pytest.mark.parametrize(
@@ -135,6 +153,8 @@ def test_vortex_config_validation():
         VortexConfig((1.0, 0.0), ((0.0, 0.0), (1.0, 0.0)))
     with pytest.raises(DimensionMismatch):
         VortexConfig((1.0, 1.0), ((0.0, 0.0),))
+    with pytest.raises(DimensionMismatch):
+        canonical_from_planar(VortexConfig((1.0, 1.0)), ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
 
 
 def test_ragged_vortex_positions_name_their_shape():

@@ -17,6 +17,7 @@ from extphase import (
     ExperimentSpec,
     NonConvergence,
     PRESETS,
+    SolverConfig,
     TrajectoryRecord,
     VortexCollision,
     benchmark,
@@ -34,6 +35,8 @@ from extphase import (
 )
 from extphase.cli import main
 from extphase.harness import emit_benchmark_csv
+from extphase.projection import SOLVER_METHODS
+from extphase.splitting import COMPOSITIONS
 
 
 def test_presets_carry_reference_configurations():
@@ -95,7 +98,11 @@ def test_spec_checks_itself_on_construction():
         ExperimentSpec(dt=0.3, t_end=1.0)
     with pytest.raises(ConfigError):
         replace(preset("testcase"), dt=-1.0)
-    assert ExperimentSpec(dt=0.25, t_end=1.0).n_steps == 4
+    spec = ExperimentSpec(dt=0.25, t_end=1.0)
+    assert spec.n_steps == 4
+    # the solve defaults are the solver's own
+    cfg = SolverConfig()
+    assert (spec.tol, spec.max_iter, spec.solver) == (cfg.tol, cfg.max_iter, cfg.method)
 
 
 _G4 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -149,7 +156,7 @@ def test_the_schedule_vocabulary_is_pinned(monkeypatch, method):
 def test_single_step_run_records_two_rows():
     spec = preset("testcase", method="semiexplicit", dt=0.1, t_end=0.1, tol=1e-12)
     record = run_experiment(spec)
-    assert record.complete
+    assert record.complete and record.failure_kind is None and record.failed_step is None
     assert record.total_steps == 1
     assert record.steps.tolist() == [0, 1]
     assert record.times.tolist() == [0.0, 0.1]
@@ -491,6 +498,11 @@ def test_cli_run_with_preset(tmp_path, capsys):
     cols = load_csv(out)
     assert "q1" in cols and "p2" in cols
     assert cols["step"].tolist() == [0, 2, 4, 6, 8, 10]
+    # the help names every method, composition and solver a spec accepts
+    assert main(["run", "--help"]) == 0
+    words = capsys.readouterr().out.split()
+    names = [*harness.METHODS, *SOLVER_METHODS, *(c for _, c in COMPOSITIONS if c)]
+    assert [name for name in names if name not in words] == []
 
 
 def test_cli_run_with_config_file(tmp_path):
@@ -550,6 +562,9 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         {**base, "omega": "x"},
         {**base, "record_stride": "2"},
         {**base, "max_iter": 2.5},
+        {**base, "record_stride": 0},
+        {**base, "system": "nope"},
+        {**base, "t_end": 0},
         {**base, "warm_start": "yes"},
         {**base, "q0": ["a", "b"]},
         {**base, "q0": [1e200, 0]},
@@ -564,11 +579,19 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         assert "configuration error:" in capsys.readouterr().err
     path.write_text('{"system": "testcase", "q0": [1e400, 0]}')
     assert main(["run", "--config", str(path)]) == 4
+    path.write_text(json.dumps([base]))
+    assert main(["run", "--config", str(path)]) == 4
+    assert "flat JSON object" in capsys.readouterr().err
+    # an output file that cannot be opened
+    missing = str(tmp_path / "no_such_dir" / "r.csv")
+    assert main(["run", "--preset", "testcase", "--t-end", "0.1", "--out", missing]) == 4
+    assert f"cannot write {missing}" in capsys.readouterr().err
     # usage errors, and a step size that is not positive
     for argv in (
         ["run", "--preset", "nope"],
         ["bench", "--preset", "testcase", "--dt", "x"],
         ["converge", "--preset", "testcase", "--dt-list", "0.1,0.05,0.025,0"],
+        ["converge", "--preset", "testcase", "--dt-list", "0.1,x"],
     ):
         assert main(argv) == 4, argv
     capsys.readouterr()

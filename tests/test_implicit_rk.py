@@ -68,6 +68,8 @@ def test_invalid_tableau_rejected():
         ButcherTableau(a=[[0.0]], b=[1.0], c=[0.0])  # explicit Euler: not symplectic
     with pytest.raises(ValueError):
         ButcherTableau(a=[[0.5]], b=[0.9], c=[0.5])  # weights do not sum to 1
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        ButcherTableau(a=[[0.5]], b=[0.5, 0.5], c=[0.5])
 
 
 def test_midpoint_matches_cayley_rotation(oscillator):

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,18 @@ def test_eval_dimension_checks():
 def test_quadratic_block_symmetry_enforced():
     with pytest.raises(ValueError):
         QuadraticInvariant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(DimensionMismatch, match=re.escape("k12 must be 2x2, got (3, 3)")):
+        QuadraticInvariant(np.eye(2), np.zeros((3, 3)), np.eye(2))
+
+
+def test_linear_invariant_coefficients_and_gradient():
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        LinearInvariant(np.array([1.0, np.nan]))
+    lin = tc_linear_form()
+    grad = lin.gradient(np.ones(4))
+    assert grad.tolist() == [0.2, 0.0, -0.3, 0.0] and grad is not lin.a
+    with pytest.raises(DimensionMismatch):
+        lin.gradient(np.ones(6))
 
 
 # --- lifts ------------------------------------------------------------------
@@ -374,3 +389,16 @@ def test_drift_series_accepts_plain_callables():
     states = [np.array([1.0, 2.0]), np.array([1.5, 2.0])]
     out = drift_series(states, [("first", lambda z: z[0])])
     assert out["first"][1] == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="at least one state"):
+        drift_series([], [("first", lambda z: z[0])])
+
+
+def test_drift_series_reads_a_blown_up_state_as_a_run_does():
+    # inf past float or math range, nan past the domain, and no warning
+    z0 = np.arange(1.0, 11.0)
+    out = drift_series([z0, 1e200 * z0, np.full(10, np.nan)], [("mass", nls_mass(5))])
+    assert out["mass"][0] == 0.0 and out["mass"][1] == np.inf and np.isnan(out["mass"][2])
+    states = [np.array([1.0]), np.array([1000.0]), np.array([-1.0])]
+    out = drift_series(states, [("exp", lambda z: math.exp(z[0])),
+                                ("sqrt", lambda z: math.sqrt(z[0]))])
+    assert out["exp"][1] == np.inf and out["sqrt"][1] > 0.0 and np.isnan(out["sqrt"][2])

@@ -9,8 +9,9 @@ Usage, from the repository root:
 ``dump`` imports ``extphase`` from the given source directory and writes
 one JSON object of named entries.  It covers every built-in preset under
 every method configuration: a 20-step run recording every step with its
-state, the SHA-256 of that run's CSV and SVG files, ``final_state``, and
-``benchmark``'s row without its timing.  It pins ``grad`` and
+state, ``drift_series`` over those states with each of the preset's named
+invariants, the SHA-256 of that run's CSV and SVG files, ``final_state``,
+and ``benchmark``'s row without its timing.  It pins ``grad`` and
 ``vector_field`` of each preset's system, and of the one-site lattice, at
 20 seeded points each: normal draws at three scales, signed zeros, and
 draws mixing in infinities, nan, subnormals and ``1e150``; a point a kernel
@@ -179,7 +180,11 @@ def dump(src_dir: str, out_path: str) -> int:
                 )
 
                 def run(spec=spec, key=key):
-                    _record_entries(xp, key, xp.run_experiment(spec), out, tmp_dir)
+                    record = xp.run_experiment(spec)
+                    _record_entries(xp, key, record, out, tmp_dir)
+                    invariants = xp.build_system(spec)[2]
+                    for inv_name, series in xp.drift_series(record.states, invariants).items():
+                        out[f"{key}/drift_series/{inv_name}"] = _values(series)
                     out[f"{key}/final_state"] = _values(xp.final_state(spec))
                     row = xp.benchmark(spec, 1)
                     row.pop("time_s")
