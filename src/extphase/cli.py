@@ -38,7 +38,12 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS), help="built-in configuration")
     parser.add_argument("--config", help="flat JSON configuration file")
     parser.add_argument("--method", help=" | ".join(METHODS))
-    parser.add_argument("--order", type=int, help="2, 4, or 6 (extended-space methods)")
+    orders = " | ".join(str(order) for order in dict.fromkeys(order for order, _ in COMPOSITIONS))
+    gauss = ", ".join(f"{method} {order}" for method, order in GAUSS_ORDERS.items())
+    parser.add_argument(
+        "--order", type=int,
+        help=f"{orders} (extended-space methods); Gauss methods set their own: {gauss}",
+    )
     parser.add_argument("--composition", help=" | ".join(c for _, c in COMPOSITIONS if c))
     parser.add_argument("--dt", type=float, help="time step")
     parser.add_argument("--t-end", dest="t_end", type=float, help="integration horizon")

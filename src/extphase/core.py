@@ -6,11 +6,12 @@ array ``zeta = (q, x, p, y)`` of length ``4*d``: ``(q, p)`` and ``(x, y)``
 are two copies of the original variables.  This module alone stores that
 layout.  Every other module reads a point through :func:`halves` (the
 positions and momenta, in either space) or :func:`blocks` (the four rows of
-a doubled point) and builds one with :func:`join`; these hold the one check
-of the layout's shape.  The diagonal subspace ``x == q, y == p`` is the
-kernel of the constraint operator implemented by :func:`apply_A`; its
-transpose is :func:`apply_AT` and ``A @ A.T == 2*I`` holds exactly, and
-:func:`shift` forms ``zeta + A^T mu`` in one buffer.
+a doubled point) and builds one with :func:`join`; a ``(B, 2*d)`` stack of
+``B`` points, one per row, is read through :func:`stack_halves`.  These
+hold the one check of the layout's shape.  The diagonal subspace
+``x == q, y == p`` is the kernel of the constraint operator implemented by
+:func:`apply_A`; its transpose is :func:`apply_AT` and ``A @ A.T == 2*I``
+holds exactly, and :func:`shift` forms ``zeta + A^T mu`` in one buffer.
 
 All functions here are pure and allocation-light (:func:`shift` writes
 only into the ``out`` it is given), and each checks the shape of its
@@ -27,6 +28,7 @@ from .errors import DimensionMismatch, NotOnDiagonal
 
 __all__ = [
     "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join", "restrict", "shift",
+    "stack_halves",
 ]
 
 # The sign of each copy's share of a multiplier: A^T mu is (mu1, -mu1, mu2, -mu2).
@@ -52,6 +54,19 @@ def halves(z: np.ndarray, d: int | None = None) -> tuple[np.ndarray, np.ndarray]
     """
     n = _block_length(z, 2, d)
     return z[:n], z[n:]
+
+
+def stack_halves(zs: np.ndarray, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(B, n)`` views ``(positions, momenta)`` of a ``(B, 2*n)`` stack
+    of ``B >= 1`` points, one point per row, each read as by :func:`halves`.
+
+    Raises :class:`DimensionMismatch` unless ``zs`` is 2-D with at least one
+    row and each row has the length :func:`halves` accepts.
+    """
+    if zs.ndim != 2 or not zs.shape[0]:
+        raise DimensionMismatch(f"a stack of points must be 2-D with a row, got shape {zs.shape}")
+    n = _block_length(zs[0], 2, d)
+    return zs[:, :n], zs[:, n:]
 
 
 def blocks(zeta: np.ndarray, d: int | None = None) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Built-in Hamiltonian systems with analytic gradients and eval counting.
 
-Each system exposes ``energy(q, p)`` and the joint gradient pair
-``grad(q, p) -> (D1H, D2H)``.  One ``grad`` call is the unit in which all
-integrator costs are accounted (one "vector-field evaluation"); energy
-evaluations are diagnostics and are never counted.
+Each system exposes ``energy(q, p)``, the joint gradient pair
+``grad(q, p) -> (D1H, D2H)`` and its stacked form ``grads(qs, ps)`` on
+``(B, d)`` stacks of points.  The gradient at one point is the unit in which
+all integrator costs are accounted (one "vector-field evaluation"): a
+``grad`` call costs one, and a stacked call on ``B`` points costs ``B``.
+Energy evaluations are diagnostics and are never counted.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import halves, join
+from .core import halves, join, stack_halves
 from .errors import ConfigError, DimensionMismatch, VortexCollision
 
 __all__ = [
@@ -29,12 +31,12 @@ COLLISION_GUARD = 1e-12
 
 @dataclass
 class EvalCounter:
-    """Counts joint gradient evaluations for one integration run."""
+    """Counts joint gradient evaluations, one per point, for one integration run."""
 
     n_grad: int = 0
 
-    def tick(self) -> None:
-        self.n_grad += 1
+    def tick(self, points: int = 1) -> None:
+        self.n_grad += points
 
 
 class HamiltonianSystem(ABC):
@@ -50,6 +52,18 @@ class HamiltonianSystem(ABC):
     def grad(self, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Joint gradient ``(D1H, D2H)``; one vector-field evaluation."""
 
+    def grads(self, qs: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Joint gradients at each row of the ``(B, d)`` stacks ``qs`` and
+        ``ps``, as ``(B, d)`` stacks; ``B`` vector-field evaluations.
+
+        This default calls :meth:`grad` once per row; a system whose kernel
+        broadcasts over a leading axis overrides it with one call.
+        """
+        gqs, gps = np.empty(qs.shape), np.empty(ps.shape)
+        for i, (q, p) in enumerate(zip(qs, ps)):
+            gqs[i], gps[i] = self.grad(q, p)
+        return gqs, gps
+
     def energy_z(self, z: np.ndarray) -> float:
         """Value of the Hamiltonian at the flat point ``z = (q, p)``."""
         return self.energy(*halves(z, self.dim))
@@ -63,12 +77,22 @@ class HamiltonianSystem(ABC):
         np.negative(gq, out=dp)
         return out
 
+    def vector_fields(self, zs: np.ndarray) -> np.ndarray:
+        """:meth:`vector_field` at each row of a ``(B, 2d)`` stack, from one
+        :meth:`grads` call; ``B`` vector-field evaluations."""
+        gq, gp = self.grads(*stack_halves(zs, self.dim))
+        out = np.empty(zs.shape)
+        dq, dp = stack_halves(out, self.dim)
+        dq[...] = gp
+        np.negative(gq, out=dp)
+        return out
+
     def with_counter(self, counter: EvalCounter) -> "CountingSystem":
         return CountingSystem(self, counter)
 
 
 class CountingSystem(HamiltonianSystem):
-    """Wrapper charging every joint gradient call to an :class:`EvalCounter`.
+    """Wrapper charging every joint gradient point to an :class:`EvalCounter`.
 
     Wrappers chain: stacking a second counter on an already-counting system
     charges both, so a caller can meter one part of a run while the run
@@ -86,6 +110,10 @@ class CountingSystem(HamiltonianSystem):
     def grad(self, q, p):
         self.counter.tick()
         return self.base.grad(q, p)
+
+    def grads(self, qs, ps):
+        self.counter.tick(len(qs))
+        return self.base.grads(qs, ps)
 
 
 class TestcaseSystem(HamiltonianSystem):
@@ -122,6 +150,9 @@ class NlsLattice(HamiltonianSystem):
     degenerates to the single quartic oscillator.  Invariant under the global
     rotation ``(q, p) -> (cq - sp, sq + cp)``, hence the total mass
     ``sum_i (q_i^2 + p_i^2)`` is conserved.
+
+    :meth:`grad` indexes sites along the first axis, so :meth:`grads` runs
+    it on the transposed ``(d, B)`` stacks.
     """
 
     def __init__(self, d: int):
@@ -159,6 +190,10 @@ class NlsLattice(HamiltonianSystem):
             gp_tail -= p2_neg[1:] * s_left + q4[1:] * w_left
         return gq, gp
 
+    def grads(self, qs, ps):
+        gq, gp = self.grad(qs.T, ps.T)
+        return gq.T, gp.T
+
 
 @dataclass(frozen=True)
 class VortexConfig:
@@ -175,18 +210,25 @@ class VortexConfig:
             raise ConfigError("all circulations must be finite and nonzero")
         object.__setattr__(self, "circulations", gammas)
         if self.initial_positions is not None:
-            try:
-                pos = np.asarray(self.initial_positions, dtype=float)
-            except ValueError:  # ragged rows: NumPy cannot make them one array
-                pos = None
-            if pos is None or pos.shape != (gammas.size, 2):
-                raise DimensionMismatch("initial positions must have shape (N, 2)")
+            pos = _planar_positions(self.initial_positions, gammas.size)
             _pair_geometry(pos[:, 0], pos[:, 1])  # the collision check
             object.__setattr__(self, "initial_positions", pos)
 
     @property
     def n(self) -> int:
         return self.circulations.size
+
+
+def _planar_positions(positions, n: int) -> np.ndarray:
+    """``positions`` as an ``(n, 2)`` float array; the one shape rule for
+    planar vortex positions."""
+    try:
+        pos = np.asarray(positions, dtype=float)
+    except ValueError:  # ragged rows: NumPy cannot make them one array
+        pos = None
+    if pos is None or pos.shape != (n, 2):
+        raise DimensionMismatch("initial positions must have shape (N, 2)")
+    return pos
 
 
 def _canonical_scaling(circulations) -> tuple[np.ndarray, np.ndarray]:
@@ -196,12 +238,19 @@ def _canonical_scaling(circulations) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_geometry(x, y):
-    """Pair differences and squared distances (inf diagonal); the one collision check."""
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
+    """Pair differences and squared distances (inf diagonal) of the planar
+    positions along the last axis, for one configuration or a stack of them;
+    the one collision check, applied to each configuration."""
+    n = x.shape[-1]
+    dx = x[..., None] - x[..., None, :]
+    dy = y[..., None] - y[..., None, :]
     r2 = dx * dx + dy * dy
-    r2.flat[:: x.size + 1] = np.inf
-    if r2.min() < COLLISION_GUARD**2:
+    pairs = r2.reshape(-1, n * n)  # one row per configuration
+    pairs[:, :: n + 1] = np.inf
+    worst = pairs.min()
+    if worst != worst:  # a nan in one configuration must not hide a collision in another
+        worst = np.fmin.reduce(pairs.min(axis=1))
+    if worst < COLLISION_GUARD**2:
         raise VortexCollision(f"vortices closer than {COLLISION_GUARD:g} in planar coordinates")
     return dx, dy, r2
 
@@ -214,6 +263,9 @@ class PointVortexSystem(HamiltonianSystem):
     circulations ``G_i``, which turns the vortex equations into canonical
     Hamilton equations for
     ``H = -(1/4 pi) sum_{i<j} G_i G_j log |X_i - X_j|^2``.
+
+    :meth:`grad` broadcasts over a leading axis, so :meth:`grads` is one
+    call of it on the ``(B, N)`` stacks.
     """
 
     def __init__(self, config: VortexConfig):
@@ -243,6 +295,9 @@ class PointVortexSystem(HamiltonianSystem):
         # chain rule through the canonical scaling
         return gx / self._sqrt, gy / self._signed_sqrt
 
+    def grads(self, qs, ps):
+        return self.grad(qs, ps)
+
 
 def make_testcase() -> TestcaseSystem:
     return TestcaseSystem()
@@ -258,9 +313,7 @@ def make_vortices(config: VortexConfig) -> PointVortexSystem:
 
 def canonical_from_planar(config: VortexConfig, positions) -> np.ndarray:
     """Map planar vortex positions (N, 2) to the canonical state ``(q, p)``."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.shape != (config.n, 2):
-        raise DimensionMismatch("positions must have shape (N, 2)")
+    pos = _planar_positions(positions, config.n)
     s, signed = _canonical_scaling(config.circulations)
     return join(s * pos[:, 0], signed * pos[:, 1])
 

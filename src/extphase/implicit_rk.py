@@ -4,7 +4,9 @@ The 1-, 2-, and 3-stage Gauss methods (orders 2, 4, 6) are the symmetric,
 symplectic Runge-Kutta baselines.  Stage derivatives are solved by plain
 fixed-point sweeps starting from zero, which converges for step sizes small
 enough that ``dt * L < 1`` with ``L`` a Lipschitz bound of the vector
-field; each sweep costs one gradient evaluation per stage.
+field.  Each sweep evaluates all its stage points in one stacked
+:meth:`~extphase.hamiltonians.HamiltonianSystem.vector_fields` call, which
+costs one gradient evaluation per stage.
 """
 
 from __future__ import annotations
@@ -87,17 +89,16 @@ def gl_step(
     Sweeps update all stage derivatives ``k_i <- F(z + dt * sum_j a_ij k_j)``
     from the previous sweep's values, starting at ``k_i = 0``, until the
     max-norm change falls to ``cfg.tol``; the projection's loop
-    (:func:`extphase.projection.iterate`) runs them.  Returns ``(z_next,
-    stats)`` with ``stats.iterations`` the sweep count; the step costs
-    ``stages * sweeps`` gradient evaluations.
+    (:func:`extphase.projection.iterate`) runs them.  A sweep evaluates its
+    ``stages`` points in one stacked ``vector_fields`` call, charged one
+    gradient evaluation per point.  Returns ``(z_next, stats)`` with
+    ``stats.iterations`` the sweep count; the step costs ``stages * sweeps``
+    gradient evaluations.
     """
     z = np.asarray(z, dtype=float)
 
     def sweep(k):
-        offsets = dt * (tableau.a @ k)
-        k_next = np.empty_like(k)
-        for i in range(tableau.stages):
-            k_next[i] = system.vector_field(z + offsets[i])
+        k_next = system.vector_fields(z + dt * (tableau.a @ k))
         return k_next - k, k_next
 
     k0 = np.zeros((tableau.stages, z.size))

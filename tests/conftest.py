@@ -1,7 +1,13 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from extphase import HamiltonianSystem
+
+# tools/ holds the parity script, whose kernel edge values the tests share
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tools"))
 
 
 class LinearSystem(HamiltonianSystem):

@@ -25,6 +25,7 @@ from extphase import (
     poisson_bracket,
     restrict,
     shift,
+    stack_halves,
     symplecticity_defect,
 )
 
@@ -119,6 +120,23 @@ def test_every_layout_reader_rejects_a_bad_layout(d, kind, k):
         with pytest.raises(DimensionMismatch):
             reader(bad)
             pytest.fail(f"{name} accepted shape {bad.shape} at d={d}")
+
+
+def test_a_stack_reads_each_row_as_halves():
+    zs = np.arange(12.0).reshape(3, 4)
+    for d in (None, 2):
+        qs, ps = stack_halves(zs, d)
+        assert np.shares_memory(qs, zs) and np.shares_memory(ps, zs)
+        for z, q, p in zip(zs, qs, ps):
+            assert [bits(q), bits(p)] == [bits(half) for half in halves(z, d)]
+    # the stack's readers: the layout and the stacked vector field
+    readers = {"stack_halves": lambda stack: stack_halves(stack, 2),
+               "vector_fields": make_nls(2).vector_fields}
+    for bad in (np.ones(4), np.ones((0, 4)), np.ones((3, 5)), np.ones((3, 6)), np.ones((2, 3, 4))):
+        for name, reader in readers.items():
+            with pytest.raises(DimensionMismatch):
+                reader(bad)
+                pytest.fail(f"{name} accepted shape {bad.shape}")
 
 
 @pytest.mark.parametrize(

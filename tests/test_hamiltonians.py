@@ -9,8 +9,10 @@ from hypothesis.extra.numpy import arrays
 
 from extphase import (
     ConfigError,
+    CountingSystem,
     DimensionMismatch,
     EvalCounter,
+    HamiltonianSystem,
     SolverConfig,
     VortexCollision,
     VortexConfig,
@@ -27,6 +29,7 @@ from extphase import (
     poisson_bracket,
     preset,
     run_experiment,
+    stack_halves,
     vortex_angular_impulse,
     vortex_linear_impulse_x,
     vortex_linear_impulse_y,
@@ -34,6 +37,7 @@ from extphase import (
 from extphase.hamiltonians import COLLISION_GUARD
 
 from conftest import seeded_rng
+from parity import EDGE_VALUES
 
 Q0 = np.array([-1.0, 2.0])
 P0 = np.array([1.0, -1.0])
@@ -161,6 +165,10 @@ def test_ragged_vortex_positions_name_their_shape():
     message = "initial positions must have shape (N, 2)"
     with pytest.raises(DimensionMismatch, match=re.escape(message)):
         VortexConfig((1.0, 1.0), ((0.0, 0.0), (1.0,)))
+    # the coordinate map reads positions under the same rule
+    for positions in (((0, 0), (1,)), ((0.0, 0.0),), ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            canonical_from_planar(VortexConfig((1.0, 1.0)), positions)
     with pytest.raises(ConfigError, match=re.escape(message)):
         make_spec({"system": "vortex", "gammas": [1.0, 1.0], "positions": [[0, 0], [1]]})
 
@@ -359,3 +367,100 @@ def test_lattice_kernel_is_the_seed_formula_bit_for_bit(z):
     assert gq.tobytes() == sq.tobytes() and gp.tobytes() == sp.tobytes()
     assert field.tobytes() == np.concatenate((sp, negated)).tobytes()
     assert z.tobytes() == before
+
+
+# every built-in system, the lattice with and without its coupling sum
+STACKED_SYSTEMS = {
+    "testcase": make_testcase(),
+    "nls1": make_nls(1),
+    "nls5": make_nls(5),
+    "vortex4": make_vortices(VORTEX4),
+    "vortex10": make_vortices(VortexConfig(preset("vortex10").gammas)),
+}
+
+
+class GradOnly(HamiltonianSystem):
+    """A wrapper that defines only ``grad``, as a timing wrapper does, and
+    counts its calls; it inherits the per-row stacked default."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.calls = 0
+
+    def energy(self, q, p):
+        return self.base.energy(q, p)
+
+    def grad(self, q, p):
+        self.calls += 1
+        return self.base.grad(q, p)
+
+
+def _outcome(call):
+    """The bytes of a call's arrays, or the type and text of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return b"".join(np.ascontiguousarray(part).tobytes() for part in call())
+    except Exception as exc:  # the kernels' own errors and math's range and domain errors
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _per_point_grads(system, qs, ps):
+    pairs = [system.grad(q, p) for q, p in zip(qs, ps)]
+    return np.array([gq for gq, _ in pairs]), np.array([gp for _, gp in pairs])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(STACKED_SYSTEMS)), st.integers(1, 4), st.data())
+def test_stacked_calls_are_per_point_calls_bit_for_bit(name, points, data):
+    system = STACKED_SYSTEMS[name]
+    shape = (points, 2 * system.dim)
+    # normal draws at the parity tool's scales, some entries replaced by its edge values
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    zs = rng.normal(size=shape) * data.draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    edges = data.draw(arrays(bool, shape))
+    zs[edges] = data.draw(
+        arrays(np.float64, int(edges.sum()), elements=st.sampled_from(EDGE_VALUES))
+    )
+    before = zs.tobytes()
+    qs, ps = stack_halves(zs, system.dim)
+    stacked = _outcome(lambda: system.grads(qs, ps))
+    assert stacked == _outcome(lambda: _per_point_grads(system, qs, ps))
+    fields = _outcome(lambda: (system.vector_fields(zs),))
+    assert fields == _outcome(lambda: [system.vector_field(z) for z in zs])
+    assert zs.tobytes() == before
+
+
+def test_a_nan_member_does_not_hide_a_colliding_one():
+    system = make_vortices(VORTEX4)
+    reference = canonical_from_planar(VORTEX4, VORTEX4.initial_positions)
+    colliding = canonical_from_planar(VORTEX4, ((0.0, 0.0), (1.0, 1.0), (2.0, 0.5), (0.0, 0.0)))
+    blown_up = reference.copy()
+    blown_up[1] = np.nan
+    for stack in ((blown_up, colliding), (colliding, blown_up), (reference, blown_up, colliding)):
+        with pytest.raises(VortexCollision, match="vortices closer than"):
+            system.vector_fields(np.array(stack))
+    with np.errstate(invalid="ignore"):  # a nan member alone is no collision
+        assert np.isnan(system.vector_fields(np.array((reference, blown_up)))[1]).all()
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_SYSTEMS))
+def test_a_grad_only_system_sees_one_grad_per_point(name):
+    base = STACKED_SYSTEMS[name]
+    zs = seeded_rng(206).normal(size=(3, 2 * base.dim)) + 2.0 * np.arange(2 * base.dim)
+    wrapped = GradOnly(base)
+    assert wrapped.vector_fields(zs).tobytes() == base.vector_fields(zs).tobytes()
+    assert wrapped.calls == 3
+    wrapped.grads(*stack_halves(zs[:2], base.dim))
+    assert wrapped.calls == 5
+
+
+def test_stacked_counters_charge_every_point_to_each_counter():
+    outer, inner = EvalCounter(), EvalCounter()
+    timed = GradOnly(make_nls(5))
+    system = CountingSystem(timed, outer).with_counter(inner)
+    zs = seeded_rng(207).normal(size=(4, 10))
+    system.vector_fields(zs)
+    assert outer.n_grad == inner.n_grad == timed.calls == 4
+    system.vector_field(zs[0])
+    assert outer.n_grad == inner.n_grad == timed.calls == 5

@@ -498,10 +498,11 @@ def test_cli_run_with_preset(tmp_path, capsys):
     cols = load_csv(out)
     assert "q1" in cols and "p2" in cols
     assert cols["step"].tolist() == [0, 2, 4, 6, 8, 10]
-    # the help names every method, composition and solver a spec accepts
+    # the help names every method, order, composition and solver a spec accepts
     assert main(["run", "--help"]) == 0
     words = capsys.readouterr().out.split()
     names = [*harness.METHODS, *SOLVER_METHODS, *(c for _, c in COMPOSITIONS if c)]
+    names += [str(order) for order, _ in COMPOSITIONS]
     assert [name for name in names if name not in words] == []
 
 

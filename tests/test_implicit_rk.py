@@ -6,10 +6,14 @@ from extphase import (
     NonConvergence,
     SolverConfig,
     UnsupportedOrder,
+    VortexConfig,
+    canonical_from_planar,
     gl_step,
     gl_tableau,
     make_nls,
+    make_spec,
     make_testcase,
+    make_vortices,
     preset,
     run_experiment,
 )
@@ -147,3 +151,23 @@ def test_a_failed_gauss_solve_carries_its_smallest_change():
     k = err.value.best
     change = float(np.max(np.abs(sys_.vector_field(z0 + 16.0 * tab.a[0, 0] * k[0]) - k[0])))
     assert err.value.final_residual == change
+
+
+def test_a_colliding_gauss_sweep_is_charged_its_whole_stack():
+    # Two mirrored pairs of opposite circulations: the lower pair closes in
+    # along the x axis, and dt is sized so that the second sweep's first
+    # stage point brings it together.  The sweep evaluates its three stage
+    # points in one stacked call, which is charged in full: 3 + 3 gradients,
+    # where a call per stage stopped at the colliding one (3 + 1).
+    gammas = (1.0, -1.0, 1.0, -1.0)
+    positions = ((-1.0, 0.0), (1.0, 0.0), (-0.5, 1.0), (0.5, 1.0))
+    config = VortexConfig(gammas, positions)
+    z = canonical_from_planar(config, positions)
+    tab = gl_tableau(6)
+    first_sweep = np.tile(make_vortices(config).vector_field(z), (tab.stages, 1))
+    dt = float(-z[0] / (tab.a @ first_sweep)[0, 0])
+    spec = make_spec(dict(system="vortex", gammas=gammas, positions=positions, method="gl6",
+                          dt=dt, t_end=dt))
+    record = run_experiment(spec)
+    assert record.failure_kind == "collision"
+    assert (record.total_steps, record.itr_total, record.vf_total) == (0, 0, 6)
