@@ -1,11 +1,14 @@
 """Built-in Hamiltonian systems with analytic gradients and eval counting.
 
 Each system exposes ``energy(q, p)``, the joint gradient pair
-``grad(q, p) -> (D1H, D2H)`` and its stacked form ``grads(qs, ps)`` on
-``(B, d)`` stacks of points.  The gradient at one point is the unit in which
-all integrator costs are accounted (one "vector-field evaluation"): a
-``grad`` call costs one, and a stacked call on ``B`` points costs ``B``.
-Energy evaluations are diagnostics and are never counted.
+``grad(q, p) -> (D1H, D2H)`` and their stacked forms ``energies(qs, ps)``
+and ``grads(qs, ps)`` on ``(B, d)`` stacks of points.  The gradient at one
+point is the unit in which all integrator costs are accounted (one
+"vector-field evaluation"): a ``grad`` call costs one, and a stacked call on
+``B`` points costs ``B``.  Energy evaluations, one point or a stack, are
+diagnostics and are never counted; the base-class ``energies`` calls
+``energy`` once per row, and the lattice and vortex kernels take a stack in
+one call.
 """
 
 from __future__ import annotations
@@ -27,6 +30,17 @@ __all__ = [
 
 # Planar separation below which the vortex log potential is considered singular.
 COLLISION_GUARD = 1e-12
+
+
+def _evaluate(fn, *args) -> float:
+    """``fn(*args)``, or inf (nan) where ``fn`` leaves the range (domain) of
+    ``math``'s functions: the rule for a diagnostic that must not raise."""
+    try:
+        return fn(*args)
+    except ArithmeticError:
+        return math.inf
+    except ValueError:
+        return math.nan
 
 
 @dataclass
@@ -63,6 +77,20 @@ class HamiltonianSystem(ABC):
         for i, (q, p) in enumerate(zip(qs, ps)):
             gqs[i], gps[i] = self.grad(q, p)
         return gqs, gps
+
+    def energies(self, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        """Values of the Hamiltonian at each row of the ``(B, d)`` stacks
+        ``qs`` and ``ps``, as a ``(B,)`` array; diagnostics, never counted.
+
+        This default calls :meth:`energy` once per row and reads a row that
+        leaves the range of ``math``'s functions as inf and one outside their
+        domain as nan; a system whose kernel broadcasts over a leading axis
+        overrides it with one call.
+        """
+        out = np.empty(len(qs))
+        for i, (q, p) in enumerate(zip(qs, ps)):
+            out[i] = _evaluate(self.energy, q, p)
+        return out
 
     def energy_z(self, z: np.ndarray) -> float:
         """Value of the Hamiltonian at the flat point ``z = (q, p)``."""
@@ -107,6 +135,9 @@ class CountingSystem(HamiltonianSystem):
     def energy(self, q, p) -> float:
         return self.base.energy(q, p)
 
+    def energies(self, qs, ps):
+        return self.base.energies(qs, ps)
+
     def grad(self, q, p):
         self.counter.tick()
         return self.base.grad(q, p)
@@ -139,6 +170,16 @@ class TestcaseSystem(HamiltonianSystem):
         return gq, gp
 
 
+def _row_dots(u, v):
+    """Dot products of the rows of ``u`` and ``v`` along the last axis.
+
+    Each is ``np.dot`` of the two rows bit for bit: a ``(1, d) @ (d, 1)``
+    product takes the same dot kernel, one row at a time, where a reduction
+    of ``u * v`` or an einsum sums in another order.
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 class NlsLattice(HamiltonianSystem):
     """Quartic lattice with nearest-neighbour coupling (discrete NLS-type).
 
@@ -152,7 +193,8 @@ class NlsLattice(HamiltonianSystem):
     ``sum_i (q_i^2 + p_i^2)`` is conserved.
 
     :meth:`grad` indexes sites along the first axis, so :meth:`grads` runs
-    it on the transposed ``(d, B)`` stacks.
+    it on the transposed ``(d, B)`` stacks; :meth:`energies` indexes them
+    along the last axis, so :meth:`energy` is its one-point case.
     """
 
     def __init__(self, d: int):
@@ -161,12 +203,16 @@ class NlsLattice(HamiltonianSystem):
         self.dim = int(d)
 
     def energy(self, q, p) -> float:
-        n2 = q * q + p * p
-        e = 0.25 * float(np.dot(n2, n2))
+        return float(self.energies(q, p))
+
+    def energies(self, qs, ps):
+        n2 = qs * qs + ps * ps
+        e = 0.25 * _row_dots(n2, n2)
         if self.dim > 1:
-            a = q[:-1] * q[:-1] - p[:-1] * p[:-1]
-            b = q[1:] * q[1:] - p[1:] * p[1:]
-            e -= float(np.dot(a, b) + 4.0 * np.dot(q[:-1] * p[:-1], q[1:] * p[1:]))
+            q, p, q_next, p_next = qs[..., :-1], ps[..., :-1], qs[..., 1:], ps[..., 1:]
+            a = q * q - p * p
+            b = q_next * q_next - p_next * p_next
+            e -= _row_dots(a, b) + 4.0 * _row_dots(q * p, q_next * p_next)
         return e
 
     def grad(self, q, p):
@@ -264,8 +310,9 @@ class PointVortexSystem(HamiltonianSystem):
     Hamilton equations for
     ``H = -(1/4 pi) sum_{i<j} G_i G_j log |X_i - X_j|^2``.
 
-    :meth:`grad` broadcasts over a leading axis, so :meth:`grads` is one
-    call of it on the ``(B, N)`` stacks.
+    :meth:`grad` and :meth:`energies` broadcast over a leading axis, so
+    :meth:`grads` is one call of :meth:`grad` on the ``(B, N)`` stacks and
+    :meth:`energy` is the one-point case of :meth:`energies`.
     """
 
     def __init__(self, config: VortexConfig):
@@ -281,9 +328,13 @@ class PointVortexSystem(HamiltonianSystem):
         return q / self._sqrt, p / self._signed_sqrt
 
     def energy(self, q, p) -> float:
-        _, _, r2 = _pair_geometry(*self._planar(q, p))  # a fresh array, free to overwrite
-        r2.flat[:: self.dim + 1] = 1.0  # log(1) = 0 under the zero-diagonal weights
-        return float(-(self._pair_weights * np.log(r2)).sum() / (4.0 * math.pi))
+        return float(self.energies(q, p))
+
+    def energies(self, qs, ps):
+        _, _, r2 = _pair_geometry(*self._planar(qs, ps))  # a fresh array, free to overwrite
+        n = self.dim
+        r2.reshape(-1, n * n)[:, :: n + 1] = 1.0  # log(1) = 0 under the zero-diagonal weights
+        return -(self._pair_weights * np.log(r2)).sum(axis=(-2, -1)) / (4.0 * math.pi)
 
     def grad(self, q, p):
         dx, dy, r2 = _pair_geometry(*self._planar(q, p))

@@ -34,6 +34,7 @@ from .hamiltonians import (
 )
 from .implicit_rk import gl_step, gl_tableau
 from .projection import SolverConfig, StepStats, semiexplicit_step
+from .recording import CHUNK_ROWS, Recorder
 from .splitting import COMPOSITIONS, TaoParams, composed_step, pihajoki_step, tao_step
 
 __all__ = [
@@ -352,11 +353,21 @@ class _Run:
 
     @property
     def z(self) -> np.ndarray:
-        """Original-space state after step ``k``."""
-        if self.extended:
-            rows = blocks(self.state)
-            return join(rows[0], rows[2])  # the first copy (q, p)
-        return self.state
+        """Original-space state after step ``k``, a fresh array."""
+        return self.write_z(np.empty(2 * self.system.dim))
+
+    def write_z(self, out: np.ndarray) -> np.ndarray:
+        """Write the original-space state after step ``k`` into the flat
+        ``out`` and return it; for the explicit methods that is the first
+        copy ``(q, p)``."""
+        if not self.extended:
+            out[...] = self.state
+            return out
+        rows = blocks(self.state)
+        q, p = halves(out, self.system.dim)
+        q[...] = rows[0]
+        p[...] = rows[2]
+        return out
 
     def __iter__(self):
         for self.k in range(1, self.spec.n_steps + 1):
@@ -421,55 +432,47 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
     invariant drift at strided steps.
 
     Solver failures and vortex collisions do not raise: the partial record
-    is returned flagged incomplete with the raised error attached.
+    is returned flagged incomplete with the raised error attached.  The
+    energy and invariants are evaluated ``CHUNK_ROWS`` rows at a time.
     """
     system, z0, invs = build_system(spec)
     n_steps = spec.n_steps
     stride = spec.record_stride or max(1, math.ceil(n_steps / MAX_RECORD_ROWS))
     run = _Run(spec, system, z0)
-
-    steps, defect, energy, itr, vf = [], [], [], [], []
-    values = {name: [] for name, _ in invs}
-    states = [] if spec.record_state else None
-
-    def record(k: int) -> None:
-        z = run.z
-        steps.append(k)
-        defect.append(run.stats.defect_norm)
-        # a blown-up state records inf/nan here rather than a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy.append(inv_mod._evaluate(system.energy_z, z))
-            for name, inv in invs:
-                values[name].append(inv_mod._evaluate(inv.evaluate, z))
-        itr.append(run.stats.iterations)
-        vf.append(run.spent)
-        if states is not None:
-            states.append(z.copy())
+    rec = Recorder(run, system, invs, 1 + math.ceil(n_steps / stride), spec.record_state)
 
     failure = None
-    record(0)
+    rec.add(0)
     try:
         for k in run:
-            if k % stride == 0 or k == n_steps:
-                record(k)
+            if (k % stride == 0 or k == n_steps) and not rec.add(k):
+                break
     except (NonConvergence, VortexCollision) as exc:
         # kept without its traceback, which would hold the run's frames alive
         failure = exc.with_traceback(None)
+    rec.evaluate()
+    total_steps = n_steps if failure is None else run.k - 1
+    itr_total, vf_total = run.itr_total, run.counter.n_grad
+    if rec.cut is not None:  # a recorded row collided, before any failing step
+        failure, (total_steps, itr_total, vf_total) = rec.cut
 
+    n = rec.rows
+    steps = rec.steps[:n]
     return TrajectoryRecord(
         spec=spec,
         invariant_names=[name for name, _ in invs],
-        steps=np.array(steps, dtype=int),
-        times=np.array(steps, dtype=int) * spec.dt,
-        defect=np.array(defect),
-        energy_err=inv_mod._relative_drift(energy),
-        drifts={name: inv_mod._relative_drift(series) for name, series in values.items()},
-        itr=np.array(itr, dtype=int),
-        vf=np.array(vf, dtype=int),
-        states=np.array(states) if states is not None else None,
-        total_steps=n_steps if failure is None else run.k - 1,
-        itr_total=run.itr_total,
-        vf_total=run.counter.n_grad,
+        steps=steps,
+        times=steps * spec.dt,
+        defect=rec.defect[:n],
+        energy_err=inv_mod._relative_drift(rec.energy[:n]),
+        drifts={name: inv_mod._relative_drift(values[:n])
+                for (name, _), values in zip(invs, rec.values)},
+        itr=rec.itr[:n],
+        vf=rec.vf[:n],
+        states=None if rec.states is None else rec.states[:n],
+        total_steps=total_steps,
+        itr_total=itr_total,
+        vf_total=vf_total,
         failure=failure,
     )
 
@@ -561,11 +564,6 @@ def convergence_study(spec: ExperimentSpec, dt_list, t_end: float | None = None)
 
 # ---------------------------------------------------------------------------
 # Flat-file emission
-
-
-# Rows converted to Python scalars at a time when a writer formats columns:
-# one conversion per chunk, and the memory of one chunk, not of a column.
-CHUNK_ROWS = 1024
 
 
 def _scalar_rows(columns):

@@ -13,6 +13,13 @@ one, so ``evaluate``, ``gradient``, ``matrix``, :func:`poisson_bracket`,
 :func:`infinitesimal_generator` and :func:`drift_series` serve both spaces.
 The lifted quadratic carries the ``2d x 2d`` blocks of ``Qhat``'s
 ``4d x 4d`` matrix, so it costs O(d^2) storage.
+
+``evaluate`` takes one flat point, and returns a float, or a ``(B, 2d)``
+stack of points, one per row, and returns their ``(B,)`` values; a flat
+point is the one-row case.  Each value is the flat point's bit for bit: the
+products are batched matrix products whose row and vector cases take the
+same BLAS kernels as the one-point products, where an einsum or a
+matrix-vector product over the stack sums in another order.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import blocks, embed, halves, join
+from .core import blocks, embed, halves, join, stack_halves
 from .errors import DimensionMismatch
-from .hamiltonians import HamiltonianSystem, _canonical_scaling, _central_differences
+from .hamiltonians import HamiltonianSystem, _canonical_scaling, _central_differences, _evaluate
 
 __all__ = [
     "LinearInvariant", "QuadraticInvariant", "coupling_bracket", "coupling_preserves_quadratic",
@@ -34,6 +41,16 @@ __all__ = [
 ]
 
 DRIFT_FLOOR = 1e-300
+
+
+def _stack(z, d: int) -> tuple[np.ndarray, bool]:
+    """``z``, one flat point or a ``(B, 2d)`` stack, as a checked stack, and
+    whether it was one flat point."""
+    z = np.asarray(z, dtype=float)
+    flat = z.ndim == 1
+    zs = z[None] if flat else z
+    stack_halves(zs, d)  # the layout check
+    return zs, flat
 
 
 @dataclass(frozen=True)
@@ -53,10 +70,11 @@ class LinearInvariant:
     def dim(self) -> int:
         return halves(self.a)[0].size
 
-    def evaluate(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        halves(z, self.dim)  # the layout check
-        return float(self.a @ z)
+    def evaluate(self, z: np.ndarray) -> float | np.ndarray:
+        """``a^T z`` at one flat point (a float) or at each row of a stack."""
+        zs, flat = _stack(z, self.dim)
+        values = (zs[:, None, :] @ self.a[:, None])[:, 0, 0]
+        return float(values[0]) if flat else values
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
         halves(np.asarray(z, dtype=float), self.dim)  # the layout check
@@ -99,11 +117,16 @@ class QuadraticInvariant:
         """Full symmetric ``2d x 2d`` coefficient matrix."""
         return np.block([[self.k11, self.k12], [self.k12.T, self.k22]])
 
-    def evaluate(self, z: np.ndarray) -> float:
-        q, p = halves(np.asarray(z, dtype=float), self.dim)
-        return float(
-            0.5 * (q @ (self.k11 @ q)) + q @ (self.k12 @ p) + 0.5 * (p @ (self.k22 @ p))
-        )
+    def evaluate(self, z: np.ndarray) -> float | np.ndarray:
+        """``z^T k z / 2`` at one flat point (a float) or at each row of a stack."""
+        zs, flat = _stack(z, self.dim)
+        qs, ps = stack_halves(zs)
+        q_row, q_col, p_row, p_col = qs[:, None, :], qs[:, :, None], ps[:, None, :], ps[:, :, None]
+        values = (
+            0.5 * (q_row @ (self.k11 @ q_col)) + q_row @ (self.k12 @ p_col)
+            + 0.5 * (p_row @ (self.k22 @ p_col))
+        )[:, 0, 0]
+        return float(values[0]) if flat else values
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
         q, p = halves(np.asarray(z, dtype=float), self.dim)
@@ -219,14 +242,6 @@ def symplecticity_defect(map_fn, point: np.ndarray) -> float:
     return float(np.max(np.abs(jac.T @ w @ jac - w)))
 
 
-def _evaluate(fn, z: np.ndarray) -> float:
-    """``fn(z)``, or inf (nan) where ``fn`` leaves math's range (domain)."""
-    try:
-        return fn(z)
-    except (ArithmeticError, ValueError) as exc:
-        return np.inf if isinstance(exc, ArithmeticError) else np.nan
-
-
 def _relative_drift(values) -> np.ndarray:
     """The drift rule ``|v - v_0| / max(|v_0|, DRIFT_FLOOR)`` along a series of values."""
     values = np.array(values)
@@ -239,16 +254,18 @@ def drift_series(states, invariants) -> dict:
 
     ``states`` is a sequence of original-space vectors; ``invariants`` is a
     sequence of ``(name, evaluator)`` pairs where the evaluator is either an
-    invariant object or a plain callable.  Drift follows a run's rule: a zero
-    initial value degrades to absolute error, a blown-up state reads inf or nan.
+    invariant object, evaluated once on the stack of states as a run's record
+    is, or a plain callable, called once per state.  Drift follows a run's
+    rule: a zero initial value degrades to absolute error, a blown-up state
+    reads inf or nan.
     """
-    states = [np.asarray(z, dtype=float) for z in states]
-    if not states:
+    zs = np.asarray(states, dtype=float)
+    if not zs.size:
         raise ValueError("trajectory must contain at least one state")
-    evaluators = [(name, getattr(inv, "evaluate", inv)) for name, inv in invariants]
     with np.errstate(over="ignore", invalid="ignore"):
-        return {name: _relative_drift([_evaluate(fn, z) for z in states])
-                for name, fn in evaluators}
+        return {name: _relative_drift(inv.evaluate(zs) if hasattr(inv, "evaluate")
+                                      else [_evaluate(inv, z) for z in zs])
+                for name, inv in invariants}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from extphase import (
+    PRESETS,
     ConfigError,
     CountingSystem,
     DimensionMismatch,
@@ -16,10 +17,12 @@ from extphase import (
     SolverConfig,
     VortexCollision,
     VortexConfig,
+    build_system,
     canonical_from_planar,
     check_gradient,
     gl_step,
     gl_tableau,
+    join,
     make_nls,
     make_testcase,
     make_vortices,
@@ -37,7 +40,7 @@ from extphase import (
 from extphase.hamiltonians import COLLISION_GUARD
 
 from conftest import seeded_rng
-from parity import EDGE_VALUES
+from parity import EDGE_VALUES, kernel_points
 
 Q0 = np.array([-1.0, 2.0])
 P0 = np.array([1.0, -1.0])
@@ -464,3 +467,74 @@ def test_stacked_counters_charge_every_point_to_each_counter():
     assert outer.n_grad == inner.n_grad == timed.calls == 4
     system.vector_field(zs[0])
     assert outer.n_grad == inner.n_grad == timed.calls == 5
+
+
+def _limited(fn, *args):
+    """A per-point diagnostic by the recording rule: inf past the range of
+    ``math``'s functions, nan outside their domain, None for a collision."""
+    try:
+        return fn(*args)
+    except ArithmeticError:
+        return math.inf
+    except ValueError:
+        return math.nan
+    except VortexCollision:
+        return None
+
+
+def _same_bits(stacked, per_point) -> bool:
+    """Equal bit for bit, where any nan equals any nan."""
+    stacked, per_point = np.asarray(stacked), np.array(per_point, dtype=float)
+    nan = np.isnan(per_point)
+    return stacked.shape == per_point.shape and bool((np.isnan(stacked) == nan).all()) and (
+        stacked[~nan].tobytes() == per_point[~nan].tobytes())
+
+
+def _doubled(states, d):
+    """Doubled-space points whose copies are consecutive states, off the diagonal."""
+    return np.array([join(a[:d], b[:d], a[d:], b[d:]) for a, b in zip(states[:-1], states[1:])])
+
+
+@pytest.mark.parametrize("seed, name", enumerate(sorted(PRESETS)))
+def test_stacked_diagnostics_are_per_point_diagnostics_bit_for_bit(seed, name):
+    system, _, invariants = build_system(preset(name))
+    d = system.dim
+    dt = PRESETS[name]["dt"]
+    states = run_experiment(preset(name, method="tao", t_end=40 * dt, record_stride=1,
+                                   record_state=True)).states
+    lifts = [inv.lift() for _, inv in invariants]
+    # The trajectories run under the harness's error state, where any other
+    # numerical warning is an error.  A kernel point may hide a coincident
+    # vortex pair behind a nan coordinate, whose log(0) warns; the parity
+    # tool evaluates those points with every warning off, and so does this.
+    for zs, doubled, errors in (
+        (np.array(kernel_points(2 * d, seed)), np.array(kernel_points(4 * d, seed)),
+         {"all": "ignore"}),
+        (states, _doubled(states, d), {"over": "ignore", "invalid": "ignore"}),
+    ):
+        with np.errstate(**errors):
+            energies = [_limited(system.energy_z, z) for z in zs]
+            whole = [i for i, e in enumerate(energies) if e is not None]  # no collision
+            qs, ps = stack_halves(zs[whole], d)
+            assert _same_bits(system.energies(qs, ps), [energies[i] for i in whole])
+            if len(whole) < len(zs):
+                with pytest.raises(VortexCollision):
+                    system.energies(*stack_halves(zs, d))
+            for _, inv in invariants:
+                assert _same_bits(inv.evaluate(zs), [inv.evaluate(z) for z in zs])
+            for inv in lifts:
+                assert _same_bits(inv.evaluate(doubled), [inv.evaluate(z) for z in doubled])
+    assert isinstance(invariants[0][1].evaluate(states[0]), float)
+
+
+def test_stacked_diagnostics_read_overflow_as_inf_and_a_bad_domain_as_nan():
+    testcase, lattice, one_site = make_testcase(), make_nls(5), make_nls(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # exp past math's range in the first row, sin(inf) outside its domain in the second
+        qs, ps = np.array([[1e4, 1.0], [0.0, np.inf]]), np.array([[0.0, 1.0], [0.0, 1.0]])
+        assert _same_bits(testcase.energies(qs, ps), [np.inf, np.nan])
+        assert _same_bits(one_site.energies(np.array([[1e200], [np.nan]]), np.ones((2, 1))),
+                          [np.inf, np.nan])
+        zs = np.array([np.full(10, 1e200), np.full(10, np.nan)])
+        assert _same_bits(nls_mass(5).evaluate(zs), [np.inf, np.nan])
+        assert np.isnan(lattice.energies(*stack_halves(zs, 5))).all()  # inf - inf in the coupling

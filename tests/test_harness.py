@@ -17,16 +17,21 @@ from extphase import (
     ExperimentSpec,
     NonConvergence,
     PRESETS,
+    PointVortexSystem,
     SolverConfig,
     TrajectoryRecord,
     VortexCollision,
     benchmark,
+    blocks,
+    build_system,
     convergence_study,
+    defect_norm,
     embed,
     emit_csv,
     emit_svg,
     final_state,
     harness,
+    join,
     load_config,
     load_csv,
     make_spec,
@@ -217,6 +222,72 @@ def test_failure_is_kept_as_data():
     assert record.failure.iterations >= 1
     assert record.failure.best.shape == (10,)  # the multiplier, length 2d
     assert np.isfinite(record.failure.final_residual)
+
+
+# 2,500 tao-2 steps of vortex4, every one recorded: three diagnostic chunks
+LONG_RECORD = dict(method="tao", t_end=125.0, record_stride=1, record_state=True)
+
+
+def _per_row_drift(values) -> bytes:
+    values = np.array(values)
+    return (np.abs(values - values[0]) / max(abs(values[0]), 1e-300)).tobytes()
+
+
+@pytest.mark.parametrize("fail_at", [None, 1500])
+def test_recorded_columns_are_per_row_diagnostics_across_chunks(monkeypatch, fail_at):
+    spec = preset("vortex4", **LONG_RECORD)
+    assert spec.n_steps > 2 * harness.CHUNK_ROWS
+    step, kept = harness.tao_step, []
+
+    def keep_or_fail(*args, **kwargs):  # a run that fails inside the second chunk
+        if len(kept) + 1 == fail_at:
+            raise NonConvergence("stopped inside a chunk")
+        kept.append(step(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(harness, "tao_step", keep_or_fail)
+    record = run_experiment(spec)
+    system, z0, invariants = build_system(spec)
+    n = len(kept) + 1
+    assert n == (spec.n_steps + 1 if fail_at is None else fail_at)
+    assert record.complete == (fail_at is None)
+    assert (record.total_steps, record.itr_total, record.vf_total) == (n - 1, 0, 4 * (n - 1))
+    states = np.array([z0] + [join(*blocks(zeta)[::2]) for zeta in kept])
+    assert record.states.tobytes() == states.tobytes()
+    assert record.steps.tolist() == list(range(n))
+    assert record.defect.tolist() == [0.0] + [defect_norm(zeta) for zeta in kept]
+    assert record.itr.tolist() == [0] * n and record.vf.tolist() == [0] + [4] * (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert record.energy_err.tobytes() == _per_row_drift([system.energy_z(z) for z in states])
+        for name, inv in invariants:
+            assert record.drifts[name].tobytes() == _per_row_drift([inv.evaluate(z) for z in states])
+
+
+@pytest.mark.parametrize("row", [4, 2100])  # in a full chunk, and in the last partial one
+def test_a_colliding_recorded_row_ends_the_record_at_whole_rows(monkeypatch, tmp_path, row):
+    spec = preset("vortex4", **LONG_RECORD)
+    clean = run_experiment(spec)
+    target, energies = clean.states[row][:4], PointVortexSystem.energies
+
+    def collide_at_row(self, qs, ps):
+        if (qs == target).all(axis=-1).any():
+            raise VortexCollision("vortices closer than 1e-12 in planar coordinates")
+        return energies(self, qs, ps)
+
+    monkeypatch.setattr(PointVortexSystem, "energies", collide_at_row)
+    record = run_experiment(spec)
+    assert record.failure_kind == "collision" and record.failed_step == row
+    # the run's totals as of the colliding row's step
+    assert (record.total_steps, record.itr_total, record.vf_total) == (row - 1, 0, 4 * row)
+    columns = [record.steps, record.times, record.defect, record.energy_err, record.itr, record.vf,
+               record.states, *record.drifts.values()]
+    assert [len(column) for column in columns] == [row] * len(columns)
+    assert record.states.tobytes() == clean.states[:row].tobytes()
+    assert record.energy_err.tobytes() == clean.energy_err[:row].tobytes()
+    for name in record.invariant_names:
+        assert record.drifts[name].tobytes() == clean.drifts[name][:row].tobytes()
+    emit_csv(record, tmp_path / "run.csv")
+    assert load_csv(tmp_path / "run.csv")["step"].tolist() == list(range(row))
 
 
 def test_a_warm_started_projected_run_saves_gradients():

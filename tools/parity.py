@@ -11,18 +11,23 @@ one JSON object of named entries.  It covers every built-in preset under
 every method configuration: a 20-step run recording every step with its
 state, ``drift_series`` over those states with each of the preset's named
 invariants, the SHA-256 of that run's CSV and SVG files, ``final_state``,
-and ``benchmark``'s row without its timing.  It pins ``grad`` and
-``vector_field`` of each preset's system, and of the one-site lattice, at
-20 seeded points each: normal draws at three scales, signed zeros, and
-draws mixing in infinities, nan, subnormals and ``1e150``; a point a kernel
-refuses records its error.  It also covers 23 runs that
+and ``benchmark``'s row without its timing.  It pins ``grad``,
+``vector_field``, ``energy_z`` and each named invariant of each preset's
+system, and of the one-site lattice, at 20 seeded points each: normal
+draws at three scales, signed zeros, and draws mixing in infinities, nan,
+subnormals and ``1e150``; a point a kernel refuses records its error.  The
+energy and the invariants are pinned per point and as a one-row stack
+(``energies`` and a stacked ``evaluate``); a tree without ``energies``
+gets a per-row stacked form with the recording rule, so its entries
+compare.  It also covers 23 runs that
 fail, 16 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
 ``tol=1e-16``, whose errors are compared as text and, for a
 ``NonConvergence``, by what they carry: ``iterations``, ``final_residual``
 and the SHA-256 of the ``best`` iterate's bytes; the SHA-256 of the CSV
 and SVG files of one full-horizon ``vortex4`` ``tao-2`` run (4,001 rows);
-and the bytes ``emit_benchmark_csv`` writes for a fixed row.  Floats are
-stored with ``float.hex``, so equal entries are equal bit for bit.
+and the bytes ``emit_benchmark_csv`` writes for a fixed row: 3,331
+entries.  Floats are stored with ``float.hex``, so equal entries are equal
+bit for bit.
 
 ``compare`` prints every entry that differs or is missing from one side
 and exits 1 if there is any, 0 otherwise.
@@ -156,6 +161,33 @@ def _record_entries(xp, key: str, record, out: dict, tmp_dir: Path) -> None:
         out[f"{key}/{kind}_sha256"] = _sha256(path)
 
 
+def _limited(fn, z):
+    """``fn(z)``, or inf (nan) where it leaves the range (domain) of ``math``'s
+    functions: the rule a recorded diagnostic follows."""
+    try:
+        return fn(z)
+    except ArithmeticError:
+        return np.inf
+    except ValueError:
+        return np.nan
+
+
+def _diagnostics(xp, system, invariants) -> list:
+    """``(entry, per point, on a stack)`` evaluators of the energy and each
+    named invariant.  A tree without stacked diagnostics gets a per-row
+    stacked form that follows their rule, so that its entries compare."""
+    if hasattr(system, "energies"):
+        energies = [("energy_z", system.energy_z,
+                     lambda zs: system.energies(*xp.stack_halves(zs, system.dim)))]
+        return energies + [(name, inv.evaluate, inv.evaluate) for name, inv in invariants]
+
+    def per_row(fn):
+        return lambda zs: np.array([_limited(fn, z) for z in zs])
+
+    energies = [("energy_z", system.energy_z, per_row(system.energy_z))]
+    return energies + [(name, inv.evaluate, per_row(inv.evaluate)) for name, inv in invariants]
+
+
 def _guarded(out: dict, key: str, fn) -> None:
     """Run ``fn``; an error it raises is itself the entry."""
     try:
@@ -214,9 +246,13 @@ def dump(src_dir: str, out_path: str) -> int:
             xp.harness.emit_benchmark_csv([BENCHMARK_ROW], tmp_dir / "bench.csv")
             out[key] = (tmp_dir / "bench.csv").read_text(encoding="utf-8")
 
-        systems = {name: xp.build_system(xp.preset(name))[0] for name in sorted(xp.PRESETS)}
-        systems["nls_d1"] = xp.make_nls(1)
-        for seed, (name, system) in enumerate(systems.items()):
+        kernels = {}
+        for name in sorted(xp.PRESETS):
+            system, _, invariants = xp.build_system(xp.preset(name))
+            kernels[name] = system, invariants
+        kernels["nls_d1"] = xp.make_nls(1), [("mass", xp.nls_mass(1))]
+        for seed, (name, (system, invariants)) in enumerate(kernels.items()):
+            diagnostics = _diagnostics(xp, system, invariants)
             for i, z in enumerate(kernel_points(2 * system.dim, seed)):
                 key = f"kernel/{name}/{i}"
 
@@ -227,6 +263,14 @@ def dump(src_dir: str, out_path: str) -> int:
                         out[f"{key}/vector_field"] = _values(system.vector_field(z))
 
                 _guarded(out, key, evaluate)
+                for entry, one, stacked in diagnostics:
+                    for label, fn, arg in ((entry, one, z), (f"{entry}/stack", stacked, z[None])):
+
+                        def diagnose(fn=fn, arg=arg, label=f"{key}/{label}"):
+                            with np.errstate(all="ignore"):
+                                out[label] = _values(fn(arg))
+
+                        _guarded(out, f"{key}/{label}", diagnose)
 
         _guarded(out, "full/vortex4/method=tao,order=2", run_full_horizon)
         _guarded(out, "emit_benchmark_csv", write_benchmark_csv)
