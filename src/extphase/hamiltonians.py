@@ -2,13 +2,16 @@
 
 Each system exposes ``energy(q, p)``, the joint gradient pair
 ``grad(q, p) -> (D1H, D2H)`` and their stacked forms ``energies(qs, ps)``
-and ``grads(qs, ps)`` on ``(B, d)`` stacks of points.  The gradient at one
+and ``grads(qs, ps)`` on ``(B, d)`` stacks of points, and the canonical
+field ``vector_fields(zs)`` on a ``(B, 2d)`` stack.  The gradient at one
 point is the unit in which all integrator costs are accounted (one
 "vector-field evaluation"): a ``grad`` call costs one, and a stacked call on
-``B`` points costs ``B``.  Energy evaluations, one point or a stack, are
-diagnostics and are never counted; the base-class ``energies`` calls
-``energy`` once per row, and the lattice and vortex kernels take a stack in
-one call.
+``B`` points costs ``B``, as ``CountingSystem`` charges them.  Energy
+evaluations, one point or a stack, are diagnostics and are never counted;
+the base-class ``energies`` calls ``energy`` once per row, and the lattice
+and vortex kernels take a stack in one call.  The vortex kernel reads
+canonical rows ``(..., 2, N)`` = ``(q, p)``, the layout a flat point or a
+stack already has, and takes the field from them directly.
 """
 
 from __future__ import annotations
@@ -97,17 +100,14 @@ class HamiltonianSystem(ABC):
         return self.energy(*halves(z, self.dim))
 
     def vector_field(self, z: np.ndarray) -> np.ndarray:
-        """Canonical right-hand side ``(D2H, -D1H)`` at ``z = (q, p)``."""
-        gq, gp = self.grad(*halves(z, self.dim))
-        out = np.empty(z.shape)
-        dq, dp = halves(out, self.dim)
-        dq[...] = gp
-        np.negative(gq, out=dp)
-        return out
+        """Canonical right-hand side ``(D2H, -D1H)`` at ``z = (q, p)``: the
+        one-row case of :meth:`vector_fields`, so the two agree bit for bit."""
+        return self.vector_fields(z[None])[0]
 
     def vector_fields(self, zs: np.ndarray) -> np.ndarray:
-        """:meth:`vector_field` at each row of a ``(B, 2d)`` stack, from one
-        :meth:`grads` call; ``B`` vector-field evaluations."""
+        """Canonical right-hand sides at each row of a ``(B, 2d)`` stack,
+        by default from one :meth:`grads` call; ``B`` vector-field
+        evaluations."""
         gq, gp = self.grads(*stack_halves(zs, self.dim))
         out = np.empty(zs.shape)
         dq, dp = stack_halves(out, self.dim)
@@ -124,7 +124,8 @@ class CountingSystem(HamiltonianSystem):
 
     Wrappers chain: stacking a second counter on an already-counting system
     charges both, so a caller can meter one part of a run while the run
-    keeps its global tally.
+    keeps its global tally.  A stacked call is forwarded whole, so it
+    reaches the base system's own stacked kernel.
     """
 
     def __init__(self, base: HamiltonianSystem, counter: EvalCounter):
@@ -145,6 +146,10 @@ class CountingSystem(HamiltonianSystem):
     def grads(self, qs, ps):
         self.counter.tick(len(qs))
         return self.base.grads(qs, ps)
+
+    def vector_fields(self, zs):
+        self.counter.tick(len(zs))
+        return self.base.vector_fields(zs)
 
 
 class TestcaseSystem(HamiltonianSystem):
@@ -257,7 +262,7 @@ class VortexConfig:
         object.__setattr__(self, "circulations", gammas)
         if self.initial_positions is not None:
             pos = _planar_positions(self.initial_positions, gammas.size)
-            _pair_geometry(pos[:, 0], pos[:, 1])  # the collision check
+            _pair_geometry(pos.T)  # the collision check
             object.__setattr__(self, "initial_positions", pos)
 
     @property
@@ -283,22 +288,28 @@ def _canonical_scaling(circulations) -> tuple[np.ndarray, np.ndarray]:
     return s, s * np.sign(circulations)
 
 
-def _pair_geometry(x, y):
-    """Pair differences and squared distances (inf diagonal) of the planar
-    positions along the last axis, for one configuration or a stack of them;
-    the one collision check, applied to each configuration."""
-    n = x.shape[-1]
-    dx = x[..., None] - x[..., None, :]
-    dy = y[..., None] - y[..., None, :]
-    r2 = dx * dx + dy * dy
+def _canonical_rows(qs, ps):
+    """The canonical rows ``(..., 2, N)`` of the halves ``qs`` and ``ps``."""
+    return np.concatenate((qs, ps), axis=-1).reshape(qs.shape[:-1] + (2, -1))
+
+
+def _pair_geometry(rows):
+    """Pair differences ``(..., 2, N, N)`` and squared distances
+    ``(..., N, N)`` (inf diagonal) of planar rows ``(..., 2, N)`` = ``(X, Y)``,
+    for one configuration or a stack of them; the one collision check,
+    applied to every pair of every configuration."""
+    n = rows.shape[-1]
+    diffs = rows[..., None] - rows[..., None, :]
+    squares = diffs * diffs
+    r2 = squares[..., 0, :, :] + squares[..., 1, :, :]
     pairs = r2.reshape(-1, n * n)  # one row per configuration
     pairs[:, :: n + 1] = np.inf
     worst = pairs.min()
-    if worst != worst:  # a nan in one configuration must not hide a collision in another
-        worst = np.fmin.reduce(pairs.min(axis=1))
+    if worst != worst:  # a nan coordinate must not hide a coincident pair, here or elsewhere
+        worst = np.fmin.reduce(pairs.ravel())
     if worst < COLLISION_GUARD**2:
         raise VortexCollision(f"vortices closer than {COLLISION_GUARD:g} in planar coordinates")
-    return dx, dy, r2
+    return diffs, r2
 
 
 class PointVortexSystem(HamiltonianSystem):
@@ -310,9 +321,11 @@ class PointVortexSystem(HamiltonianSystem):
     Hamilton equations for
     ``H = -(1/4 pi) sum_{i<j} G_i G_j log |X_i - X_j|^2``.
 
-    :meth:`grad` and :meth:`energies` broadcast over a leading axis, so
-    :meth:`grads` is one call of :meth:`grad` on the ``(B, N)`` stacks and
-    :meth:`energy` is the one-point case of :meth:`energies`.
+    One kernel reads canonical rows ``(..., 2, N)`` = ``(q, p)``, a
+    ``(B, 2N)`` stack reshaped without a copy, and works on both planes at
+    once.  :meth:`grad` and :meth:`grads` join their halves into rows;
+    :meth:`vector_fields` divides the swapped planar gradient into the
+    field, and :meth:`energy` is the one-point case of :meth:`energies`.
     """
 
     def __init__(self, config: VortexConfig):
@@ -320,34 +333,46 @@ class PointVortexSystem(HamiltonianSystem):
         self.dim = config.n
         g = config.circulations
         self._gamma = g
-        self._sqrt, self._signed_sqrt = _canonical_scaling(g)
+        sqrt, signed_sqrt = _canonical_scaling(g)
+        self._scales = np.stack((sqrt, signed_sqrt))  # canonical rows over these are planar
+        # the field (D2H, -D1H) is the swapped planar gradient over these
+        self._field_scales = np.stack((signed_sqrt, -sqrt))
         self._grad_weights = -1.0 / (2.0 * math.pi) * g
         self._pair_weights = np.triu(np.outer(g, g), 1)  # G_i G_j for i < j
 
-    def _planar(self, q, p):
-        return q / self._sqrt, p / self._signed_sqrt
+    def _planar_gradient(self, rows):
+        """``(dH/dX, dH/dY)`` as rows ``(..., 2, N)`` at canonical rows."""
+        diffs, r2 = _pair_geometry(rows / self._scales)  # fresh arrays, free to overwrite
+        diffs *= (1.0 / r2)[..., None, :, :]  # diagonal is 1/inf = 0
+        # dH/dX_i = -(G_i / 2 pi) sum_j G_j dx_ij / r_ij^2, and likewise in Y; the
+        # stacked matmul keeps each plane's gemv bits, where a flattened one would not
+        planar = diffs @ self._gamma
+        planar *= self._grad_weights
+        return planar
 
     def energy(self, q, p) -> float:
         return float(self.energies(q, p))
 
     def energies(self, qs, ps):
-        _, _, r2 = _pair_geometry(*self._planar(qs, ps))  # a fresh array, free to overwrite
+        _, r2 = _pair_geometry(_canonical_rows(qs, ps) / self._scales)  # r2 is fresh
         n = self.dim
         r2.reshape(-1, n * n)[:, :: n + 1] = 1.0  # log(1) = 0 under the zero-diagonal weights
         return -(self._pair_weights * np.log(r2)).sum(axis=(-2, -1)) / (4.0 * math.pi)
 
     def grad(self, q, p):
-        dx, dy, r2 = _pair_geometry(*self._planar(q, p))
-        g = self._gamma
-        inv = 1.0 / r2  # diagonal is 1/inf = 0
-        # planar gradient of H: dH/dX_i = -(G_i / 2 pi) sum_j G_j dx_ij / r_ij^2
-        gx = self._grad_weights * ((inv * dx) @ g)
-        gy = self._grad_weights * ((inv * dy) @ g)
-        # chain rule through the canonical scaling
-        return gx / self._sqrt, gy / self._signed_sqrt
+        rows = self._planar_gradient(_canonical_rows(q, p))
+        rows /= self._scales  # chain rule through the canonical scaling
+        return rows[0], rows[1]
 
     def grads(self, qs, ps):
-        return self.grad(qs, ps)
+        rows = self._planar_gradient(_canonical_rows(qs, ps))
+        rows /= self._scales
+        return rows[:, 0], rows[:, 1]
+
+    def vector_fields(self, zs):
+        stack_halves(zs, self.dim)  # the layout check
+        rows = self._planar_gradient(zs.reshape(len(zs), 2, self.dim))
+        return (rows[:, ::-1] / self._field_scales).reshape(zs.shape)
 
 
 def make_testcase() -> TestcaseSystem:

@@ -326,6 +326,14 @@ def test_vortex_kernels_are_the_seed_formulas_bit_for_bit(gammas, data):
     energy = np.float64(system.energy(q, p))
     assert energy.tobytes() == np.float64(_seed_vortex_energy(gammas, q, p)).tobytes()
     assert system.vector_field(z).tobytes() == np.concatenate((sp, -sq)).tobytes()
+    # the stacked field, which the per-point one shares, on the point and two more draws
+    more = data.draw(arrays(np.float64, (2, n, 2), elements=st.floats(-10.0, 10.0)))
+    gaps = more[:, :, None, :] - more[:, None, :, :]
+    assume(np.all((gaps**2).sum(axis=-1)[:, ~np.eye(n, dtype=bool)] > 1e-6))
+    zs = np.array([z] + [canonical_from_planar(config, positions) for positions in more])
+    seed_fields = [np.concatenate((sp, -sq))
+                   for sq, sp in (_seed_vortex_grad(gammas, row[:n], row[n:]) for row in zs)]
+    assert system.vector_fields(zs).tobytes() == np.array(seed_fields).tobytes()
 
 
 
@@ -445,6 +453,13 @@ def test_a_nan_member_does_not_hide_a_colliding_one():
             system.vector_fields(np.array(stack))
     with np.errstate(invalid="ignore"):  # a nan member alone is no collision
         assert np.isnan(system.vector_fields(np.array((reference, blown_up)))[1]).all()
+    # nor may a nan coordinate hide a coincident pair in its own configuration
+    hidden = canonical_from_planar(VORTEX4, ((np.nan, 0.0), (1.0, 1.0), (1.0, 1.0), (2.0, 0.5)))
+    for evaluate in (system.energy, system.grad):
+        with pytest.raises(VortexCollision, match="vortices closer than"):
+            evaluate(*stack_halves(hidden[None], 4))
+    with pytest.raises(VortexCollision, match="vortices closer than"):
+        system.vector_fields(np.array((reference, hidden)))
 
 
 @pytest.mark.parametrize("name", sorted(STACKED_SYSTEMS))
@@ -458,15 +473,18 @@ def test_a_grad_only_system_sees_one_grad_per_point(name):
     assert wrapped.calls == 5
 
 
-def test_stacked_counters_charge_every_point_to_each_counter():
+@pytest.mark.parametrize("name", ["nls5", "vortex4"])
+def test_stacked_counters_charge_every_point_to_each_counter(name):
     outer, inner = EvalCounter(), EvalCounter()
-    timed = GradOnly(make_nls(5))
+    timed = GradOnly(STACKED_SYSTEMS[name])
+    stacks, fields = [], timed.vector_fields  # the stacks that reach the wrapped system whole
+    timed.vector_fields = lambda zs: stacks.append(len(zs)) or fields(zs)
     system = CountingSystem(timed, outer).with_counter(inner)
-    zs = seeded_rng(207).normal(size=(4, 10))
+    zs = seeded_rng(207).normal(size=(4, 2 * timed.dim))
     system.vector_fields(zs)
-    assert outer.n_grad == inner.n_grad == timed.calls == 4
+    assert outer.n_grad == inner.n_grad == timed.calls == 4 and stacks == [4]
     system.vector_field(zs[0])
-    assert outer.n_grad == inner.n_grad == timed.calls == 5
+    assert outer.n_grad == inner.n_grad == timed.calls == 5 and stacks == [4, 1]
 
 
 def _limited(fn, *args):
@@ -503,16 +521,13 @@ def test_stacked_diagnostics_are_per_point_diagnostics_bit_for_bit(seed, name):
     states = run_experiment(preset(name, method="tao", t_end=40 * dt, record_stride=1,
                                    record_state=True)).states
     lifts = [inv.lift() for _, inv in invariants]
-    # The trajectories run under the harness's error state, where any other
-    # numerical warning is an error.  A kernel point may hide a coincident
-    # vortex pair behind a nan coordinate, whose log(0) warns; the parity
-    # tool evaluates those points with every warning off, and so does this.
-    for zs, doubled, errors in (
-        (np.array(kernel_points(2 * d, seed)), np.array(kernel_points(4 * d, seed)),
-         {"all": "ignore"}),
-        (states, _doubled(states, d), {"over": "ignore", "invalid": "ignore"}),
+    # Both kinds of point run under the harness's error state, where any
+    # other numerical warning is an error.
+    for zs, doubled in (
+        (np.array(kernel_points(2 * d, seed)), np.array(kernel_points(4 * d, seed))),
+        (states, _doubled(states, d)),
     ):
-        with np.errstate(**errors):
+        with np.errstate(over="ignore", invalid="ignore"):
             energies = [_limited(system.energy_z, z) for z in zs]
             whole = [i for i, e in enumerate(energies) if e is not None]  # no collision
             qs, ps = stack_halves(zs[whole], d)

@@ -15,7 +15,10 @@ and ``benchmark``'s row without its timing.  It pins ``grad``,
 ``vector_field``, ``energy_z`` and each named invariant of each preset's
 system, and of the one-site lattice, at 20 seeded points each: normal
 draws at three scales, signed zeros, and draws mixing in infinities, nan,
-subnormals and ``1e150``; a point a kernel refuses records its error.  The
+subnormals and ``1e150``; a point a kernel refuses records its error.
+``grads`` and ``vector_fields`` are pinned on one stack of each system's
+six finite points, the normal draws, so a stacked kernel is judged on more
+than one row.  The
 energy and the invariants are pinned per point and as a one-row stack
 (``energies`` and a stacked ``evaluate``); a tree without ``energies``
 gets a per-row stacked form with the recording rule, so its entries
@@ -25,7 +28,7 @@ fail, 16 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
 ``NonConvergence``, by what they carry: ``iterations``, ``final_residual``
 and the SHA-256 of the ``best`` iterate's bytes; the SHA-256 of the CSV
 and SVG files of one full-horizon ``vortex4`` ``tao-2`` run (4,001 rows);
-and the bytes ``emit_benchmark_csv`` writes for a fixed row: 3,331
+and the bytes ``emit_benchmark_csv`` writes for a fixed row: 3,340
 entries.  Floats are stored with ``float.hex``, so equal entries are equal
 bit for bit.
 
@@ -253,7 +256,15 @@ def dump(src_dir: str, out_path: str) -> int:
         kernels["nls_d1"] = xp.make_nls(1), [("mass", xp.nls_mass(1))]
         for seed, (name, (system, invariants)) in enumerate(kernels.items()):
             diagnostics = _diagnostics(xp, system, invariants)
-            for i, z in enumerate(kernel_points(2 * system.dim, seed)):
+            points = kernel_points(2 * system.dim, seed)
+
+            def evaluate_stack(system=system, zs=np.array(points[:6]), key=f"kernel/{name}/stack"):
+                with np.errstate(all="ignore"):
+                    out[f"{key}/grads"] = _values(np.hstack(system.grads(*xp.stack_halves(zs))))
+                    out[f"{key}/vector_fields"] = _values(system.vector_fields(zs))
+
+            _guarded(out, f"kernel/{name}/stack", evaluate_stack)
+            for i, z in enumerate(points):
                 key = f"kernel/{name}/{i}"
 
                 def evaluate(system=system, z=z, key=key):
