@@ -74,8 +74,10 @@ def test_testcase_gradient_vs_finite_differences():
 
 
 def test_nls_single_site():
-    with pytest.raises(DimensionMismatch):
-        make_nls(0)
+    # a lattice has a whole number of sites, at least one; a bool is no count
+    for d in (0, -1, 2.5, 1.0, True, False):
+        with pytest.raises(DimensionMismatch):
+            make_nls(d)
     sys_ = make_nls(1)
     q, p = np.array([1.0]), np.array([1.0])
     assert sys_.energy(q, p) == pytest.approx(1.0, rel=1e-15)
@@ -362,7 +364,7 @@ LATTICE_EDGES = st.sampled_from(
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    st.integers(1, 6).flatmap(
+    st.integers(1, 24).flatmap(
         lambda d: arrays(np.float64, 2 * d, elements=LATTICE_EDGES | st.floats(-10.0, 10.0))
     )
 )
@@ -378,6 +380,13 @@ def test_lattice_kernel_is_the_seed_formula_bit_for_bit(z):
     assert gq.tobytes() == sq.tobytes() and gp.tobytes() == sp.tobytes()
     assert field.tobytes() == np.concatenate((sp, negated)).tobytes()
     assert z.tobytes() == before
+
+
+@pytest.mark.parametrize("sizes", [(5, 4), (4, 5)])
+def test_lattice_gradient_refuses_mismatched_halves(sizes):
+    system = make_nls(min(sizes))
+    with pytest.raises(ValueError):
+        system.grad(np.ones(sizes[0]), np.ones(sizes[1]))
 
 
 # every built-in system, the lattice with and without its coupling sum

@@ -13,9 +13,9 @@ state, ``drift_series`` over those states with each of the preset's named
 invariants, the SHA-256 of that run's CSV and SVG files, ``final_state``,
 and ``benchmark``'s row without its timing.  It pins ``grad``,
 ``vector_field``, ``energy_z`` and each named invariant of each preset's
-system, and of the one-site lattice, at 20 seeded points each: normal
-draws at three scales, signed zeros, and draws mixing in infinities, nan,
-subnormals and ``1e150``; a point a kernel refuses records its error.
+system, and of the one- and two-site lattices, at 20 seeded points each:
+normal draws at three scales, signed zeros, and draws mixing in infinities,
+nan, subnormals and ``1e150``; a point a kernel refuses records its error.
 ``grads`` and ``vector_fields`` are pinned on one stack of each system's
 six finite points, the normal draws, so a stacked kernel is judged on more
 than one row.  The
@@ -28,7 +28,7 @@ fail, 16 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
 ``NonConvergence``, by what they carry: ``iterations``, ``final_residual``
 and the SHA-256 of the ``best`` iterate's bytes; the SHA-256 of the CSV
 and SVG files of one full-horizon ``vortex4`` ``tao-2`` run (4,001 rows);
-and the bytes ``emit_benchmark_csv`` writes for a fixed row: 3,340
+and the bytes ``emit_benchmark_csv`` writes for a fixed row: 3,482
 entries.  Floats are stored with ``float.hex``, so equal entries are equal
 bit for bit.
 
@@ -253,7 +253,10 @@ def dump(src_dir: str, out_path: str) -> int:
         for name in sorted(xp.PRESETS):
             system, _, invariants = xp.build_system(xp.preset(name))
             kernels[name] = system, invariants
-        kernels["nls_d1"] = xp.make_nls(1), [("mass", xp.nls_mass(1))]
+        # the lattice without its coupling sum, and the smallest one where
+        # each neighbour loop runs exactly once
+        for d in (1, 2):
+            kernels[f"nls_d{d}"] = xp.make_nls(d), [("mass", xp.nls_mass(d))]
         for seed, (name, (system, invariants)) in enumerate(kernels.items()):
             diagnostics = _diagnostics(xp, system, invariants)
             points = kernel_points(2 * system.dim, seed)
