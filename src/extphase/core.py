@@ -5,8 +5,9 @@ of length ``2*d``.  A point of the doubled (extended) phase space is a flat
 array ``zeta = (q, x, p, y)`` of length ``4*d``: ``(q, p)`` and ``(x, y)``
 are two copies of the original variables.  This module alone stores that
 layout.  Every other module reads a point through :func:`halves` (the
-positions and momenta, in either space) or :func:`blocks` (the four rows of
-a doubled point) and builds one with :func:`join`; a ``(B, 2*d)`` stack of
+positions and momenta, in either space), :func:`blocks` (the four rows of
+a doubled point) or :func:`row_pairs` (two ``(2, d)`` pairs of those rows)
+and builds one with :func:`join`; a ``(B, 2*d)`` stack of
 ``B`` points, one per row, is read through :func:`stack_halves`.  These
 hold the one check of the layout's shape.  The diagonal subspace
 ``x == q, y == p`` is the kernel of the constraint operator implemented by
@@ -30,9 +31,6 @@ __all__ = [
     "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join", "restrict", "shift",
     "stack_halves",
 ]
-
-# The sign of each copy's share of a multiplier: A^T mu is (mu1, -mu1, mu2, -mu2).
-_COPY_SIGNS = np.array(((1.0,), (-1.0,)))
 
 
 def _block_length(point: np.ndarray, parts: int, d: int | None) -> int:
@@ -82,6 +80,20 @@ def blocks(zeta: np.ndarray, d: int | None = None) -> np.ndarray:
     return zeta.reshape(4, -1)
 
 
+# Slices of the rows (q, x, p, y) that pick two canonical rows (positions,
+# momenta): the copies (q, p) and (x, y), or the flows' points (q, y) and (x, p).
+COPIES = (slice(0, None, 2), slice(1, None, 2))
+FLOWS = (slice(0, None, 3), slice(1, 3))
+
+
+def row_pairs(zeta: np.ndarray, pairs: tuple, d: int | None = None) -> tuple:
+    """The two ``(2, d)`` canonical row views of a doubled point that
+    ``pairs`` (:data:`COPIES` or :data:`FLOWS`) picks, read through
+    :func:`blocks`; writing to them writes the point."""
+    rows = blocks(zeta, d)
+    return rows[pairs[0]], rows[pairs[1]]
+
+
 def join(*parts: np.ndarray) -> np.ndarray:
     """A fresh flat point from its blocks in layout order: ``(q, p)`` or
     ``(q, x, p, y)``; the inverse of :func:`halves` and :func:`blocks`.
@@ -102,26 +114,30 @@ def embed(z: np.ndarray) -> np.ndarray:
     return join(q, q, p, p)
 
 
-def restrict(zeta: np.ndarray, tol: float, gap: np.ndarray | None = None) -> np.ndarray:
-    """Return the ``(q, p)`` block of a point lying on the diagonal.
+def restrict(zeta: np.ndarray, tol: float) -> np.ndarray:
+    """The ``(q, p)`` block of a point on the diagonal; see :func:`restrict_copies`."""
+    return restrict_copies(*row_pairs(np.asarray(zeta, dtype=float), COPIES), tol)[0]
+
+
+def restrict_copies(first: np.ndarray, second: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """The fresh point ``(q, p)`` of a doubled point given by its copies
+    ``first = (q, p)`` and ``second = (x, y)``, and its :func:`defect_norm`.
 
     Raises :class:`NotOnDiagonal` if ``|A zeta|_inf`` exceeds
     ``tol * max(1, |zeta|_inf)``; a failure here signals that an upstream
-    projection did not actually land on the diagonal.  ``gap`` is
-    ``apply_A(zeta)`` when the caller holds it already.
+    projection did not actually land on the diagonal.
     """
-    zeta = np.asarray(zeta, dtype=float)
-    rows = blocks(zeta)
-    worst = np.abs(apply_A(zeta) if gap is None else gap).max()
-    if worst > tol * max(1.0, np.abs(zeta).max()):
+    gap = (first - second).reshape(-1)
+    worst = np.abs(gap).max()
+    if worst > tol * max(1.0, np.abs(first).max(), np.abs(second).max()):
         raise NotOnDiagonal(f"diagonal defect {worst:.3e} exceeds tolerance {tol:.3e}")
-    return join(rows[0], rows[2])
+    return first.flatten(), math.sqrt(gap.dot(gap))
 
 
-def apply_A(zeta: np.ndarray) -> np.ndarray:
-    """Constraint operator: ``(q - x, p - y)``, zero exactly on the diagonal."""
-    rows = blocks(zeta)
-    return (rows[0::2] - rows[1::2]).reshape(-1)
+def apply_A(zeta: np.ndarray, d: int | None = None) -> np.ndarray:
+    """``A zeta = (q - x, p - y)``, zero exactly on the diagonal; ``d`` as in :func:`blocks`."""
+    first, second = row_pairs(zeta, COPIES, d)
+    return (first - second).reshape(-1)
 
 
 def apply_AT(mu: np.ndarray) -> np.ndarray:
@@ -138,24 +154,24 @@ def shift(zeta: np.ndarray, mu: np.ndarray, out: np.ndarray | None = None) -> np
     written into ``out`` (a flat float array of ``zeta``'s length) or into a
     fresh array, and returned.
 
-    The rows ``(mu1, -mu1, mu2, -mu2)`` come from one broadcast product, so
-    the sums are those of ``zeta + apply_AT(mu)`` bit for bit.  Only the
-    sign of a nan taken from ``mu`` may differ, and a solve ends on such a
-    point, whose residual is not finite.
+    The copies take one add and one subtract of the ``(2, d)`` rows of
+    ``mu``, so the sums are those of ``zeta + apply_AT(mu)`` bit for bit.
+    Only the sign of a nan taken from ``mu`` may differ, and a solve ends on
+    such a point, whose residual is not finite.
     """
     d = _block_length(zeta, 4, None)
     mu = np.asarray(mu, dtype=float)
     _block_length(mu, 2, d)
-    if out is not None:
-        _block_length(out, 4, d)
-    signed = mu.reshape(2, 1, d) * _COPY_SIGNS
-    return np.add(zeta, signed.reshape(-1), out=out)
+    out = np.empty(4 * d) if out is None else out
+    (first, second), m = row_pairs(out, COPIES, d), mu.reshape(2, d)
+    start = row_pairs(zeta, COPIES, d)
+    np.add(start[0], m, out=first)
+    np.subtract(start[1], m, out=second)
+    return out
 
 
-def defect_norm(zeta: np.ndarray, gap: np.ndarray | None = None) -> float:
+def defect_norm(zeta: np.ndarray) -> float:
     """Euclidean norm of the copy mismatch ``(x - q, y - p)``: the square root
-    of its dot product with itself, as ``np.linalg.norm`` takes it.  ``gap``
-    is ``apply_A(zeta)`` when the caller holds it already."""
-    if gap is None:
-        gap = apply_A(zeta)
+    of its dot product with itself, as ``np.linalg.norm`` takes it."""
+    gap = apply_A(zeta)
     return math.sqrt(gap.dot(gap))

@@ -1,19 +1,19 @@
 """Built-in Hamiltonian systems with analytic gradients and eval counting.
 
-Each system exposes ``energy(q, p)``, the joint gradient pair
-``grad(q, p) -> (D1H, D2H)`` and their stacked forms ``energies(qs, ps)``
-and ``grads(qs, ps)`` on ``(B, d)`` stacks of points, and the canonical
-field ``vector_fields(zs)`` on a ``(B, 2d)`` stack.  The gradient at one
+Each system has one field kernel, ``fields(rows)``, which maps canonical
+rows ``(..., 2, d)`` = ``(q, p)`` to the field ``(D2H, -D1H)`` in the same
+shape; a flat point or a ``(B, 2d)`` stack reshapes to rows without a copy.
+The joint gradient ``grad(q, p) -> (D1H, D2H)``, its stacked form
+``grads(qs, ps)`` and the canonical fields ``vector_field(z)`` and
+``vector_fields(zs)`` are reshapes of it, bit for bit.  The field at one
 point is the unit in which all integrator costs are accounted (one
-"vector-field evaluation"): a ``grad`` call costs one, and a stacked call on
-``B`` points costs ``B``, as ``CountingSystem`` charges them.  Energy
-evaluations, one point or a stack, are diagnostics and are never counted;
-the base-class ``energies`` calls ``energy`` once per row, and the lattice
-and vortex kernels take a stack in one call.  The vortex kernel reads
-canonical rows ``(..., 2, N)`` = ``(q, p)``, the layout a flat point or a
-stack already has, and takes the field from them directly.  The lattice
-gradient loops over sites on Python floats, which at a few sites costs less
-than NumPy's per-call dispatch, and a stack takes it once per row.
+"vector-field evaluation"), as ``CountingSystem`` charges it: one per row.
+A system that defines only ``grad`` inherits a ``fields`` that calls it once
+per row.  The vortex kernel works on both planes of a stack at once; the
+lattice kernel loops over sites on Python floats, which at a few sites costs
+less than NumPy's per-call dispatch, once per row.  Energy evaluations,
+``energy(q, p)`` and ``energies(qs, ps)`` on ``(B, d)`` stacks, are
+diagnostics and are never counted.
 """
 
 from __future__ import annotations
@@ -72,17 +72,27 @@ class HamiltonianSystem(ABC):
     def grad(self, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Joint gradient ``(D1H, D2H)``; one vector-field evaluation."""
 
+    def fields(self, rows: np.ndarray) -> np.ndarray:
+        """Canonical fields ``(D2H, -D1H)`` at canonical rows ``(..., 2, d)``
+        = ``(q, p)``, fresh and in the same shape; one vector-field
+        evaluation per row.
+
+        This default calls :meth:`grad` once per row; a system with its own
+        kernel overrides it, and its ``grad`` is then the one-row case.
+        """
+        out = np.empty(rows.shape)
+        shape = (-1, 2, rows.shape[-1])
+        for row, into in zip(rows.reshape(shape), out.reshape(shape)):
+            gq, into[0] = self.grad(row[0], row[1])
+            np.negative(gq, out=into[1])
+        return out
+
     def grads(self, qs: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Joint gradients at each row of the ``(B, d)`` stacks ``qs`` and
-        ``ps``, as ``(B, d)`` stacks; ``B`` vector-field evaluations.
-
-        This default calls :meth:`grad` once per row; a system whose kernel
-        broadcasts over a leading axis overrides it with one call.
-        """
-        gqs, gps = np.empty(qs.shape), np.empty(ps.shape)
-        for i, (q, p) in enumerate(zip(qs, ps)):
-            gqs[i], gps[i] = self.grad(q, p)
-        return gqs, gps
+        ``ps``, as ``(B, d)`` stacks, from one :meth:`fields` call; ``B``
+        vector-field evaluations."""
+        rows = self.fields(np.stack((qs, ps), axis=-2))
+        return -rows[..., 1, :], rows[..., 0, :]
 
     def energies(self, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
         """Values of the Hamiltonian at each row of the ``(B, d)`` stacks
@@ -109,14 +119,10 @@ class HamiltonianSystem(ABC):
 
     def vector_fields(self, zs: np.ndarray) -> np.ndarray:
         """Canonical right-hand sides at each row of a ``(B, 2d)`` stack,
-        by default from one :meth:`grads` call; ``B`` vector-field
+        from one :meth:`fields` call on its rows; ``B`` vector-field
         evaluations."""
-        gq, gp = self.grads(*stack_halves(zs, self.dim))
-        out = np.empty(zs.shape)
-        dq, dp = stack_halves(out, self.dim)
-        dq[...] = gp
-        np.negative(gq, out=dp)
-        return out
+        stack_halves(zs, self.dim)  # the layout check
+        return self.fields(zs.reshape(len(zs), 2, self.dim)).reshape(zs.shape)
 
     def with_counter(self, counter: EvalCounter) -> "CountingSystem":
         return CountingSystem(self, counter)
@@ -127,8 +133,8 @@ class CountingSystem(HamiltonianSystem):
 
     Wrappers chain: stacking a second counter on an already-counting system
     charges both, so a caller can meter one part of a run while the run
-    keeps its global tally.  A stacked call is forwarded whole, so it
-    reaches the base system's own stacked kernel.
+    keeps its global tally.  Rows are forwarded whole, so a stack reaches
+    the base system's own kernel in one call.
     """
 
     def __init__(self, base: HamiltonianSystem, counter: EvalCounter):
@@ -146,13 +152,9 @@ class CountingSystem(HamiltonianSystem):
         self.counter.tick()
         return self.base.grad(q, p)
 
-    def grads(self, qs, ps):
-        self.counter.tick(len(qs))
-        return self.base.grads(qs, ps)
-
-    def vector_fields(self, zs):
-        self.counter.tick(len(zs))
-        return self.base.vector_fields(zs)
+    def fields(self, rows):
+        self.counter.tick(rows.size // (2 * self.dim))
+        return self.base.fields(rows)
 
 
 class TestcaseSystem(HamiltonianSystem):
@@ -200,7 +202,7 @@ class NlsLattice(HamiltonianSystem):
     rotation ``(q, p) -> (cq - sp, sq + cp)``, hence the total mass
     ``sum_i (q_i^2 + p_i^2)`` is conserved.
 
-    :meth:`grad` loops over sites on Python floats and rounds as the array
+    :meth:`fields` loops over sites on Python floats and rounds as the array
     formula does, right neighbours first; a stack takes it once per row.
     :meth:`energies` indexes sites along the last axis, so :meth:`energy` is
     its one-point case.
@@ -225,9 +227,16 @@ class NlsLattice(HamiltonianSystem):
         return e
 
     def grad(self, q, p):
-        q, p = q.tolist(), p.tolist()
+        rows = self.fields(np.stack((q, p)))  # the one-row case
+        return -rows[1], rows[0]
+
+    def fields(self, rows):
+        if rows.ndim > 2:  # a stack takes the site loop once per row
+            shape = (-1, 2, rows.shape[-1])
+            return np.array([self.fields(row) for row in rows.reshape(shape)]).reshape(rows.shape)
+        q, p = rows.tolist()
         gq, gp, s, w = [], [], [], []
-        for qi, pi in zip(q, p, strict=True):
+        for qi, pi in zip(q, p):
             qq, pp = qi * qi, pi * pi
             n2 = qq + pp
             gq.append(qi * n2)
@@ -241,7 +250,8 @@ class NlsLattice(HamiltonianSystem):
         for j in range(1, len(q)):  # site j coupled to the left neighbour
             gq[j] -= 2.0 * q[j] * s[j - 1] + 4.0 * p[j] * w[j - 1]
             gp[j] -= -2.0 * p[j] * s[j - 1] + 4.0 * q[j] * w[j - 1]
-        return np.array(gq), np.array(gp)
+        gp += [-g for g in gq]  # the field (D2H, -D1H), flat
+        return np.array(gp).reshape(rows.shape)
 
 
 @dataclass(frozen=True)
@@ -286,11 +296,6 @@ def _canonical_scaling(circulations) -> tuple[np.ndarray, np.ndarray]:
     return s, s * np.sign(circulations)
 
 
-def _canonical_rows(qs, ps):
-    """The canonical rows ``(..., 2, N)`` of the halves ``qs`` and ``ps``."""
-    return np.concatenate((qs, ps), axis=-1).reshape(qs.shape[:-1] + (2, -1))
-
-
 def _pair_geometry(rows):
     """Pair differences ``(..., 2, N, N)`` and squared distances
     ``(..., N, N)`` (inf diagonal) of planar rows ``(..., 2, N)`` = ``(X, Y)``,
@@ -319,11 +324,9 @@ class PointVortexSystem(HamiltonianSystem):
     Hamilton equations for
     ``H = -(1/4 pi) sum_{i<j} G_i G_j log |X_i - X_j|^2``.
 
-    One kernel reads canonical rows ``(..., 2, N)`` = ``(q, p)``, a
-    ``(B, 2N)`` stack reshaped without a copy, and works on both planes at
-    once.  :meth:`grad` and :meth:`grads` join their halves into rows;
-    :meth:`vector_fields` divides the swapped planar gradient into the
-    field, and :meth:`energy` is the one-point case of :meth:`energies`.
+    :meth:`fields` works on both planes of canonical rows at once and
+    divides the swapped planar gradient into the field; :meth:`energy` is
+    the one-point case of :meth:`energies`.
     """
 
     def __init__(self, config: VortexConfig):
@@ -338,39 +341,27 @@ class PointVortexSystem(HamiltonianSystem):
         self._grad_weights = -1.0 / (2.0 * math.pi) * g
         self._pair_weights = np.triu(np.outer(g, g), 1)  # G_i G_j for i < j
 
-    def _planar_gradient(self, rows):
-        """``(dH/dX, dH/dY)`` as rows ``(..., 2, N)`` at canonical rows."""
+    def energy(self, q, p) -> float:
+        return float(self.energies(q, p))
+
+    def energies(self, qs, ps):
+        _, r2 = _pair_geometry(np.stack((qs, ps), axis=-2) / self._scales)  # r2 is fresh
+        n = self.dim
+        r2.reshape(-1, n * n)[:, :: n + 1] = 1.0  # log(1) = 0 under the zero-diagonal weights
+        return -(self._pair_weights * np.log(r2)).sum(axis=(-2, -1)) / (4.0 * math.pi)
+
+    def grad(self, q, p):
+        rows = self.fields(np.stack((q, p)))  # the one-row case
+        return -rows[1], rows[0]
+
+    def fields(self, rows):
         diffs, r2 = _pair_geometry(rows / self._scales)  # fresh arrays, free to overwrite
         diffs *= (1.0 / r2)[..., None, :, :]  # diagonal is 1/inf = 0
         # dH/dX_i = -(G_i / 2 pi) sum_j G_j dx_ij / r_ij^2, and likewise in Y; the
         # stacked matmul keeps each plane's gemv bits, where a flattened one would not
         planar = diffs @ self._gamma
         planar *= self._grad_weights
-        return planar
-
-    def energy(self, q, p) -> float:
-        return float(self.energies(q, p))
-
-    def energies(self, qs, ps):
-        _, r2 = _pair_geometry(_canonical_rows(qs, ps) / self._scales)  # r2 is fresh
-        n = self.dim
-        r2.reshape(-1, n * n)[:, :: n + 1] = 1.0  # log(1) = 0 under the zero-diagonal weights
-        return -(self._pair_weights * np.log(r2)).sum(axis=(-2, -1)) / (4.0 * math.pi)
-
-    def grad(self, q, p):
-        rows = self._planar_gradient(_canonical_rows(q, p))
-        rows /= self._scales  # chain rule through the canonical scaling
-        return rows[0], rows[1]
-
-    def grads(self, qs, ps):
-        rows = self._planar_gradient(_canonical_rows(qs, ps))
-        rows /= self._scales
-        return rows[:, 0], rows[:, 1]
-
-    def vector_fields(self, zs):
-        stack_halves(zs, self.dim)  # the layout check
-        rows = self._planar_gradient(zs.reshape(len(zs), 2, self.dim))
-        return (rows[:, ::-1] / self._field_scales).reshape(zs.shape)
+        return planar[..., ::-1, :] / self._field_scales
 
 
 def make_testcase() -> TestcaseSystem:

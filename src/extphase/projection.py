@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_A, blocks, defect_norm, embed, halves, restrict, shift
+from .core import COPIES, apply_A, embed, halves, restrict_copies, row_pairs
 from .errors import ConfigError, NonConvergence
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
@@ -141,16 +141,22 @@ def solve_mu(
 
     Every pass writes its shifted point ``zeta_n + A^T mu`` into one buffer
     of the solve, so the inner step must not keep a reference to its input
-    across calls; it may return it.
+    across calls; it may return it.  An image of another length than
+    ``zeta_n`` raises :class:`DimensionMismatch`.
     """
-    d = blocks(zeta_n).shape[1]
+    first_n, second_n = row_pairs(zeta_n, COPIES)
+    d = first_n.shape[1]
     mu = np.zeros(2 * d) if mu0 is None else np.array(mu0, dtype=float)
     halves(mu, d)  # a warm start must be (mu1, mu2), one entry per constraint
     point = np.empty(4 * d)
+    first, second = row_pairs(point, COPIES)
 
     def evaluate(mu):
-        image = extended_step(system, dt, shift(zeta_n, mu, out=point))
-        r = apply_A(image)  # a fresh array on every pass: Broyden keeps the last one
+        m = mu.reshape(2, d)
+        np.add(first_n, m, out=first)  # zeta_n + A^T mu, into the solve's buffer
+        np.subtract(second_n, m, out=second)
+        image = extended_step(system, dt, point)
+        r = apply_A(image, d)  # a fresh array on every pass: Broyden keeps the last one
         r += 2.0 * mu
         return r, image
 
@@ -197,8 +203,7 @@ def semiexplicit_step(
     """
     zeta_n = embed(z_n)
     mu, image, stats = solve_mu(system, extended_step, dt, zeta_n, cfg, mu0=mu0)
-    zeta_next = shift(image, mu)
-    gap = apply_A(zeta_next)  # taken once, for the defect and the diagonal check
-    stats.defect_norm = defect_norm(zeta_next, gap)
-    z_next = restrict(zeta_next, tol=cfg.tol + SHIFT_ROUNDING, gap=gap)
+    first, second = row_pairs(image, COPIES)
+    m = mu.reshape(2, -1)  # the end point image + A^T mu, copy by copy
+    z_next, stats.defect_norm = restrict_copies(first + m, second - m, cfg.tol + SHIFT_ROUNDING)
     return z_next, stats

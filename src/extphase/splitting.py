@@ -1,9 +1,11 @@
 """Explicit integrators on the doubled phase space.
 
 The doubled system splits into two exactly solvable pieces: flow ``A``
-freezes the first copy ``(q, y)`` and pushes the second copy ``(x, p)``
-along the frozen copy's Hamiltonian vector field, and flow ``B`` does the
-mirror image.  Their Strang composition is a second-order, symmetric,
+freezes ``(q, y)`` and pushes ``(x, p)`` along the Hamiltonian vector field
+taken at ``(q, y)``, and flow ``B`` does the mirror image.  Each pair is a
+``(2, d)`` canonical row view of the point (``core.FLOWS``), so a flow is
+one :meth:`~extphase.hamiltonians.HamiltonianSystem.fields` call and one
+in-place add.  Their Strang composition is a second-order, symmetric,
 symplectic step on the doubled space.  An optional copy-coupling rotation
 (flow ``C``) damps the mismatch between the two copies; inserting it in the
 middle of the palindrome gives the coupled variant of the step.
@@ -22,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import blocks
+from .core import COPIES, FLOWS, row_pairs
 from .errors import ConfigError
 from .hamiltonians import HamiltonianSystem
 
@@ -102,41 +104,22 @@ COMPOSITIONS = {
 }
 
 
-def _drift(system: HamiltonianSystem, t: float, q, p, x, y) -> None:
-    """Push ``(x, y)`` in place for time ``t`` along the Hamiltonian vector
-    field taken at the frozen ``(q, p)``; one gradient evaluation."""
-    gq, gp = system.grad(q, p)
-    x += t * gp
-    y -= t * gq
-
-
-def _rows(zeta: np.ndarray, d: int | None = None) -> tuple:
-    """The ``(q, x, p, y)`` row views of a doubled point, taken by index:
-    unpacking the ``(4, d)`` view would iterate it, which costs more."""
-    rows = blocks(zeta, d)
-    return rows[0], rows[1], rows[2], rows[3]
-
-
-def _copy(system: HamiltonianSystem, zeta: np.ndarray):
-    """A fresh float copy of ``zeta`` and its ``(q, x, p, y)`` row views."""
-    out = np.array(zeta, dtype=float)
-    return out, _rows(out, system.dim)
-
-
 def flow_a(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
     """Exact flow freezing ``(q, y)``: pushes ``(x, p)`` for time ``t``.
 
     One gradient evaluation, taken at the frozen copy ``(q, y)``.
     """
-    out, (q, x, p, y) = _copy(system, zeta)
-    _drift(system, t, q, y, x, p)
+    out = np.array(zeta, dtype=float)
+    qy, xp = row_pairs(out, FLOWS, system.dim)
+    xp += t * system.fields(qy)
     return out
 
 
 def flow_b(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
     """Exact flow freezing ``(x, p)``: pushes ``(q, y)`` for time ``t``."""
-    out, (q, x, p, y) = _copy(system, zeta)
-    _drift(system, t, x, p, q, y)
+    out = np.array(zeta, dtype=float)
+    qy, xp = row_pairs(out, FLOWS, system.dim)
+    qy += t * system.fields(xp)
     return out
 
 
@@ -147,10 +130,11 @@ def pihajoki_step(system: HamiltonianSystem, dt: float, zeta: np.ndarray) -> np.
     gradient evaluations.  The flows act in place on one copy of ``zeta``.
     """
     h = 0.5 * dt
-    out, (q, x, p, y) = _copy(system, zeta)
-    _drift(system, h, q, y, x, p)  # A(dt/2)
-    _drift(system, dt, x, p, q, y)  # B(dt)
-    _drift(system, h, q, y, x, p)  # A(dt/2)
+    out = np.array(zeta, dtype=float)
+    qy, xp = row_pairs(out, FLOWS, system.dim)
+    xp += h * system.fields(qy)  # A(dt/2)
+    qy += dt * system.fields(xp)  # B(dt)
+    xp += h * system.fields(qy)  # A(dt/2)
     return out
 
 
@@ -162,13 +146,12 @@ def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
     Returns a fresh array: the rotation acts in place on one copy of ``zeta``.
     """
     out = np.array(zeta, dtype=float)
-    rows = blocks(out)
+    first, second = row_pairs(out, COPIES)
     angle = 2.0 * omega * t
     if angle == 0.0:
         return out
     c = math.cos(angle)
     s = math.sin(angle)
-    first, second = rows[0::2], rows[1::2]  # (q, p) and (x, y)
     total = first + second
     diff = first - second  # (u, v)
     # (c u + s v, c v - s u); adding -s u rounds exactly as subtracting s u
@@ -193,13 +176,14 @@ def tao_step(
     if params.omega == 0.0:
         return pihajoki_step(system, dt, zeta)
     h = 0.5 * dt
-    out, (q, x, p, y) = _copy(system, zeta)
-    _drift(system, h, q, y, x, p)  # A(dt/2)
-    _drift(system, h, x, p, q, y)  # B(dt/2)
+    out = np.array(zeta, dtype=float)
+    qy, xp = row_pairs(out, FLOWS, system.dim)
+    xp += h * system.fields(qy)  # A(dt/2)
+    qy += h * system.fields(xp)  # B(dt/2)
     out = coupling_flow(params.omega, dt, out)  # C(dt), into a fresh array
-    q, x, p, y = _rows(out)
-    _drift(system, h, x, p, q, y)  # B(dt/2)
-    _drift(system, h, q, y, x, p)  # A(dt/2)
+    qy, xp = row_pairs(out, FLOWS)
+    qy += h * system.fields(xp)  # B(dt/2)
+    xp += h * system.fields(qy)  # A(dt/2)
     return out
 
 

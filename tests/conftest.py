@@ -38,6 +38,23 @@ class Oscillator(HamiltonianSystem):
         return q.copy(), p.copy()
 
 
+class GradOnly(HamiltonianSystem):
+    """A wrapper that defines only ``grad``, as a timing wrapper does, and
+    counts its calls; it inherits the per-row default ``fields``."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.calls = 0
+
+    def energy(self, q, p):
+        return self.base.energy(q, p)
+
+    def grad(self, q, p):
+        self.calls += 1
+        return self.base.grad(q, p)
+
+
 @pytest.fixture
 def linear_system():
     return LinearSystem()
@@ -51,3 +68,12 @@ def oscillator():
 def seeded_rng(seed: int) -> np.random.Generator:
     print(f"rng seed = {seed}")
     return np.random.default_rng(seed)
+
+
+def same_bits(a, b) -> bool:
+    """Whether two float arrays are equal bit for bit, a nan counted equal to
+    any nan."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and (
+        np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes())

@@ -13,13 +13,16 @@ from extphase import (
     CountingSystem,
     DimensionMismatch,
     EvalCounter,
-    HamiltonianSystem,
     SolverConfig,
+    TaoParams,
     VortexCollision,
     VortexConfig,
     build_system,
     canonical_from_planar,
     check_gradient,
+    embed,
+    flow_a,
+    flow_b,
     gl_step,
     gl_tableau,
     join,
@@ -28,18 +31,20 @@ from extphase import (
     make_vortices,
     nls_mass,
     make_spec,
+    pihajoki_step,
     planar_from_canonical,
     poisson_bracket,
     preset,
     run_experiment,
     stack_halves,
+    tao_step,
     vortex_angular_impulse,
     vortex_linear_impulse_x,
     vortex_linear_impulse_y,
 )
 from extphase.hamiltonians import COLLISION_GUARD
 
-from conftest import seeded_rng
+from conftest import GradOnly, seeded_rng
 from parity import EDGE_VALUES, kernel_points
 
 Q0 = np.array([-1.0, 2.0])
@@ -399,23 +404,6 @@ STACKED_SYSTEMS = {
 }
 
 
-class GradOnly(HamiltonianSystem):
-    """A wrapper that defines only ``grad``, as a timing wrapper does, and
-    counts its calls; it inherits the per-row stacked default."""
-
-    def __init__(self, base):
-        self.base = base
-        self.dim = base.dim
-        self.calls = 0
-
-    def energy(self, q, p):
-        return self.base.energy(q, p)
-
-    def grad(self, q, p):
-        self.calls += 1
-        return self.base.grad(q, p)
-
-
 def _outcome(call):
     """The bytes of a call's arrays, or the type and text of what it raised."""
     try:
@@ -486,14 +474,50 @@ def test_a_grad_only_system_sees_one_grad_per_point(name):
 def test_stacked_counters_charge_every_point_to_each_counter(name):
     outer, inner = EvalCounter(), EvalCounter()
     timed = GradOnly(STACKED_SYSTEMS[name])
-    stacks, fields = [], timed.vector_fields  # the stacks that reach the wrapped system whole
-    timed.vector_fields = lambda zs: stacks.append(len(zs)) or fields(zs)
+    stacks, fields = [], timed.fields  # the stacks that reach the wrapped system whole
+    timed.fields = lambda rows: stacks.append(len(rows)) or fields(rows)
     system = CountingSystem(timed, outer).with_counter(inner)
     zs = seeded_rng(207).normal(size=(4, 2 * timed.dim))
     system.vector_fields(zs)
     assert outer.n_grad == inner.n_grad == timed.calls == 4 and stacks == [4]
     system.vector_field(zs[0])
     assert outer.n_grad == inner.n_grad == timed.calls == 5 and stacks == [4, 1]
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_SYSTEMS))
+def test_a_counter_over_a_grad_only_system_charges_one_grad_per_point(name):
+    timed = GradOnly(STACKED_SYSTEMS[name])  # as a timing wrapper is
+    counter = EvalCounter()
+    system = CountingSystem(timed, counter)
+    z = seeded_rng(208).normal(size=2 * timed.dim) * 0.1 + np.arange(2 * timed.dim)
+    charged = 0
+    for step, cost in ((flow_a, 1), (flow_b, 1), (pihajoki_step, 3),
+                       (partial(tao_step, params=TaoParams(10.0)), 4)):
+        step(system, 1e-3, embed(z))
+        charged += cost
+        assert counter.n_grad == timed.calls == charged
+    _, stats = gl_step(system, 1e-3, z, gl_tableau(6), SolverConfig(tol=1e-10))
+    assert counter.n_grad == timed.calls == charged + 3 * stats.iterations
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_fields_grad_and_vector_fields_agree_bit_for_bit(name):
+    system = build_system(preset(name))[0]
+    d = system.dim
+    points = kernel_points(4 * d, 209)  # read as two (2, d) rows, or two points
+    for z in (point[: 2 * d] for point in points):
+        rows = z.reshape(2, d)
+        field = _outcome(lambda: (system.fields(rows),))
+        assert field == _outcome(lambda: (lambda gq, gp: (gp, -gq))(*system.grad(*rows)))
+        assert field == _outcome(lambda: (system.vector_field(z),))
+        assert field == _outcome(lambda: (system.vector_fields(z[None]),))
+    for pair in points:  # a stack of two, strided rows included
+        stack = pair.reshape(2, 2, d)
+        fields = _outcome(lambda: (system.fields(stack),))
+        assert fields == _outcome(lambda: [system.fields(rows) for rows in stack])
+        assert fields == _outcome(lambda: (system.vector_fields(pair.reshape(2, 2 * d)),))
+        assert _outcome(lambda: (system.fields(pair.reshape(4, d)[0::3]),)) == _outcome(
+            lambda: (system.fields(pair.reshape(4, d)[0::3].copy()),))
 
 
 def _limited(fn, *args):

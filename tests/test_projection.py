@@ -199,6 +199,18 @@ def test_a_warm_start_of_the_wrong_shape_is_a_dimension_mismatch(mu0):
         semiexplicit_step(make_testcase(), pihajoki_step, 0.1, Z0, SolverConfig(), mu0=mu0)
 
 
+@pytest.mark.parametrize("extra", [4, -4])
+def test_an_inner_image_of_another_length_is_a_dimension_mismatch(extra):
+    # not a residual that is "no longer finite": the image must be a doubled point of d sites
+    def wrong_length(system, dt, zeta):
+        return np.zeros(zeta.size + extra)
+
+    with pytest.raises(DimensionMismatch):
+        solve_mu(make_testcase(), wrong_length, 0.1, embed(Z0), SolverConfig())
+    with pytest.raises(DimensionMismatch):
+        semiexplicit_step(make_testcase(), wrong_length, 0.1, Z0, SolverConfig())
+
+
 def test_solver_iteration_cap():
     sys_ = make_testcase()
     cfg = SolverConfig(tol=1e-15, max_iter=2)

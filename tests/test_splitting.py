@@ -13,6 +13,7 @@ from extphase import (
     COMPOSITIONS,
     CompositionScheme,
     TaoParams,
+    build_system,
     composed_step,
     coupling_flow,
     embed,
@@ -22,13 +23,15 @@ from extphase import (
     make_testcase,
     nls_mass,
     pihajoki_step,
+    preset,
     symplecticity_defect,
     tao_step,
     testcase_L as tc_linear_form,
     testcase_Q as tc_quadratic_form,
 )
 
-from conftest import LinearSystem, Oscillator, seeded_rng
+from conftest import GradOnly, LinearSystem, Oscillator, same_bits, seeded_rng
+from parity import kernel_points
 
 # Random lattice states, d in 1..4, in a range where every step stays finite.
 STATES = st.integers(1, 4).flatmap(
@@ -472,3 +475,93 @@ def test_coupling_flow_is_the_seed_formula_bit_for_bit(zeta, omega, t, layout):
     assert out.tobytes() == _seed_coupling_flow(omega, t, zeta).tobytes()
     assert zeta.tobytes() == before and not np.shares_memory(out, zeta)
 
+
+
+# --- the flows against the kernel as first written ---------------------------
+
+
+def _seed_drift(system, t, q, p, x, y):
+    """The flow kernel as first written: push ``(x, y)`` in place along the
+    field taken at the frozen ``(q, p)``, from one ``grad`` call."""
+    gq, gp = system.grad(q, p)
+    x += t * gp
+    y -= t * gq
+
+
+def _seed_flow(system, t, zeta, flow):
+    out = np.array(zeta, dtype=float)
+    q, x, p, y = np.split(out, 4)
+    if flow == "a":
+        _seed_drift(system, t, q, y, x, p)
+    else:
+        _seed_drift(system, t, x, p, q, y)
+    return out
+
+
+def _seed_step(system, dt, zeta, omega):
+    """``A(dt/2) B(dt) A(dt/2)``, or with ``omega > 0`` the coupled
+    ``A(dt/2) B(dt/2) C(dt) B(dt/2) A(dt/2)``, from the seed flows."""
+    h = 0.5 * dt
+    if omega == 0.0:
+        zeta = _seed_flow(system, dt, _seed_flow(system, h, zeta, "a"), "b")
+        return _seed_flow(system, h, zeta, "a")
+    zeta = coupling_flow(omega, dt, _seed_flow(system, h, _seed_flow(system, h, zeta, "a"), "b"))
+    return _seed_flow(system, h, _seed_flow(system, h, zeta, "b"), "a")
+
+
+def _seed_composed(omega, scheme):
+    def step(system, dt, zeta):
+        for gamma in scheme.coefficients:
+            zeta = _seed_step(system, gamma * dt, zeta, omega)
+        return zeta
+
+    return step
+
+
+def _outcome(call):
+    """A call's float array, or the type and text of the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(call(), dtype=float)
+    except Exception as exc:  # the kernels' own errors and math's range and domain errors
+        return f"{type(exc).__name__}: {exc}"
+
+
+# the lattice with its coupling sum at two sizes, both vortex presets, the
+# closed-form system and a system that defines only ``grad``
+SEED_SYSTEMS = {
+    "nls5": make_nls(5),
+    "nls_d2": make_nls(2),
+    "vortex4": build_system(preset("vortex4"))[0],
+    "vortex10": build_system(preset("vortex10"))[0],
+    "testcase": make_testcase(),
+    "grad_only": GradOnly(make_nls(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_SYSTEMS))
+def test_flows_and_steps_are_the_seed_drifts_bit_for_bit(name):
+    system = SEED_SYSTEMS[name]
+    size = 4 * system.dim
+    rng = seeded_rng(312)
+    points = kernel_points(size, 312) + [rng.normal(size=size) * 0.5 + np.arange(size)
+                                         for _ in range(6)]
+    triple = COMPOSITIONS[(4, "triple_jump")]
+    tao = partial(tao_step, params=TaoParams(10.0))
+    pairs = [
+        (flow_a, partial(_seed_flow, flow="a")),
+        (flow_b, partial(_seed_flow, flow="b")),
+        (pihajoki_step, partial(_seed_step, omega=0.0)),
+        (tao, partial(_seed_step, omega=10.0)),
+        (composed_step(pihajoki_step, triple), _seed_composed(0.0, triple)),
+        (composed_step(tao, triple), _seed_composed(10.0, triple)),
+    ]
+    for zeta in points:
+        for step, seed in pairs:
+            for dt in (0.05, -0.03):
+                new = _outcome(lambda: step(system, dt, zeta))
+                old = _outcome(lambda: seed(system, dt, zeta))
+                if isinstance(old, str) or isinstance(new, str):
+                    assert new == old
+                else:
+                    assert same_bits(new, old)

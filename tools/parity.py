@@ -18,7 +18,8 @@ normal draws at three scales, signed zeros, and draws mixing in infinities,
 nan, subnormals and ``1e150``; a point a kernel refuses records its error.
 ``grads`` and ``vector_fields`` are pinned on one stack of each system's
 six finite points, the normal draws, so a stacked kernel is judged on more
-than one row.  The
+than one row; the row kernel ``fields`` is pinned at every point, one
+``(2, d)`` row at a time, and on that stack.  The
 energy and the invariants are pinned per point and as a one-row stack
 (``energies`` and a stacked ``evaluate``); a tree without ``energies``
 gets a per-row stacked form with the recording rule, so its entries
@@ -28,7 +29,7 @@ fail, 16 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
 ``NonConvergence``, by what they carry: ``iterations``, ``final_residual``
 and the SHA-256 of the ``best`` iterate's bytes; the SHA-256 of the CSV
 and SVG files of one full-horizon ``vortex4`` ``tao-2`` run (4,001 rows);
-and the bytes ``emit_benchmark_csv`` writes for a fixed row: 3,482
+and the bytes ``emit_benchmark_csv`` writes for a fixed row: 3,608
 entries.  Floats are stored with ``float.hex``, so equal entries are equal
 bit for bit.
 
@@ -267,6 +268,7 @@ def dump(src_dir: str, out_path: str) -> int:
                     out[f"{key}/vector_fields"] = _values(system.vector_fields(zs))
 
             _guarded(out, f"kernel/{name}/stack", evaluate_stack)
+            fields_at = [(f"kernel/{name}/stack/fields", np.array(points[:6]).reshape(6, 2, -1))]
             for i, z in enumerate(points):
                 key = f"kernel/{name}/{i}"
 
@@ -277,6 +279,7 @@ def dump(src_dir: str, out_path: str) -> int:
                         out[f"{key}/vector_field"] = _values(system.vector_field(z))
 
                 _guarded(out, key, evaluate)
+                fields_at.append((f"{key}/fields", z.reshape(2, -1)))
                 for entry, one, stacked in diagnostics:
                     for label, fn, arg in ((entry, one, z), (f"{entry}/stack", stacked, z[None])):
 
@@ -285,6 +288,14 @@ def dump(src_dir: str, out_path: str) -> int:
                                 out[label] = _values(fn(arg))
 
                         _guarded(out, f"{key}/{label}", diagnose)
+            # the row kernel, one row at a time and on the stack; older trees have none
+            for key, rows in fields_at if hasattr(system, "fields") else ():
+
+                def evaluate_fields(system=system, rows=rows, key=key):
+                    with np.errstate(all="ignore"):
+                        out[key] = _values(system.fields(rows))
+
+                _guarded(out, key, evaluate_fields)
 
         _guarded(out, "full/vortex4/method=tao,order=2", run_full_horizon)
         _guarded(out, "emit_benchmark_csv", write_benchmark_csv)
