@@ -12,11 +12,10 @@ and builds one with :func:`join`; a ``(B, 2*d)`` stack of
 hold the one check of the layout's shape.  The diagonal subspace
 ``x == q, y == p`` is the kernel of the constraint operator implemented by
 :func:`apply_A`; its transpose is :func:`apply_AT` and ``A @ A.T == 2*I``
-holds exactly, and :func:`shift` forms ``zeta + A^T mu`` in one buffer.
+holds exactly.
 
-All functions here are pure and allocation-light (:func:`shift` writes
-only into the ``out`` it is given), and each checks the shape of its
-operand, raising :class:`DimensionMismatch` on a bad layout.
+All functions here are pure and allocation-light, and each checks the
+shape of its operand, raising :class:`DimensionMismatch` on a bad layout.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotOnDiagonal
 
 __all__ = [
-    "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join", "restrict", "shift",
+    "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join", "restrict",
     "stack_halves",
 ]
 
@@ -123,13 +122,14 @@ def restrict_copies(first: np.ndarray, second: np.ndarray, tol: float) -> tuple[
     """The fresh point ``(q, p)`` of a doubled point given by its copies
     ``first = (q, p)`` and ``second = (x, y)``, and its :func:`defect_norm`.
 
-    Raises :class:`NotOnDiagonal` if ``|A zeta|_inf`` exceeds
-    ``tol * max(1, |zeta|_inf)``; a failure here signals that an upstream
-    projection did not actually land on the diagonal.
+    Raises :class:`NotOnDiagonal` if ``|A zeta|_inf`` is not finite or
+    exceeds ``tol * max(1, |zeta|_inf)``; a failure here signals that an
+    upstream projection did not actually land on the diagonal.
     """
     gap = (first - second).reshape(-1)
     worst = np.abs(gap).max()
-    if worst > tol * max(1.0, np.abs(first).max(), np.abs(second).max()):
+    bound = tol * max(1.0, np.abs(first).max(), np.abs(second).max())
+    if not (math.isfinite(worst) and worst <= bound):
         raise NotOnDiagonal(f"diagonal defect {worst:.3e} exceeds tolerance {tol:.3e}")
     return first.flatten(), math.sqrt(gap.dot(gap))
 
@@ -147,27 +147,6 @@ def apply_AT(mu: np.ndarray) -> np.ndarray:
     """
     m1, m2 = halves(np.asarray(mu, dtype=float))
     return join(m1, -m1, m2, -m2)
-
-
-def shift(zeta: np.ndarray, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``zeta + A^T mu``, that is ``(q + mu1, x - mu1, p + mu2, y - mu2)``,
-    written into ``out`` (a flat float array of ``zeta``'s length) or into a
-    fresh array, and returned.
-
-    The copies take one add and one subtract of the ``(2, d)`` rows of
-    ``mu``, so the sums are those of ``zeta + apply_AT(mu)`` bit for bit.
-    Only the sign of a nan taken from ``mu`` may differ, and a solve ends on
-    such a point, whose residual is not finite.
-    """
-    d = _block_length(zeta, 4, None)
-    mu = np.asarray(mu, dtype=float)
-    _block_length(mu, 2, d)
-    out = np.empty(4 * d) if out is None else out
-    (first, second), m = row_pairs(out, COPIES, d), mu.reshape(2, d)
-    start = row_pairs(zeta, COPIES, d)
-    np.add(start[0], m, out=first)
-    np.subtract(start[1], m, out=second)
-    return out
 
 
 def defect_norm(zeta: np.ndarray) -> float:

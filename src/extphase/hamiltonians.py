@@ -1,18 +1,13 @@
 """Built-in Hamiltonian systems with analytic gradients and eval counting.
 
-Each system has one field kernel, ``fields(rows)``, which maps canonical
-rows ``(..., 2, d)`` = ``(q, p)`` to the field ``(D2H, -D1H)`` in the same
-shape; a flat point or a ``(B, 2d)`` stack reshapes to rows without a copy.
-The joint gradient ``grad(q, p) -> (D1H, D2H)``, its stacked form
-``grads(qs, ps)`` and the canonical fields ``vector_field(z)`` and
-``vector_fields(zs)`` are reshapes of it, bit for bit.  The field at one
-point is the unit in which all integrator costs are accounted (one
-"vector-field evaluation"), as ``CountingSystem`` charges it: one per row.
-A system that defines only ``grad`` inherits a ``fields`` that calls it once
-per row.  The vortex kernel works on both planes of a stack at once; the
-lattice kernel loops over sites on Python floats, which at a few sites costs
-less than NumPy's per-call dispatch, once per row.  Energy evaluations,
-``energy(q, p)`` and ``energies(qs, ps)`` on ``(B, d)`` stacks, are
+A system is two row kernels on canonical rows ``(..., 2, d)`` = ``(q, p)``:
+``fields(rows)``, the field ``(D2H, -D1H)`` in the same shape, and
+``energies(rows)``, the values of the Hamiltonian.  A user writes
+``grad(q, p) -> (D1H, D2H)`` and ``energy(q, p)`` at one point and inherits
+kernels that call them once per row; the built-in systems override the
+kernels, and their ``grad`` and ``energy`` are the one-row cases, bit for
+bit.  One row's field is the unit of all integrator costs (one
+"vector-field evaluation"), as ``CountingSystem`` charges it; energies are
 diagnostics and are never counted.
 """
 
@@ -25,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import halves, join, stack_halves
+from .core import halves, join
 from .errors import ConfigError, DimensionMismatch, VortexCollision
 
 __all__ = [
@@ -87,42 +82,17 @@ class HamiltonianSystem(ABC):
             np.negative(gq, out=into[1])
         return out
 
-    def grads(self, qs: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Joint gradients at each row of the ``(B, d)`` stacks ``qs`` and
-        ``ps``, as ``(B, d)`` stacks, from one :meth:`fields` call; ``B``
-        vector-field evaluations."""
-        rows = self.fields(np.stack((qs, ps), axis=-2))
-        return -rows[..., 1, :], rows[..., 0, :]
-
-    def energies(self, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-        """Values of the Hamiltonian at each row of the ``(B, d)`` stacks
-        ``qs`` and ``ps``, as a ``(B,)`` array; diagnostics, never counted.
+    def energies(self, rows: np.ndarray) -> np.ndarray:
+        """Values of the Hamiltonian at canonical rows ``(..., 2, d)``, in
+        the shape ``rows.shape[:-2]``; diagnostics, never counted.
 
         This default calls :meth:`energy` once per row and reads a row that
         leaves the range of ``math``'s functions as inf and one outside their
         domain as nan; a system whose kernel broadcasts over a leading axis
         overrides it with one call.
         """
-        out = np.empty(len(qs))
-        for i, (q, p) in enumerate(zip(qs, ps)):
-            out[i] = _evaluate(self.energy, q, p)
-        return out
-
-    def energy_z(self, z: np.ndarray) -> float:
-        """Value of the Hamiltonian at the flat point ``z = (q, p)``."""
-        return self.energy(*halves(z, self.dim))
-
-    def vector_field(self, z: np.ndarray) -> np.ndarray:
-        """Canonical right-hand side ``(D2H, -D1H)`` at ``z = (q, p)``: the
-        one-row case of :meth:`vector_fields`, so the two agree bit for bit."""
-        return self.vector_fields(z[None])[0]
-
-    def vector_fields(self, zs: np.ndarray) -> np.ndarray:
-        """Canonical right-hand sides at each row of a ``(B, 2d)`` stack,
-        from one :meth:`fields` call on its rows; ``B`` vector-field
-        evaluations."""
-        stack_halves(zs, self.dim)  # the layout check
-        return self.fields(zs.reshape(len(zs), 2, self.dim)).reshape(zs.shape)
+        values = [_evaluate(self.energy, q, p) for q, p in rows.reshape(-1, 2, rows.shape[-1])]
+        return np.array(values, dtype=float).reshape(rows.shape[:-2])
 
     def with_counter(self, counter: EvalCounter) -> "CountingSystem":
         return CountingSystem(self, counter)
@@ -145,8 +115,8 @@ class CountingSystem(HamiltonianSystem):
     def energy(self, q, p) -> float:
         return self.base.energy(q, p)
 
-    def energies(self, qs, ps):
-        return self.base.energies(qs, ps)
+    def energies(self, rows):
+        return self.base.energies(rows)
 
     def grad(self, q, p):
         self.counter.tick()
@@ -204,8 +174,8 @@ class NlsLattice(HamiltonianSystem):
 
     :meth:`fields` loops over sites on Python floats and rounds as the array
     formula does, right neighbours first; a stack takes it once per row.
-    :meth:`energies` indexes sites along the last axis, so :meth:`energy` is
-    its one-point case.
+    :meth:`energies` indexes sites along the last axis of the rows, so
+    :meth:`energy` is its one-row case.
     """
 
     def __init__(self, d: int):
@@ -214,9 +184,10 @@ class NlsLattice(HamiltonianSystem):
         self.dim = int(d)
 
     def energy(self, q, p) -> float:
-        return float(self.energies(q, p))
+        return float(self.energies(np.stack((q, p))))  # the one-row case
 
-    def energies(self, qs, ps):
+    def energies(self, rows):
+        qs, ps = rows[..., 0, :], rows[..., 1, :]
         n2 = qs * qs + ps * ps
         e = 0.25 * _row_dots(n2, n2)
         if self.dim > 1:
@@ -325,8 +296,8 @@ class PointVortexSystem(HamiltonianSystem):
     ``H = -(1/4 pi) sum_{i<j} G_i G_j log |X_i - X_j|^2``.
 
     :meth:`fields` works on both planes of canonical rows at once and
-    divides the swapped planar gradient into the field; :meth:`energy` is
-    the one-point case of :meth:`energies`.
+    divides the swapped planar gradient into the field; :meth:`energies`
+    reads them likewise, and :meth:`energy` is its one-row case.
     """
 
     def __init__(self, config: VortexConfig):
@@ -342,10 +313,10 @@ class PointVortexSystem(HamiltonianSystem):
         self._pair_weights = np.triu(np.outer(g, g), 1)  # G_i G_j for i < j
 
     def energy(self, q, p) -> float:
-        return float(self.energies(q, p))
+        return float(self.energies(np.stack((q, p))))  # the one-row case
 
-    def energies(self, qs, ps):
-        _, r2 = _pair_geometry(np.stack((qs, ps), axis=-2) / self._scales)  # r2 is fresh
+    def energies(self, rows):
+        _, r2 = _pair_geometry(rows / self._scales)  # r2 is fresh
         n = self.dim
         r2.reshape(-1, n * n)[:, :: n + 1] = 1.0  # log(1) = 0 under the zero-diagonal weights
         return -(self._pair_weights * np.log(r2)).sum(axis=(-2, -1)) / (4.0 * math.pi)
@@ -414,6 +385,6 @@ def check_gradient(system: HamiltonianSystem, z: np.ndarray) -> float:
     """
     z = np.asarray(z, dtype=float)
     analytic = join(*system.grad(*halves(z, system.dim)))
-    numeric = _central_differences(system.energy_z, z, 1e-5)
+    numeric = _central_differences(lambda y: system.energy(*halves(y, system.dim)), z, 1e-5)
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1.0)
     return float(np.max(np.abs(analytic - numeric)) / scale)

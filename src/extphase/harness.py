@@ -271,7 +271,7 @@ def build_system(spec: ExperimentSpec):
             if q0 is None or p0 is None:
                 raise ConfigError("no initial blocks q0 and p0 (or vortex positions)")
             z0 = join(np.array(q0, dtype=float), np.array(p0, dtype=float))
-            system.energy_z(z0)  # checks z0's length before the invariants' d x d blocks exist
+            system.energy(*halves(z0, system.dim))  # z0's length, before any d x d block exists
             invs = [(name, make()) for name, make in named.items()]
             [inv.evaluate(z0) for _, inv in invs]  # only to see they evaluate
     # math's range and domain errors too; a ConfigError is a ValueError

@@ -4,9 +4,9 @@ The 1-, 2-, and 3-stage Gauss methods (orders 2, 4, 6) are the symmetric,
 symplectic Runge-Kutta baselines.  Stage derivatives are solved by plain
 fixed-point sweeps starting from zero, which converges for step sizes small
 enough that ``dt * L < 1`` with ``L`` a Lipschitz bound of the vector
-field.  Each sweep evaluates all its stage points in one stacked
-:meth:`~extphase.hamiltonians.HamiltonianSystem.vector_fields` call, which
-costs one gradient evaluation per stage.
+field.  Each sweep evaluates all its stage points as canonical rows in one
+:meth:`~extphase.hamiltonians.HamiltonianSystem.fields` call, which costs
+one gradient evaluation per stage.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import halves
 from .errors import UnsupportedOrder
 from .hamiltonians import HamiltonianSystem
 from .projection import SolverConfig, iterate
@@ -90,15 +91,17 @@ def gl_step(
     from the previous sweep's values, starting at ``k_i = 0``, until the
     max-norm change falls to ``cfg.tol``; the projection's loop
     (:func:`extphase.projection.iterate`) runs them.  A sweep evaluates its
-    ``stages`` points in one stacked ``vector_fields`` call, charged one
-    gradient evaluation per point.  Returns ``(z_next, stats)`` with
-    ``stats.iterations`` the sweep count; the step costs ``stages * sweeps``
-    gradient evaluations.
+    ``stages`` points in one ``fields`` call on their ``(stages, 2, d)``
+    rows, charged one gradient evaluation per point.  Returns
+    ``(z_next, stats)`` with ``stats.iterations`` the sweep count; the step
+    costs ``stages * sweeps`` gradient evaluations.
     """
     z = np.asarray(z, dtype=float)
+    halves(z, system.dim)  # the layout check, once per step
+    shape = (tableau.stages, 2, system.dim)  # the stage points' canonical rows
 
     def sweep(k):
-        k_next = system.vector_fields(z + dt * (tableau.a @ k))
+        k_next = system.fields((z + dt * (tableau.a @ k)).reshape(shape)).reshape(k.shape)
         return k_next - k, k_next
 
     k0 = np.zeros((tableau.stages, z.size))

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import stack_halves
 from .errors import VortexCollision
 from .hamiltonians import HamiltonianSystem
 
@@ -21,8 +20,9 @@ class Recorder:
     Each row's step, defect and costs go into preallocated columns when the
     run reaches it, and its state ``(q, p)`` into a row of a
     ``(CHUNK_ROWS, 2d)`` buffer, which is a slice of the kept states when the
-    run keeps them.  The energy and every invariant are evaluated by one
-    stacked call each per full buffer, and then for the last partial one.
+    run keeps them.  The energy (on the buffer's canonical rows) and every
+    invariant are evaluated by one stacked call each per full buffer, and
+    then for the last partial one.
     A row whose energy raises :class:`VortexCollision` ends the record: the
     rows before it stay whole, and ``cut`` holds the collision with the
     run's totals as of that row's step.
@@ -69,12 +69,12 @@ class Recorder:
         if hi == lo:
             return self.cut is None
         zs = self.buffer[: hi - lo]
-        qs, ps = stack_halves(zs, self.system.dim)
+        rows = zs.reshape(-1, 2, self.system.dim)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                self.energy[lo:hi] = self.system.energies(qs, ps)
+                self.energy[lo:hi] = self.system.energies(rows)
             except VortexCollision:
-                hi = lo + self._first_collision(qs, ps)
+                hi = lo + self._first_collision(rows)
             if hi > lo:  # rows before a collision, if any
                 for values, (_, inv) in zip(self.values, self.invs):
                     values[lo:hi] = inv.evaluate(zs[: hi - lo])
@@ -83,16 +83,16 @@ class Recorder:
             self.buffer = self.states[hi:]
         return self.cut is None
 
-    def _first_collision(self, qs: np.ndarray, ps: np.ndarray) -> int:
+    def _first_collision(self, rows: np.ndarray) -> int:
         """Evaluate the buffered energies one row at a time up to the first row
         that collides, set ``cut`` from it, and return its index."""
         lo = self.done
-        for r in range(len(qs)):
+        for r in range(len(rows)):
             try:
-                self.energy[lo + r] = self.system.energies(qs[r : r + 1], ps[r : r + 1])[0]
+                self.energy[lo + r] = self.system.energies(rows[r])
             except VortexCollision as exc:
                 itr_total, vf_total = self.tallies[r].tolist()
                 # kept without its traceback, which would hold the run's frames alive
                 self.cut = exc.with_traceback(None), (int(self.steps[lo + r]) - 1, itr_total, vf_total)
                 return r
-        return len(qs)
+        return len(rows)

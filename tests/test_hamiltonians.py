@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from functools import partial
@@ -13,6 +14,7 @@ from extphase import (
     CountingSystem,
     DimensionMismatch,
     EvalCounter,
+    HamiltonianSystem,
     SolverConfig,
     TaoParams,
     VortexCollision,
@@ -25,6 +27,7 @@ from extphase import (
     flow_b,
     gl_step,
     gl_tableau,
+    harness,
     join,
     make_nls,
     make_testcase,
@@ -35,8 +38,8 @@ from extphase import (
     planar_from_canonical,
     poisson_bracket,
     preset,
+    recording,
     run_experiment,
-    stack_halves,
     tao_step,
     vortex_angular_impulse,
     vortex_linear_impulse_x,
@@ -154,10 +157,9 @@ def test_vortex_collision_guard():
                      (make_nls(3), np.arange(4.0)), (make_nls(3), np.arange(8.0))],
 )
 def test_wrong_length_state_is_a_dimension_mismatch(system, state):
+    # the readers of a flat point of a system: a wrong length is no failed solve
     with pytest.raises(DimensionMismatch):
-        system.energy_z(state)
-    with pytest.raises(DimensionMismatch):
-        system.vector_field(state)
+        check_gradient(system, state)
     with pytest.raises(DimensionMismatch):
         gl_step(system, 0.01, state, gl_tableau(4), SolverConfig())
 
@@ -332,15 +334,15 @@ def test_vortex_kernels_are_the_seed_formulas_bit_for_bit(gammas, data):
     assert gq.tobytes() == sq.tobytes() and gp.tobytes() == sp.tobytes()
     energy = np.float64(system.energy(q, p))
     assert energy.tobytes() == np.float64(_seed_vortex_energy(gammas, q, p)).tobytes()
-    assert system.vector_field(z).tobytes() == np.concatenate((sp, -sq)).tobytes()
-    # the stacked field, which the per-point one shares, on the point and two more draws
+    assert system.fields(z.reshape(2, n)).tobytes() == np.concatenate((sp, -sq)).tobytes()
+    # the stacked field, which the per-row one shares, on the point and two more draws
     more = data.draw(arrays(np.float64, (2, n, 2), elements=st.floats(-10.0, 10.0)))
     gaps = more[:, :, None, :] - more[:, None, :, :]
     assume(np.all((gaps**2).sum(axis=-1)[:, ~np.eye(n, dtype=bool)] > 1e-6))
     zs = np.array([z] + [canonical_from_planar(config, positions) for positions in more])
     seed_fields = [np.concatenate((sp, -sq))
                    for sq, sp in (_seed_vortex_grad(gammas, row[:n], row[n:]) for row in zs)]
-    assert system.vector_fields(zs).tobytes() == np.array(seed_fields).tobytes()
+    assert system.fields(zs.reshape(3, 2, n)).tobytes() == np.array(seed_fields).tobytes()
 
 
 
@@ -380,7 +382,7 @@ def test_lattice_kernel_is_the_seed_formula_bit_for_bit(z):
     with np.errstate(all="ignore"):
         gq, gp = system.grad(z[:d], z[d:])
         sq, sp = _seed_nls_grad(d, z[:d], z[d:])
-        field = system.vector_field(z)
+        field = system.fields(z.reshape(2, d))
         negated = -sq
     assert gq.tobytes() == sq.tobytes() and gp.tobytes() == sp.tobytes()
     assert field.tobytes() == np.concatenate((sp, negated)).tobytes()
@@ -413,9 +415,14 @@ def _outcome(call):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _per_point_grads(system, qs, ps):
-    pairs = [system.grad(q, p) for q, p in zip(qs, ps)]
-    return np.array([gq for gq, _ in pairs]), np.array([gp for _, gp in pairs])
+def _grad_fields(system, rows):
+    """The field ``(D2H, -D1H)`` of each row from the per-point ``grad``,
+    row after row."""
+    out = []
+    for q, p in rows:
+        gq, gp = system.grad(q, p)
+        out += [gp, -gq]
+    return out
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -431,11 +438,10 @@ def test_stacked_calls_are_per_point_calls_bit_for_bit(name, points, data):
         arrays(np.float64, int(edges.sum()), elements=st.sampled_from(EDGE_VALUES))
     )
     before = zs.tobytes()
-    qs, ps = stack_halves(zs, system.dim)
-    stacked = _outcome(lambda: system.grads(qs, ps))
-    assert stacked == _outcome(lambda: _per_point_grads(system, qs, ps))
-    fields = _outcome(lambda: (system.vector_fields(zs),))
-    assert fields == _outcome(lambda: [system.vector_field(z) for z in zs])
+    rows = zs.reshape(points, 2, system.dim)
+    stacked = _outcome(lambda: (system.fields(rows),))
+    assert stacked == _outcome(lambda: [system.fields(row) for row in rows])
+    assert stacked == _outcome(lambda: _grad_fields(system, rows))
     assert zs.tobytes() == before
 
 
@@ -445,29 +451,34 @@ def test_a_nan_member_does_not_hide_a_colliding_one():
     colliding = canonical_from_planar(VORTEX4, ((0.0, 0.0), (1.0, 1.0), (2.0, 0.5), (0.0, 0.0)))
     blown_up = reference.copy()
     blown_up[1] = np.nan
-    for stack in ((blown_up, colliding), (colliding, blown_up), (reference, blown_up, colliding)):
+    kernels = (system.fields, system.energies)
+    stacks = ((blown_up, colliding), (colliding, blown_up), (reference, blown_up, colliding))
+    for stack, kernel in itertools.product(stacks, kernels):
         with pytest.raises(VortexCollision, match="vortices closer than"):
-            system.vector_fields(np.array(stack))
+            kernel(np.array(stack).reshape(-1, 2, 4))
     with np.errstate(invalid="ignore"):  # a nan member alone is no collision
-        assert np.isnan(system.vector_fields(np.array((reference, blown_up)))[1]).all()
+        assert np.isnan(system.fields(np.array((reference, blown_up)).reshape(2, 2, 4))[1]).all()
+        assert np.isnan(system.energies(np.array((reference, blown_up)).reshape(2, 2, 4))[1])
     # nor may a nan coordinate hide a coincident pair in its own configuration
     hidden = canonical_from_planar(VORTEX4, ((np.nan, 0.0), (1.0, 1.0), (1.0, 1.0), (2.0, 0.5)))
     for evaluate in (system.energy, system.grad):
         with pytest.raises(VortexCollision, match="vortices closer than"):
-            evaluate(*stack_halves(hidden[None], 4))
-    with pytest.raises(VortexCollision, match="vortices closer than"):
-        system.vector_fields(np.array((reference, hidden)))
+            evaluate(hidden[:4], hidden[4:])
+    for kernel in kernels:
+        with pytest.raises(VortexCollision, match="vortices closer than"):
+            kernel(np.array((reference, hidden)).reshape(2, 2, 4))
 
 
 @pytest.mark.parametrize("name", sorted(STACKED_SYSTEMS))
 def test_a_grad_only_system_sees_one_grad_per_point(name):
     base = STACKED_SYSTEMS[name]
     zs = seeded_rng(206).normal(size=(3, 2 * base.dim)) + 2.0 * np.arange(2 * base.dim)
+    rows = zs.reshape(3, 2, base.dim)
     wrapped = GradOnly(base)
-    assert wrapped.vector_fields(zs).tobytes() == base.vector_fields(zs).tobytes()
+    assert wrapped.fields(rows).tobytes() == base.fields(rows).tobytes()
     assert wrapped.calls == 3
-    wrapped.grads(*stack_halves(zs[:2], base.dim))
-    assert wrapped.calls == 5
+    assert wrapped.fields(rows[0]).tobytes() == base.fields(rows[0]).tobytes()
+    assert wrapped.calls == 4
 
 
 @pytest.mark.parametrize("name", ["nls5", "vortex4"])
@@ -475,13 +486,13 @@ def test_stacked_counters_charge_every_point_to_each_counter(name):
     outer, inner = EvalCounter(), EvalCounter()
     timed = GradOnly(STACKED_SYSTEMS[name])
     stacks, fields = [], timed.fields  # the stacks that reach the wrapped system whole
-    timed.fields = lambda rows: stacks.append(len(rows)) or fields(rows)
+    timed.fields = lambda rows: stacks.append(rows.shape[:-2]) or fields(rows)
     system = CountingSystem(timed, outer).with_counter(inner)
-    zs = seeded_rng(207).normal(size=(4, 2 * timed.dim))
-    system.vector_fields(zs)
-    assert outer.n_grad == inner.n_grad == timed.calls == 4 and stacks == [4]
-    system.vector_field(zs[0])
-    assert outer.n_grad == inner.n_grad == timed.calls == 5 and stacks == [4, 1]
+    rows = seeded_rng(207).normal(size=(4, 2, timed.dim))
+    system.fields(rows)
+    assert outer.n_grad == inner.n_grad == timed.calls == 4 and stacks == [(4,)]
+    system.fields(rows[0])
+    assert outer.n_grad == inner.n_grad == timed.calls == 5 and stacks == [(4,), ()]
 
 
 @pytest.mark.parametrize("name", sorted(STACKED_SYSTEMS))
@@ -500,6 +511,60 @@ def test_a_counter_over_a_grad_only_system_charges_one_grad_per_point(name):
     assert counter.n_grad == timed.calls == charged + 3 * stats.iterations
 
 
+def test_a_system_is_energy_grad_and_their_two_row_kernels():
+    assert HamiltonianSystem.__abstractmethods__ == {"energy", "grad"}
+    public = {name for name in dir(HamiltonianSystem) if not name.startswith("_")}
+    assert public == {"energy", "grad", "fields", "energies", "with_counter"}
+
+
+class CallLog(HamiltonianSystem):
+    """Forwards every call to ``base`` and logs its name and row count."""
+
+    def __init__(self, base):
+        self.base, self.dim, self.calls = base, base.dim, []
+
+    def energy(self, q, p):
+        self.calls.append(("energy", 1))
+        return self.base.energy(q, p)
+
+    def grad(self, q, p):
+        self.calls.append(("grad", 1))
+        return self.base.grad(q, p)
+
+    def fields(self, rows):
+        self.calls.append(("fields", rows.size // (2 * self.dim)))
+        return self.base.fields(rows)
+
+    def energies(self, rows):
+        self.calls.append(("energies", rows.size // (2 * self.dim)))
+        return self.base.energies(rows)
+
+
+@pytest.mark.parametrize("method", ["pihajoki", "tao", "semiexplicit", "gl6"])
+def test_a_recorded_run_steps_on_fields_and_records_on_energies(monkeypatch, method):
+    order = dict(order=6) if method == "gl6" else {}
+    spec = preset("vortex4", method=method, t_end=10 * PRESETS["vortex4"]["dt"], record_stride=1,
+                  **order)
+    logs, build = [], harness.build_system
+
+    def logged_build(spec):  # patched in as a benchmark's timing wrapper is
+        system, z0, invariants = build(spec)
+        logs.append(CallLog(system))
+        return logs[-1], z0, invariants
+
+    monkeypatch.setattr(harness, "build_system", logged_build)
+    # chunks of 4 rows interleave the two kernels, so each call shows its phase
+    monkeypatch.setattr(recording, "CHUNK_ROWS", 4)
+    record = run_experiment(spec)
+    assert record.complete and record.rows == 11
+    (log,) = logs
+    phases = [(name, sum(rows for _, rows in calls))
+              for name, calls in itertools.groupby(log.calls, key=lambda call: call[0])]
+    assert [name for name, _ in phases] == ["fields", "energies"] * 3
+    assert [rows for name, rows in phases if name == "energies"] == [4, 4, 3]
+    assert sum(rows for name, rows in phases if name == "fields") == record.vf_total
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_fields_grad_and_vector_fields_agree_bit_for_bit(name):
     system = build_system(preset(name))[0]
@@ -508,14 +573,12 @@ def test_fields_grad_and_vector_fields_agree_bit_for_bit(name):
     for z in (point[: 2 * d] for point in points):
         rows = z.reshape(2, d)
         field = _outcome(lambda: (system.fields(rows),))
-        assert field == _outcome(lambda: (lambda gq, gp: (gp, -gq))(*system.grad(*rows)))
-        assert field == _outcome(lambda: (system.vector_field(z),))
-        assert field == _outcome(lambda: (system.vector_fields(z[None]),))
+        assert field == _outcome(lambda: _grad_fields(system, rows[None]))
+        assert field == _outcome(lambda: (system.fields(rows[None]),))  # a one-row stack
     for pair in points:  # a stack of two, strided rows included
         stack = pair.reshape(2, 2, d)
         fields = _outcome(lambda: (system.fields(stack),))
         assert fields == _outcome(lambda: [system.fields(rows) for rows in stack])
-        assert fields == _outcome(lambda: (system.vector_fields(pair.reshape(2, 2 * d)),))
         assert _outcome(lambda: (system.fields(pair.reshape(4, d)[0::3]),)) == _outcome(
             lambda: (system.fields(pair.reshape(4, d)[0::3].copy()),))
 
@@ -561,13 +624,13 @@ def test_stacked_diagnostics_are_per_point_diagnostics_bit_for_bit(seed, name):
         (states, _doubled(states, d)),
     ):
         with np.errstate(over="ignore", invalid="ignore"):
-            energies = [_limited(system.energy_z, z) for z in zs]
+            energies = [_limited(system.energy, z[:d], z[d:]) for z in zs]
             whole = [i for i, e in enumerate(energies) if e is not None]  # no collision
-            qs, ps = stack_halves(zs[whole], d)
-            assert _same_bits(system.energies(qs, ps), [energies[i] for i in whole])
+            rows = zs.reshape(-1, 2, d)
+            assert _same_bits(system.energies(rows[whole]), [energies[i] for i in whole])
             if len(whole) < len(zs):
                 with pytest.raises(VortexCollision):
-                    system.energies(*stack_halves(zs, d))
+                    system.energies(rows)
             for _, inv in invariants:
                 assert _same_bits(inv.evaluate(zs), [inv.evaluate(z) for z in zs])
             for inv in lifts:
@@ -579,10 +642,10 @@ def test_stacked_diagnostics_read_overflow_as_inf_and_a_bad_domain_as_nan():
     testcase, lattice, one_site = make_testcase(), make_nls(5), make_nls(1)
     with np.errstate(over="ignore", invalid="ignore"):
         # exp past math's range in the first row, sin(inf) outside its domain in the second
-        qs, ps = np.array([[1e4, 1.0], [0.0, np.inf]]), np.array([[0.0, 1.0], [0.0, 1.0]])
-        assert _same_bits(testcase.energies(qs, ps), [np.inf, np.nan])
-        assert _same_bits(one_site.energies(np.array([[1e200], [np.nan]]), np.ones((2, 1))),
+        rows = np.array([[[1e4, 1.0], [0.0, 1.0]], [[0.0, np.inf], [0.0, 1.0]]])
+        assert _same_bits(testcase.energies(rows), [np.inf, np.nan])
+        assert _same_bits(one_site.energies(np.array([[[1e200], [1.0]], [[np.nan], [1.0]]])),
                           [np.inf, np.nan])
         zs = np.array([np.full(10, 1e200), np.full(10, np.nan)])
         assert _same_bits(nls_mass(5).evaluate(zs), [np.inf, np.nan])
-        assert np.isnan(lattice.energies(*stack_halves(zs, 5))).all()  # inf - inf in the coupling
+        assert np.isnan(lattice.energies(zs.reshape(2, 2, 5))).all()  # inf - inf in the coupling

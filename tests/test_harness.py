@@ -30,6 +30,7 @@ from extphase import (
     emit_csv,
     emit_svg,
     final_state,
+    halves,
     harness,
     join,
     load_config,
@@ -258,7 +259,8 @@ def test_recorded_columns_are_per_row_diagnostics_across_chunks(monkeypatch, fai
     assert record.defect.tolist() == [0.0] + [defect_norm(zeta) for zeta in kept]
     assert record.itr.tolist() == [0] * n and record.vf.tolist() == [0] + [4] * (n - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert record.energy_err.tobytes() == _per_row_drift([system.energy_z(z) for z in states])
+        energies = [system.energy(*halves(z)) for z in states]
+        assert record.energy_err.tobytes() == _per_row_drift(energies)
         for name, inv in invariants:
             assert record.drifts[name].tobytes() == _per_row_drift([inv.evaluate(z) for z in states])
 
@@ -269,10 +271,10 @@ def test_a_colliding_recorded_row_ends_the_record_at_whole_rows(monkeypatch, tmp
     clean = run_experiment(spec)
     target, energies = clean.states[row][:4], PointVortexSystem.energies
 
-    def collide_at_row(self, qs, ps):
-        if (qs == target).all(axis=-1).any():
+    def collide_at_row(self, rows):
+        if (rows[..., 0, :] == target).all(axis=-1).any():
             raise VortexCollision("vortices closer than 1e-12 in planar coordinates")
-        return energies(self, qs, ps)
+        return energies(self, rows)
 
     monkeypatch.setattr(PointVortexSystem, "energies", collide_at_row)
     record = run_experiment(spec)

@@ -137,6 +137,11 @@ def test_fixed_point_requires_small_steps():
         gl_step(sys_, 0.5, z0, gl_tableau(2), cfg)
 
 
+def _field(system, z):
+    """The canonical field at the flat point ``z``, from its one row."""
+    return system.fields(z.reshape(2, -1)).reshape(-1)
+
+
 def test_a_failed_gauss_solve_carries_its_smallest_change():
     # testcase at dt=16: the sweeps grow until the divergence guard fires;
     # the failure keeps the stage values whose own sweep changed them least
@@ -145,11 +150,11 @@ def test_a_failed_gauss_solve_carries_its_smallest_change():
     tab = gl_tableau(2)
     with pytest.raises(NonConvergence, match="fixed-point stage solve diverged: change") as err:
         gl_step(sys_, 16.0, z0, tab, SolverConfig(tol=1e-14, max_iter=100))
-    first_change = float(np.max(np.abs(sys_.vector_field(z0))))
+    first_change = float(np.max(np.abs(_field(sys_, z0))))
     assert err.value.iterations < 100
     assert err.value.final_residual <= first_change
     k = err.value.best
-    change = float(np.max(np.abs(sys_.vector_field(z0 + 16.0 * tab.a[0, 0] * k[0]) - k[0])))
+    change = float(np.max(np.abs(_field(sys_, z0 + 16.0 * tab.a[0, 0] * k[0]) - k[0])))
     assert err.value.final_residual == change
 
 
@@ -164,7 +169,7 @@ def test_a_colliding_gauss_sweep_is_charged_its_whole_stack():
     config = VortexConfig(gammas, positions)
     z = canonical_from_planar(config, positions)
     tab = gl_tableau(6)
-    first_sweep = np.tile(make_vortices(config).vector_field(z), (tab.stages, 1))
+    first_sweep = np.tile(_field(make_vortices(config), z), (tab.stages, 1))
     dt = float(-z[0] / (tab.a @ first_sweep)[0, 0])
     spec = make_spec(dict(system="vortex", gammas=gammas, positions=positions, method="gl6",
                           dt=dt, t_end=dt))

@@ -11,25 +11,23 @@ one JSON object of named entries.  It covers every built-in preset under
 every method configuration: a 20-step run recording every step with its
 state, ``drift_series`` over those states with each of the preset's named
 invariants, the SHA-256 of that run's CSV and SVG files, ``final_state``,
-and ``benchmark``'s row without its timing.  It pins ``grad``,
-``vector_field``, ``energy_z`` and each named invariant of each preset's
-system, and of the one- and two-site lattices, at 20 seeded points each:
-normal draws at three scales, signed zeros, and draws mixing in infinities,
-nan, subnormals and ``1e150``; a point a kernel refuses records its error.
-``grads`` and ``vector_fields`` are pinned on one stack of each system's
-six finite points, the normal draws, so a stacked kernel is judged on more
-than one row; the row kernel ``fields`` is pinned at every point, one
-``(2, d)`` row at a time, and on that stack.  The
-energy and the invariants are pinned per point and as a one-row stack
-(``energies`` and a stacked ``evaluate``); a tree without ``energies``
-gets a per-row stacked form with the recording rule, so its entries
-compare.  It also covers 23 runs that
+and ``benchmark``'s row without its timing.  It pins the system's
+interface, ``grad``, the row kernel ``fields``, ``energy`` and
+``energies``, and each named invariant of each preset's system, and of the
+one- and two-site lattices, at 20 seeded points each: normal draws at
+three scales, signed zeros, and draws mixing in infinities, nan,
+subnormals and ``1e150``; a point a kernel refuses records its error.
+``fields`` is pinned at every point, one ``(2, d)`` row at a time, and on
+one stack of each system's six finite points, the normal draws, so the
+kernel is judged on more than one row.  The energy and the invariants are
+pinned per point and as a one-row stack (``energies`` and a stacked
+``evaluate``).  It also covers 23 runs that
 fail, 16 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
 ``tol=1e-16``, whose errors are compared as text and, for a
 ``NonConvergence``, by what they carry: ``iterations``, ``final_residual``
 and the SHA-256 of the ``best`` iterate's bytes; the SHA-256 of the CSV
 and SVG files of one full-horizon ``vortex4`` ``tao-2`` run (4,001 rows);
-and the bytes ``emit_benchmark_csv`` writes for a fixed row: 3,608
+and the bytes ``emit_benchmark_csv`` writes for a fixed row: 3,485
 entries.  Floats are stored with ``float.hex``, so equal entries are equal
 bit for bit.
 
@@ -165,31 +163,13 @@ def _record_entries(xp, key: str, record, out: dict, tmp_dir: Path) -> None:
         out[f"{key}/{kind}_sha256"] = _sha256(path)
 
 
-def _limited(fn, z):
-    """``fn(z)``, or inf (nan) where it leaves the range (domain) of ``math``'s
-    functions: the rule a recorded diagnostic follows."""
-    try:
-        return fn(z)
-    except ArithmeticError:
-        return np.inf
-    except ValueError:
-        return np.nan
-
-
 def _diagnostics(xp, system, invariants) -> list:
     """``(entry, per point, on a stack)`` evaluators of the energy and each
-    named invariant.  A tree without stacked diagnostics gets a per-row
-    stacked form that follows their rule, so that its entries compare."""
-    if hasattr(system, "energies"):
-        energies = [("energy_z", system.energy_z,
-                     lambda zs: system.energies(*xp.stack_halves(zs, system.dim)))]
-        return energies + [(name, inv.evaluate, inv.evaluate) for name, inv in invariants]
-
-    def per_row(fn):
-        return lambda zs: np.array([_limited(fn, z) for z in zs])
-
-    energies = [("energy_z", system.energy_z, per_row(system.energy_z))]
-    return energies + [(name, inv.evaluate, per_row(inv.evaluate)) for name, inv in invariants]
+    named invariant."""
+    d = system.dim
+    energy = ("energy", lambda z: system.energy(*xp.halves(z, d)),
+              lambda zs: system.energies(zs.reshape(len(zs), 2, d)))
+    return [energy] + [(name, inv.evaluate, inv.evaluate) for name, inv in invariants]
 
 
 def _guarded(out: dict, key: str, fn) -> None:
@@ -262,12 +242,6 @@ def dump(src_dir: str, out_path: str) -> int:
             diagnostics = _diagnostics(xp, system, invariants)
             points = kernel_points(2 * system.dim, seed)
 
-            def evaluate_stack(system=system, zs=np.array(points[:6]), key=f"kernel/{name}/stack"):
-                with np.errstate(all="ignore"):
-                    out[f"{key}/grads"] = _values(np.hstack(system.grads(*xp.stack_halves(zs))))
-                    out[f"{key}/vector_fields"] = _values(system.vector_fields(zs))
-
-            _guarded(out, f"kernel/{name}/stack", evaluate_stack)
             fields_at = [(f"kernel/{name}/stack/fields", np.array(points[:6]).reshape(6, 2, -1))]
             for i, z in enumerate(points):
                 key = f"kernel/{name}/{i}"
@@ -276,7 +250,6 @@ def dump(src_dir: str, out_path: str) -> int:
                     with np.errstate(all="ignore"):
                         out[f"{key}/point"] = _values(z)
                         out[f"{key}/grad"] = _values(xp.join(*system.grad(*xp.halves(z))))
-                        out[f"{key}/vector_field"] = _values(system.vector_field(z))
 
                 _guarded(out, key, evaluate)
                 fields_at.append((f"{key}/fields", z.reshape(2, -1)))
@@ -288,8 +261,8 @@ def dump(src_dir: str, out_path: str) -> int:
                                 out[label] = _values(fn(arg))
 
                         _guarded(out, f"{key}/{label}", diagnose)
-            # the row kernel, one row at a time and on the stack; older trees have none
-            for key, rows in fields_at if hasattr(system, "fields") else ():
+            # the row kernel, one row at a time and on the stack
+            for key, rows in fields_at:
 
                 def evaluate_fields(system=system, rows=rows, key=key):
                     with np.errstate(all="ignore"):
