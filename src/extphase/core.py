@@ -9,7 +9,8 @@ positions and momenta, in either space), :func:`blocks` (the four rows of
 a doubled point) or :func:`row_pairs` (two ``(2, d)`` pairs of those rows)
 and builds one with :func:`join`; a ``(B, 2*d)`` stack of
 ``B`` points, one per row, is read through :func:`stack_halves`.  These
-hold the one check of the layout's shape.  The diagonal subspace
+hold the one check of the layout's shape, :func:`block_length`, which the
+projected step calls once per point and step.  The diagonal subspace
 ``x == q, y == p`` is the kernel of the constraint operator implemented by
 :func:`apply_A`; its transpose is :func:`apply_AT` and ``A @ A.T == 2*I``
 holds exactly.
@@ -32,10 +33,11 @@ __all__ = [
 ]
 
 
-def _block_length(point: np.ndarray, parts: int, d: int | None) -> int:
-    """Length ``d`` of the ``parts`` equal blocks of a flat point, checked."""
-    n, rest = divmod(point.size, parts)
-    if rest or not n or point.ndim != 1 or d not in (None, n):
+def block_length(point: np.ndarray, parts: int, d: int | None = None) -> int:
+    """Length ``d`` of the ``parts`` equal blocks of a flat point, checked by
+    one comparison of its shape with ``(parts * d,)``; the layout's one check."""
+    n = point.size // parts if d is None else d
+    if point.shape != (parts * n,) or not n:
         expected = f"{parts}*d with d >= 1" if d is None else str(parts * d)
         raise DimensionMismatch(f"state must have length {expected}, got shape {point.shape}")
     return n
@@ -49,7 +51,7 @@ def halves(z: np.ndarray, d: int | None = None) -> tuple[np.ndarray, np.ndarray]
     :class:`DimensionMismatch` unless ``z`` is a flat array of length
     ``2*d`` (any positive even length when ``d`` is None).
     """
-    n = _block_length(z, 2, d)
+    n = block_length(z, 2, d)
     return z[:n], z[n:]
 
 
@@ -62,7 +64,7 @@ def stack_halves(zs: np.ndarray, d: int | None = None) -> tuple[np.ndarray, np.n
     """
     if zs.ndim != 2 or not zs.shape[0]:
         raise DimensionMismatch(f"a stack of points must be 2-D with a row, got shape {zs.shape}")
-    n = _block_length(zs[0], 2, d)
+    n = block_length(zs[0], 2, d)
     return zs[:, :n], zs[:, n:]
 
 
@@ -75,9 +77,12 @@ def blocks(zeta: np.ndarray, d: int | None = None) -> np.ndarray:
     unless ``zeta`` is flat with length ``4*d`` (any positive multiple of 4
     when ``d`` is None).
     """
-    _block_length(zeta, 4, d)
+    block_length(zeta, 4, d)
     return zeta.reshape(4, -1)
 
+
+# A^T mu as rows ((mu1, -mu1), (mu2, -mu2)): the (2, 1, d) rows of mu times these.
+AT_SIGNS = np.array([[1.0], [-1.0]])
 
 # Slices of the rows (q, x, p, y) that pick two canonical rows (positions,
 # momenta): the copies (q, p) and (x, y), or the flows' points (q, y) and (x, p).
@@ -87,9 +92,9 @@ FLOWS = (slice(0, None, 3), slice(1, 3))
 
 def row_pairs(zeta: np.ndarray, pairs: tuple, d: int | None = None) -> tuple:
     """The two ``(2, d)`` canonical row views of a doubled point that
-    ``pairs`` (:data:`COPIES` or :data:`FLOWS`) picks, read through
-    :func:`blocks`; writing to them writes the point."""
-    rows = blocks(zeta, d)
+    ``pairs`` (:data:`COPIES` or :data:`FLOWS`) picks, checked as
+    :func:`blocks` checks; writing to them writes the point."""
+    rows = zeta.reshape(4, block_length(zeta, 4, d))
     return rows[pairs[0]], rows[pairs[1]]
 
 
@@ -115,28 +120,28 @@ def embed(z: np.ndarray) -> np.ndarray:
 
 def restrict(zeta: np.ndarray, tol: float) -> np.ndarray:
     """The ``(q, p)`` block of a point on the diagonal; see :func:`restrict_copies`."""
-    return restrict_copies(*row_pairs(np.asarray(zeta, dtype=float), COPIES), tol)[0]
+    return restrict_copies(np.asarray(zeta, dtype=float), tol)[0]
 
 
-def restrict_copies(first: np.ndarray, second: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """The fresh point ``(q, p)`` of a doubled point given by its copies
-    ``first = (q, p)`` and ``second = (x, y)``, and its :func:`defect_norm`.
+def restrict_copies(zeta: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """The fresh point ``(q, p)`` of a doubled point and its :func:`defect_norm`.
 
     Raises :class:`NotOnDiagonal` if ``|A zeta|_inf`` is not finite or
     exceeds ``tol * max(1, |zeta|_inf)``; a failure here signals that an
     upstream projection did not actually land on the diagonal.
     """
+    first, second = row_pairs(zeta, COPIES)
     gap = (first - second).reshape(-1)
     worst = np.abs(gap).max()
-    bound = tol * max(1.0, np.abs(first).max(), np.abs(second).max())
+    bound = tol * max(1.0, np.abs(zeta).max())
     if not (math.isfinite(worst) and worst <= bound):
         raise NotOnDiagonal(f"diagonal defect {worst:.3e} exceeds tolerance {tol:.3e}")
     return first.flatten(), math.sqrt(gap.dot(gap))
 
 
-def apply_A(zeta: np.ndarray, d: int | None = None) -> np.ndarray:
-    """``A zeta = (q - x, p - y)``, zero exactly on the diagonal; ``d`` as in :func:`blocks`."""
-    first, second = row_pairs(zeta, COPIES, d)
+def apply_A(zeta: np.ndarray) -> np.ndarray:
+    """``A zeta = (q - x, p - y)``, zero exactly on the diagonal."""
+    first, second = row_pairs(zeta, COPIES)
     return (first - second).reshape(-1)
 
 
@@ -145,8 +150,8 @@ def apply_AT(mu: np.ndarray) -> np.ndarray:
 
     That is the embedding of ``mu = (mu1, mu2)`` with its second copy negated.
     """
-    m1, m2 = halves(np.asarray(mu, dtype=float))
-    return join(m1, -m1, m2, -m2)
+    m = np.asarray(mu, dtype=float)
+    return (m.reshape(2, 1, block_length(m, 2)) * AT_SIGNS).reshape(-1)
 
 
 def defect_norm(zeta: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COPIES, apply_A, embed, halves, restrict_copies, row_pairs
+from .core import AT_SIGNS, COPIES, apply_AT, block_length, restrict_copies, row_pairs
 from .errors import ConfigError, NonConvergence
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
@@ -39,6 +39,9 @@ DIVERGENCE_FACTOR = 1e4
 # Room in the final diagonal check for the shift's rounding, about one ulp of
 # |zeta_next|, which a tol near 1e-16 lacks.
 SHIFT_ROUNDING = 4.0 * np.finfo(float).eps
+
+# Newton's step with the Jacobian 4I; 0-d, which a ufunc takes faster than a float.
+QUARTER = np.array(0.25)
 
 
 @dataclass(frozen=True)
@@ -139,29 +142,33 @@ def solve_mu(
     caller never pays an extra step evaluation) and ``stats`` carries the
     iteration/cost accounting.  Failures raise as :func:`iterate` says.
 
-    Every pass writes its shifted point ``zeta_n + A^T mu`` into one buffer
-    of the solve, so the inner step must not keep a reference to its input
-    across calls; it may return it.  An image of another length than
-    ``zeta_n`` raises :class:`DimensionMismatch`.
+    The layout of ``zeta_n`` is checked once per solve.  Every pass writes
+    its shifted point ``zeta_n + A^T mu`` into one buffer, made once per
+    solve, and hands it to the inner step, which may write into it and
+    return it or return a fresh array, but must not keep it across calls:
+    the next pass overwrites it.  An image of another length than
+    ``zeta_n`` raises :class:`DimensionMismatch`.  Every multiplier and
+    residual is a fresh array, so ``mu`` and ``stats.mu`` are the caller's.
     """
-    first_n, second_n = row_pairs(zeta_n, COPIES)
-    d = first_n.shape[1]
+    d = block_length(zeta_n, 4)  # the layout check, once per solve
     mu = np.zeros(2 * d) if mu0 is None else np.array(mu0, dtype=float)
-    halves(mu, d)  # a warm start must be (mu1, mu2), one entry per constraint
-    point = np.empty(4 * d)
-    first, second = row_pairs(point, COPIES)
+    block_length(mu, 2, d)  # a warm start must be (mu1, mu2), one entry per constraint
+    point, shift = np.empty(4 * d), np.empty(4 * d)
+    first, second = row_pairs(point, COPIES, d)
+    shift_rows = shift.reshape(2, 2, d)
 
     def evaluate(mu):
-        m = mu.reshape(2, d)
-        np.add(first_n, m, out=first)  # zeta_n + A^T mu, into the solve's buffer
-        np.subtract(second_n, m, out=second)
+        np.multiply(mu.reshape(2, 1, d), AT_SIGNS, out=shift_rows)  # A^T mu
+        np.add(zeta_n, shift, out=point)  # zeta_n + A^T mu, into the solve's buffer
         image = extended_step(system, dt, point)
-        r = apply_A(image, d)  # a fresh array on every pass: Broyden keeps the last one
-        r += 2.0 * mu
+        # the copies of the image (one shape compare when it is not the buffer)
+        a, b = (first, second) if image is point else row_pairs(image, COPIES, d)
+        r = np.subtract(a, b).reshape(-1)  # fresh on every pass: Broyden keeps the last one
+        r += mu + mu  # 2 mu bit for bit, with no float operand
         return r, image
 
     def newton(mu, r, _image):
-        return mu - 0.25 * r
+        return mu - QUARTER * r
 
     inv_jac = prev_mu = prev_r = None  # Broyden's inverse Jacobian and last pass
 
@@ -195,15 +202,18 @@ def semiexplicit_step(
     """One symmetrically projected step ``z_n -> z_{n+1}``.
 
     Any symmetric doubled-space step works as the inner map, including the
-    4th- and 6th-order palindromic compositions.  ``mu0`` warm-starts the
-    solve (the accepted multiplier is returned in ``stats.mu``); the default
-    cold start is the reproducible configuration.
-
-    Returns ``(z_next, stats)``.
+    4th- and 6th-order palindromic compositions, under :func:`solve_mu`'s
+    contract.  ``mu0`` warm-starts the solve (the accepted multiplier is
+    returned in ``stats.mu``); the default cold start is the reproducible
+    configuration.  The step checks ``z_n`` once and writes ``(q, q, p, p)``
+    into a buffer made for this step, which then takes the end point
+    ``image + A^T mu``.  Returns ``(z_next, stats)``, both fresh.
     """
-    zeta_n = embed(z_n)
+    z = np.asarray(z_n, dtype=float)
+    d = block_length(z, 2)  # the layout check, once per step
+    zeta_n = np.empty(4 * d)
+    zeta_n.reshape(2, 2, d)[:] = z.reshape(2, 1, d)  # embed(z_n): (q, q, p, p)
     mu, image, stats = solve_mu(system, extended_step, dt, zeta_n, cfg, mu0=mu0)
-    first, second = row_pairs(image, COPIES)
-    m = mu.reshape(2, -1)  # the end point image + A^T mu, copy by copy
-    z_next, stats.defect_norm = restrict_copies(first + m, second - m, cfg.tol + SHIFT_ROUNDING)
+    np.add(image, apply_AT(mu), out=zeta_n)  # the end point image + A^T mu, into zeta_n
+    z_next, stats.defect_norm = restrict_copies(zeta_n, cfg.tol + SHIFT_ROUNDING)
     return z_next, stats

@@ -18,12 +18,15 @@ from extphase import (
     composed_step,
     defect_norm,
     embed,
+    harness,
     make_nls,
     make_testcase,
     make_vortices,
     nls_mass,
     pihajoki_step,
+    preset,
     restrict,
+    run_experiment,
     semiexplicit_step,
     solve_mu,
     symplecticity_defect,
@@ -453,3 +456,69 @@ def test_the_projected_step_is_the_seed_formulas_and_owns_its_buffers(
     for i, a in enumerate(returned):
         for b in inputs + returned[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def _writes_into_its_input(system, dt, zeta):
+    """An inner step that writes its image into the point it is handed and returns it."""
+    zeta[...] = pihajoki_step(system, dt, zeta)
+    return zeta
+
+
+def _returns_a_fresh_array(system, dt, zeta):
+    return pihajoki_step(system, dt, zeta).copy()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    case=systems_with_invariants(),
+    inner=st.sampled_from([_writes_into_its_input, _returns_a_fresh_array]),
+    solver=st.sampled_from(["simplified_newton", "broyden"]),
+    warm=st.booleans(),
+    dt=st.floats(0.01, 0.05),
+)
+def test_an_inner_step_may_write_into_its_input_or_return_a_fresh_array(
+        case, inner, solver, warm, dt):
+    """The solve hands the inner step its buffer: an inner step that writes
+    into it and returns it, and one that returns a fresh array, both give the
+    seed formulas' steps bit for bit, cold or warm started."""
+    system, z, _ = case
+    cfg = SolverConfig(tol=1e-12, method=solver)
+    mu_start = None
+    for _ in range(2):
+        z_next, stats = semiexplicit_step(system, inner, dt, z, cfg, mu0=mu_start)
+        seed = _seed_projected_step(system, inner, dt, z, cfg, mu_start)
+        result = (z_next, stats.mu, stats.iterations, stats.final_residual, stats.defect_norm)
+        assert _bits(*result) == _bits(*seed)
+        z, mu_start = z_next, (stats.mu if warm else None)
+
+
+def test_an_inner_image_of_the_right_size_but_not_flat_is_a_dimension_mismatch():
+    def rows(system, dt, zeta):
+        return zeta.reshape(4, -1)  # a view of the solve's buffer, but not a point
+
+    with pytest.raises(DimensionMismatch):
+        solve_mu(make_testcase(), rows, 0.1, embed(Z0), SolverConfig())
+
+
+@pytest.mark.parametrize("warm_start", [False, True])
+def test_a_recorded_projected_run_keeps_what_every_step_returned(monkeypatch, warm_start):
+    """Each state and multiplier a step returns keeps the bytes it had when
+    the step returned, after all later steps have run, and the record holds
+    those states: no step writes into a buffer that an earlier step handed out."""
+    returned = []
+
+    def keep(*args, **kwargs):
+        z, stats = semiexplicit_step(*args, **kwargs)
+        returned.append((z, stats.mu, z.tobytes(), stats.mu.tobytes()))
+        return z, stats
+
+    monkeypatch.setattr(harness, "semiexplicit_step", keep)
+    spec = preset("testcase", method="semiexplicit", t_end=2.0, tol=1e-12, record_stride=1,
+                  record_state=True, warm_start=warm_start)
+    record = run_experiment(spec)
+    assert len(returned) == spec.n_steps == len(record.states) - 1
+    for (z, mu, z_bytes, mu_bytes), row in zip(returned, record.states[1:]):
+        assert z.tobytes() == z_bytes and mu.tobytes() == mu_bytes
+        assert row.tobytes() == z_bytes
+    mus = [mu for _, mu, _, _ in returned]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(mus) for b in mus[i + 1:])
