@@ -15,8 +15,9 @@ projected step calls once per point and step.  The diagonal subspace
 :func:`apply_A`; its transpose is :func:`apply_AT` and ``A @ A.T == 2*I``
 holds exactly.
 
-All functions here are pure and allocation-light, and each checks the
-shape of its operand, raising :class:`DimensionMismatch` on a bad layout.
+All functions here but :func:`shift_into` (``zeta + A^T mu`` into a buffer)
+are pure and allocation-light, and each checks the shape of its operand,
+raising :class:`DimensionMismatch` on a bad layout.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def blocks(zeta: np.ndarray, d: int | None = None) -> np.ndarray:
 
 
 # A^T mu as rows ((mu1, -mu1), (mu2, -mu2)): the (2, 1, d) rows of mu times these.
-AT_SIGNS = np.array([[1.0], [-1.0]])
+_AT_SIGNS = np.array([[1.0], [-1.0]])
 
 # Slices of the rows (q, x, p, y) that pick two canonical rows (positions,
 # momenta): the copies (q, p) and (x, y), or the flows' points (q, y) and (x, p).
@@ -151,7 +152,14 @@ def apply_AT(mu: np.ndarray) -> np.ndarray:
     That is the embedding of ``mu = (mu1, mu2)`` with its second copy negated.
     """
     m = np.asarray(mu, dtype=float)
-    return (m.reshape(2, 1, block_length(m, 2)) * AT_SIGNS).reshape(-1)
+    return (m.reshape(2, 1, block_length(m, 2)) * _AT_SIGNS).reshape(-1)
+
+
+def shift_into(out: np.ndarray, zeta: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Write ``zeta + A^T mu`` (bit for bit ``zeta + apply_AT(mu)``) into the flat
+    ``out`` and return it, unchecked: the projected step checks once per step."""
+    np.multiply(mu.reshape(2, 1, -1), _AT_SIGNS, out=out.reshape(2, 2, -1))
+    return np.add(zeta, out, out=out)
 
 
 def defect_norm(zeta: np.ndarray) -> float:

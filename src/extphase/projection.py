@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AT_SIGNS, COPIES, apply_AT, block_length, restrict_copies, row_pairs
+from .core import COPIES, block_length, restrict_copies, row_pairs, shift_into
 from .errors import ConfigError, NonConvergence
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
@@ -142,27 +142,21 @@ def solve_mu(
     caller never pays an extra step evaluation) and ``stats`` carries the
     iteration/cost accounting.  Failures raise as :func:`iterate` says.
 
-    The layout of ``zeta_n`` is checked once per solve.  Every pass writes
-    its shifted point ``zeta_n + A^T mu`` into one buffer, made once per
-    solve, and hands it to the inner step, which may write into it and
-    return it or return a fresh array, but must not keep it across calls:
-    the next pass overwrites it.  An image of another length than
-    ``zeta_n`` raises :class:`DimensionMismatch`.  Every multiplier and
-    residual is a fresh array, so ``mu`` and ``stats.mu`` are the caller's.
+    Every pass writes its shifted point ``zeta_n + A^T mu`` into one buffer
+    of the solve and hands it to the inner step, which may write into it and
+    return it or return a fresh array, but must not keep it across calls.
+    An image of another length than ``zeta_n`` raises
+    :class:`DimensionMismatch`.  Every multiplier and residual is fresh.
     """
     d = block_length(zeta_n, 4)  # the layout check, once per solve
     mu = np.zeros(2 * d) if mu0 is None else np.array(mu0, dtype=float)
     block_length(mu, 2, d)  # a warm start must be (mu1, mu2), one entry per constraint
-    point, shift = np.empty(4 * d), np.empty(4 * d)
-    first, second = row_pairs(point, COPIES, d)
-    shift_rows = shift.reshape(2, 2, d)
+    point = np.empty(4 * d)
 
     def evaluate(mu):
-        np.multiply(mu.reshape(2, 1, d), AT_SIGNS, out=shift_rows)  # A^T mu
-        np.add(zeta_n, shift, out=point)  # zeta_n + A^T mu, into the solve's buffer
-        image = extended_step(system, dt, point)
-        # the copies of the image (one shape compare when it is not the buffer)
-        a, b = (first, second) if image is point else row_pairs(image, COPIES, d)
+        image = extended_step(system, dt, shift_into(point, zeta_n, mu))  # zeta_n + A^T mu
+        # the image's copies, after one shape compare: another length raises
+        a, b = row_pairs(image, COPIES, d)
         r = np.subtract(a, b).reshape(-1)  # fresh on every pass: Broyden keeps the last one
         r += mu + mu  # 2 mu bit for bit, with no float operand
         return r, image
@@ -205,15 +199,13 @@ def semiexplicit_step(
     4th- and 6th-order palindromic compositions, under :func:`solve_mu`'s
     contract.  ``mu0`` warm-starts the solve (the accepted multiplier is
     returned in ``stats.mu``); the default cold start is the reproducible
-    configuration.  The step checks ``z_n`` once and writes ``(q, q, p, p)``
-    into a buffer made for this step, which then takes the end point
-    ``image + A^T mu``.  Returns ``(z_next, stats)``, both fresh.
+    configuration.  Returns ``(z_next, stats)``, both fresh.
     """
     z = np.asarray(z_n, dtype=float)
     d = block_length(z, 2)  # the layout check, once per step
     zeta_n = np.empty(4 * d)
     zeta_n.reshape(2, 2, d)[:] = z.reshape(2, 1, d)  # embed(z_n): (q, q, p, p)
     mu, image, stats = solve_mu(system, extended_step, dt, zeta_n, cfg, mu0=mu0)
-    np.add(image, apply_AT(mu), out=zeta_n)  # the end point image + A^T mu, into zeta_n
+    shift_into(zeta_n, image, mu)  # the end point image + A^T mu, into zeta_n
     z_next, stats.defect_norm = restrict_copies(zeta_n, cfg.tol + SHIFT_ROUNDING)
     return z_next, stats

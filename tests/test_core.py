@@ -25,6 +25,7 @@ from extphase import (
     stack_halves,
     symplecticity_defect,
 )
+from extphase.core import shift_into
 
 from conftest import seeded_rng
 
@@ -235,6 +236,16 @@ def test_shift_linearity():
         lhs = apply_A(zeta + apply_AT(mu))
         rhs = apply_A(zeta) + 2.0 * mu
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
+
+
+def test_shift_into_is_zeta_plus_AT_mu_bit_for_bit_in_its_buffer():
+    rng = seeded_rng(105)
+    for _ in range(50):
+        zeta = rng.normal(size=8) * rng.choice([1e-7, 1.0, 1e7])
+        mu = rng.normal(size=4) * rng.choice([1e-7, 1.0, 1e7])
+        out = np.empty(8)
+        assert shift_into(out, zeta, mu) is out
+        assert out.tobytes() == (zeta + apply_AT(mu)).tobytes()
 
 
 def test_defect_norm_on_diagonal_is_zero():

@@ -18,39 +18,12 @@ and edits nothing.
 from __future__ import annotations
 
 import argparse
-import importlib
-import os
 import statistics
 import sys
 import tempfile
 from pathlib import Path
 
-# The vortex gradient's matrix products go through BLAS; one thread, as in
-# perfbench/run.py.  Set before NumPy is first imported.
-for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[variable] = "1"
-
-# The top-level modules a checkout brings: its package and perfbench's.
-OWN_MODULES = ("extphase", "workloads", "tracing", "reference")
-
-
-def _own(name: str) -> bool:
-    return name.split(".")[0] in OWN_MODULES
-
-
-def load_workloads(root: Path):
-    """``perfbench/workloads.py`` of the checkout at ``root``, importing that
-    checkout's ``extphase``; the modules leave ``sys.modules`` afterwards, so
-    the next checkout imports its own."""
-    for name in [name for name in sys.modules if _own(name)]:
-        del sys.modules[name]
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    try:
-        return importlib.import_module("workloads")
-    finally:
-        del sys.path[:2]
-        for name in [name for name in sys.modules if _own(name)]:
-            del sys.modules[name]
+from checkout import load  # before NumPy: it sets the BLAS thread count
 
 
 def parse_args(argv=None):
@@ -68,7 +41,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    sides = [load_workloads(root.resolve()) for root in (args.a, args.b)]
+    sides = [load(root, "workloads") for root in (args.a, args.b)]
     if any(args.workload not in side.WORKLOADS for side in sides):
         print(f"ab: unknown workload {args.workload!r}", file=sys.stderr)
         return 2

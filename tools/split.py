@@ -2,12 +2,12 @@
 
 Usage, from the repository root:
 
-    python3 tools/split.py src --rounds 100
-    python3 tools/split.py /path/to/parent/checkout/src src --rounds 100
+    python3 tools/split.py . --rounds 100
+    python3 tools/split.py /path/to/parent/checkout . --rounds 100
 
-Each given source directory's ``extphase`` is imported into this one
-process under its own module objects, and ``timeit`` times the pieces of
-two configurations at their presets' initial states:
+Each given checkout's ``extphase`` is imported into this one process under
+its own module objects, and ``timeit`` times the pieces of two
+configurations at their presets' initial states:
 
 - the projected lattice step of the lattice-projected workload
   (``nls_bench``, d=5, ``semiexplicit`` over ``pihajoki_step``, simplified
@@ -18,14 +18,14 @@ two configurations at their presets' initial states:
   ``tol=1e-10``): the whole step and one ``fields`` call on its three stage
   rows.
 
-Each round times every piece of every checkout once, in an order that
-rotates from round to round, and a piece's time is its minimum over the
-rounds, so that all pieces see the same swings of the host.  Each timing
-follows untimed calls of the same piece, since the piece timed just before
-leaves the caches to a different working set.  For each
-checkout the script prints the projected step's kernel time (``3 * passes``
-fields calls), the inner step's time outside the kernel per pass, the solve
-+ embed + finish time per step (the step minus its inner steps), and the
+Each round times every piece of every checkout once, as 100 calls, in an
+order that rotates from round to round, and a piece's time is its minimum
+over the rounds, so that all pieces see the same swings of the host.  Each
+timing follows untimed calls of the same piece, since the piece timed just
+before leaves the caches to a different working set.  For each checkout
+the script prints the projected step's kernel time (``3 * passes`` fields
+calls), the inner step's time outside the kernel per pass, the solve +
+embed + finish time per step (the step minus its inner steps), and the
 step's time outside the kernel against the kernel's; then the sweep's time,
 split into its ``fields`` call and the rest.
 """
@@ -33,48 +33,27 @@ split into its ``fields`` call and the rest.
 from __future__ import annotations
 
 import argparse
-import importlib
-import os
 import sys
 import timeit
 from pathlib import Path
 from time import perf_counter
 
-# The vortex gradient's matrix products go through BLAS; one thread, as in
-# perfbench/run.py.  Set before NumPy is first imported.
-for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[variable] = "1"
+from checkout import load  # before NumPy: it sets the BLAS thread count
 
-import numpy as np  # noqa: E402
+import numpy as np
+
+NUMBER = 100  # calls per timing
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", type=Path, nargs="*", default=[Path("src")],
-                        help="source directories to import extphase from (default: src)")
+    parser.add_argument("root", type=Path, nargs="*", default=[Path(".")],
+                        help="checkouts to import extphase from (default: .)")
     parser.add_argument("--rounds", type=int, default=100)
-    parser.add_argument("--number", type=int, default=100, help="calls per timing")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.number < 1:
-        parser.error("--rounds and --number must be at least 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     return args
-
-
-def load(src: Path):
-    """The ``extphase`` package under ``src``; its modules leave
-    ``sys.modules`` afterwards, so the next directory imports its own."""
-    def own():
-        return [name for name in sys.modules if name.split(".")[0] == "extphase"]
-
-    for name in own():
-        del sys.modules[name]
-    sys.path.insert(0, str(src.resolve()))
-    try:
-        return importlib.import_module("extphase")
-    finally:
-        del sys.path[0]
-        for name in own():
-            del sys.modules[name]
 
 
 def timed(call):
@@ -118,22 +97,22 @@ def pieces(xp) -> tuple[dict, int, int]:
     }, passes, sweeps
 
 
-def interleaved_minima(timings: dict, rounds: int, number: int) -> dict:
+def interleaved_minima(timings: dict, rounds: int) -> dict:
     """Microseconds per call of each entry: its minimum over ``rounds``
-    timings of ``number`` calls, the entries timed in an order that rotates
-    each round, each timing after a fifth as many untimed calls."""
+    timings of :data:`NUMBER` calls, the entries timed in an order that
+    rotates each round, each timing after a fifth as many untimed calls."""
     keys = list(timings)
     best = dict.fromkeys(keys, float("inf"))
     for k in range(rounds):
         for key in keys[k % len(keys):] + keys[:k % len(keys)]:
-            timings[key](max(1, number // 5))  # warm-up, untimed
-            best[key] = min(best[key], timings[key](number))
+            timings[key](NUMBER // 5)  # warm-up, untimed
+            best[key] = min(best[key], timings[key](NUMBER))
     return {key: 1e6 * seconds for key, seconds in best.items()}
 
 
-def report(src: Path, us: dict, passes: int, sweeps: int) -> None:
+def report(root: Path, us: dict, passes: int, sweeps: int) -> None:
     kernel = 3 * passes * us["fields"]
-    print(f"extphase from {src}")
+    print(f"extphase from {root}")
     print(f"  projected lattice step (nls_bench, tol 1e-10, {passes} passes): "
           f"{us['step']:.1f} us")
     print(f"    kernel, {3 * passes} fields calls of {us['fields']:.2f} us: {kernel:.1f} us/step")
@@ -150,12 +129,12 @@ def report(src: Path, us: dict, passes: int, sweeps: int) -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    sides = [pieces(load(src)) for src in args.src]
+    sides = [pieces(load(root, "extphase")) for root in args.root]
     timings = {(i, name): t for i, (side, _, _) in enumerate(sides) for name, t in side.items()}
-    us = interleaved_minima(timings, args.rounds, args.number)
-    print(f"interleaved minima over {args.rounds} rounds of {args.number} calls")
-    for i, (src, (_, passes, sweeps)) in enumerate(zip(args.src, sides)):
-        report(src, {name: us[j, name] for j, name in timings if j == i}, passes, sweeps)
+    us = interleaved_minima(timings, args.rounds)
+    print(f"interleaved minima over {args.rounds} rounds of {NUMBER} calls")
+    for i, (root, (_, passes, sweeps)) in enumerate(zip(args.root, sides)):
+        report(root, {name: us[j, name] for j, name in timings if j == i}, passes, sweeps)
     return 0
 
 
