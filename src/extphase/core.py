@@ -6,14 +6,14 @@ array ``zeta = (q, x, p, y)`` of length ``4*d``: ``(q, p)`` and ``(x, y)``
 are two copies of the original variables.  This module alone stores that
 layout.  Every other module reads a point through :func:`halves` (the
 positions and momenta, in either space), :func:`blocks` (the four rows of
-a doubled point) or :func:`row_pairs` (two ``(2, d)`` pairs of those rows)
-and builds one with :func:`join`; a ``(B, 2*d)`` stack of
-``B`` points, one per row, is read through :func:`stack_halves`.  These
-hold the one check of the layout's shape, :func:`block_length`, which the
-projected step calls once per point and step.  The diagonal subspace
-``x == q, y == p`` is the kernel of the constraint operator implemented by
-:func:`apply_A`; its transpose is :func:`apply_AT` and ``A @ A.T == 2*I``
-holds exactly.
+a doubled point) or :func:`row_pairs` (two ``(2, d)`` canonical rows of
+them), builds one with :func:`join` and doubles one with :func:`embed`.
+These hold the one check of the layout's shape, :func:`block_length`,
+which the projected step calls once per point and step.  A stack of
+points is canonical rows ``(..., 2, d)``, as the system kernels read it.
+The diagonal subspace ``x == q, y == p`` is the kernel of the constraint
+operator implemented by :func:`apply_A`; its transpose is
+:func:`apply_AT` and ``A @ A.T == 2*I`` holds exactly.
 
 All functions here but :func:`shift_into` (``zeta + A^T mu`` into a buffer)
 are pure and allocation-light, and each checks the shape of its operand,
@@ -30,7 +30,6 @@ from .errors import DimensionMismatch, NotOnDiagonal
 
 __all__ = [
     "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join", "restrict",
-    "stack_halves",
 ]
 
 
@@ -54,19 +53,6 @@ def halves(z: np.ndarray, d: int | None = None) -> tuple[np.ndarray, np.ndarray]
     """
     n = block_length(z, 2, d)
     return z[:n], z[n:]
-
-
-def stack_halves(zs: np.ndarray, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(B, n)`` views ``(positions, momenta)`` of a ``(B, 2*n)`` stack
-    of ``B >= 1`` points, one point per row, each read as by :func:`halves`.
-
-    Raises :class:`DimensionMismatch` unless ``zs`` is 2-D with at least one
-    row and each row has the length :func:`halves` accepts.
-    """
-    if zs.ndim != 2 or not zs.shape[0]:
-        raise DimensionMismatch(f"a stack of points must be 2-D with a row, got shape {zs.shape}")
-    n = block_length(zs[0], 2, d)
-    return zs[:, :n], zs[:, n:]
 
 
 def blocks(zeta: np.ndarray, d: int | None = None) -> np.ndarray:
@@ -114,9 +100,13 @@ def join(*parts: np.ndarray) -> np.ndarray:
 
 
 def embed(z: np.ndarray) -> np.ndarray:
-    """Duplicate ``z = (q, p)`` into the diagonal point ``(q, q, p, p)``."""
-    q, p = halves(np.asarray(z, dtype=float))
-    return join(q, q, p, p)
+    """Duplicate ``z = (q, p)`` into the fresh diagonal point ``(q, q, p, p)``,
+    by one broadcast write; checked as :func:`halves` checks."""
+    z = np.asarray(z, dtype=float)
+    d = block_length(z, 2)
+    zeta = np.empty(4 * d)
+    zeta.reshape(2, 2, d)[:] = z.reshape(2, 1, d)
+    return zeta
 
 
 def restrict(zeta: np.ndarray, tol: float) -> np.ndarray:

@@ -271,14 +271,15 @@ def _pair_geometry(rows):
     """Pair differences ``(..., 2, N, N)`` and squared distances
     ``(..., N, N)`` (inf diagonal) of planar rows ``(..., 2, N)`` = ``(X, Y)``,
     for one configuration or a stack of them; the one collision check,
-    applied to every pair of every configuration."""
+    applied to every pair of every configuration.  A stack with no pairs,
+    empty or of one vortex, cannot collide."""
     n = rows.shape[-1]
     diffs = rows[..., None] - rows[..., None, :]
     squares = diffs * diffs
     r2 = squares[..., 0, :, :] + squares[..., 1, :, :]
     pairs = r2.reshape(-1, n * n)  # one row per configuration
     pairs[:, :: n + 1] = np.inf
-    worst = pairs.min()
+    worst = pairs.min(initial=math.inf)
     if worst != worst:  # a nan coordinate must not hide a coincident pair, here or elsewhere
         worst = np.fmin.reduce(pairs.ravel())
     if worst < COLLISION_GUARD**2:

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import invariants as inv_mod
-from .core import blocks, defect_norm, embed, halves, join
+from .core import COPIES, defect_norm, embed, halves, join, row_pairs
 from .errors import ConfigError, DimensionMismatch, NonConvergence, VortexCollision
 from .hamiltonians import (
     EvalCounter,
@@ -351,22 +351,11 @@ class _Run:
         self.stats = StepStats(0, 0.0)
         self.spent = 0
 
-    @property
-    def z(self) -> np.ndarray:
-        """Original-space state after step ``k``, a fresh array."""
-        return self.write_z(np.empty(2 * self.system.dim))
-
     def write_z(self, out: np.ndarray) -> np.ndarray:
-        """Write the original-space state after step ``k`` into the flat
-        ``out`` and return it; for the explicit methods that is the first
-        copy ``(q, p)``."""
-        if not self.extended:
-            out[...] = self.state
-            return out
-        rows = blocks(self.state)
-        q, p = halves(out, self.system.dim)
-        q[...] = rows[0]
-        p[...] = rows[2]
+        """Write the original-space state after step ``k`` into the canonical
+        row ``out`` of shape ``(2, d)`` and return it; for the explicit
+        methods that is the first copy ``(q, p)``."""
+        out[...] = row_pairs(self.state, COPIES)[0] if self.extended else self.state.reshape(2, -1)
         return out
 
     def __iter__(self):
@@ -469,7 +458,7 @@ def run_experiment(spec: ExperimentSpec) -> TrajectoryRecord:
                 for (name, _), values in zip(invs, rec.values)},
         itr=rec.itr[:n],
         vf=rec.vf[:n],
-        states=None if rec.states is None else rec.states[:n],
+        states=None if rec.states is None else rec.states[:n].reshape(n, 2 * system.dim),
         total_steps=total_steps,
         itr_total=itr_total,
         vf_total=vf_total,
@@ -519,7 +508,7 @@ def final_state(spec: ExperimentSpec) -> np.ndarray:
     run = _Run(spec, system, z0)
     for _ in run:
         pass
-    return run.z
+    return run.write_z(np.empty((2, system.dim))).reshape(-1)
 
 
 def convergence_study(spec: ExperimentSpec, dt_list, t_end: float | None = None):

@@ -14,12 +14,13 @@ one, so ``evaluate``, ``gradient``, ``matrix``, :func:`poisson_bracket`,
 The lifted quadratic carries the ``2d x 2d`` blocks of ``Qhat``'s
 ``4d x 4d`` matrix, so it costs O(d^2) storage.
 
-``evaluate`` takes one flat point, and returns a float, or a ``(B, 2d)``
-stack of points, one per row, and returns their ``(B,)`` values; a flat
-point is the one-row case.  Each value is the flat point's bit for bit: the
-products are batched matrix products whose row and vector cases take the
-same BLAS kernels as the one-point products, where an einsum or a
-matrix-vector product over the stack sums in another order.
+``evaluate`` takes one flat point, and returns a float, or canonical rows
+``(..., 2, d)``, as the system kernels do, and returns ``rows.shape[:-2]``
+values; a lift reads a doubled point as ``(2, 2d)`` rows.  Each value is
+the flat point's bit for bit: the products are batched matrix products
+whose row and vector cases take the same BLAS kernels as the one-point
+products, where an einsum or a matrix-vector product over the stack sums
+in another order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import blocks, embed, halves, join, stack_halves
+from .core import block_length, blocks, embed, halves, join
 from .errors import DimensionMismatch
 from .hamiltonians import HamiltonianSystem, _canonical_scaling, _central_differences, _evaluate
 
@@ -43,14 +44,26 @@ __all__ = [
 DRIFT_FLOOR = 1e-300
 
 
-def _stack(z, d: int) -> tuple[np.ndarray, bool]:
-    """``z``, one flat point or a ``(B, 2d)`` stack, as a checked stack, and
-    whether it was one flat point."""
-    z = np.asarray(z, dtype=float)
-    flat = z.ndim == 1
-    zs = z[None] if flat else z
-    stack_halves(zs, d)  # the layout check
-    return zs, flat
+def _array(points) -> np.ndarray:
+    """``points`` as one float array; ragged rows raise :class:`DimensionMismatch`,
+    not NumPy's ``ValueError``."""
+    try:
+        return np.asarray(points, dtype=float)
+    except ValueError as exc:  # ragged rows, which NumPy cannot make one array
+        raise DimensionMismatch(f"points must form one float array: {exc}") from None
+
+
+def _rows(z, d: int) -> tuple[np.ndarray, tuple | None]:
+    """``z``, one flat point or canonical rows ``(..., 2, d)``, as checked
+    rows ``(B, 2, d)``, and the shape of its values: ``None`` for one flat
+    point, which has a float."""
+    z = _array(z)
+    if z.ndim == 1:
+        block_length(z, 2, d)  # the layout check
+        return z.reshape(1, 2, d), None
+    if z.shape[-2:] != (2, d):
+        raise DimensionMismatch(f"points must be rows (..., 2, {d}), got shape {z.shape}")
+    return z.reshape(-1, 2, d), z.shape[:-2]
 
 
 @dataclass(frozen=True)
@@ -71,10 +84,11 @@ class LinearInvariant:
         return halves(self.a)[0].size
 
     def evaluate(self, z: np.ndarray) -> float | np.ndarray:
-        """``a^T z`` at one flat point (a float) or at each row of a stack."""
-        zs, flat = _stack(z, self.dim)
+        """``a^T z`` at one flat point (a float) or at each of canonical rows."""
+        rows, shape = _rows(z, self.dim)
+        zs = rows.reshape(len(rows), self.a.size)
         values = (zs[:, None, :] @ self.a[:, None])[:, 0, 0]
-        return float(values[0]) if flat else values
+        return float(values[0]) if shape is None else values.reshape(shape)
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
         halves(np.asarray(z, dtype=float), self.dim)  # the layout check
@@ -118,15 +132,15 @@ class QuadraticInvariant:
         return np.block([[self.k11, self.k12], [self.k12.T, self.k22]])
 
     def evaluate(self, z: np.ndarray) -> float | np.ndarray:
-        """``z^T k z / 2`` at one flat point (a float) or at each row of a stack."""
-        zs, flat = _stack(z, self.dim)
-        qs, ps = stack_halves(zs)
+        """``z^T k z / 2`` at one flat point (a float) or at each of canonical rows."""
+        rows, shape = _rows(z, self.dim)
+        qs, ps = rows[:, 0], rows[:, 1]
         q_row, q_col, p_row, p_col = qs[:, None, :], qs[:, :, None], ps[:, None, :], ps[:, :, None]
         values = (
             0.5 * (q_row @ (self.k11 @ q_col)) + q_row @ (self.k12 @ p_col)
             + 0.5 * (p_row @ (self.k22 @ p_col))
         )[:, 0, 0]
-        return float(values[0]) if flat else values
+        return float(values[0]) if shape is None else values.reshape(shape)
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
         q, p = halves(np.asarray(z, dtype=float), self.dim)
@@ -252,20 +266,28 @@ def _relative_drift(values) -> np.ndarray:
 def drift_series(states, invariants) -> dict:
     """Relative drift of each invariant along a recorded trajectory.
 
-    ``states`` is a sequence of original-space vectors; ``invariants`` is a
+    ``states`` is a sequence of flat points of one length; ``invariants`` is a
     sequence of ``(name, evaluator)`` pairs where the evaluator is either an
-    invariant object, evaluated once on the stack of states as a run's record
-    is, or a plain callable, called once per state.  Drift follows a run's
-    rule: a zero initial value degrades to absolute error, a blown-up state
-    reads inf or nan.
+    invariant object, evaluated once on the states' canonical rows as a run's
+    record is, or a plain callable, called once per state.  Drift follows a
+    run's rule: a zero initial value degrades to absolute error, a blown-up
+    state reads inf or nan.  States that are not flat points of one length,
+    or that an invariant object cannot read, raise :class:`DimensionMismatch`.
     """
-    zs = np.asarray(states, dtype=float)
-    if not zs.size:
+    zs = _array(states)
+    if zs.shape[:1] == (0,):
         raise ValueError("trajectory must contain at least one state")
+    if zs.ndim != 2:
+        raise DimensionMismatch(f"states must be flat points of one length, got shape {zs.shape}")
+    drifts = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        return {name: _relative_drift(inv.evaluate(zs) if hasattr(inv, "evaluate")
-                                      else [_evaluate(inv, z) for z in zs])
-                for name, inv in invariants}
+        for name, inv in invariants:
+            if hasattr(inv, "evaluate"):  # on the states' canonical rows
+                values = inv.evaluate(zs.reshape(len(zs), 2, block_length(zs[0], 2)))
+            else:
+                values = [_evaluate(inv, z) for z in zs]
+            drifts[name] = _relative_drift(values)
+    return drifts
 
 
 # ---------------------------------------------------------------------------

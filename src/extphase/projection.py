@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COPIES, block_length, restrict_copies, row_pairs, shift_into
+from .core import COPIES, block_length, embed, restrict_copies, row_pairs, shift_into
 from .errors import ConfigError, NonConvergence
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
@@ -201,10 +201,7 @@ def semiexplicit_step(
     returned in ``stats.mu``); the default cold start is the reproducible
     configuration.  Returns ``(z_next, stats)``, both fresh.
     """
-    z = np.asarray(z_n, dtype=float)
-    d = block_length(z, 2)  # the layout check, once per step
-    zeta_n = np.empty(4 * d)
-    zeta_n.reshape(2, 2, d)[:] = z.reshape(2, 1, d)  # embed(z_n): (q, q, p, p)
+    zeta_n = embed(z_n)  # the layout check, once per step
     mu, image, stats = solve_mu(system, extended_step, dt, zeta_n, cfg, mu0=mu0)
     shift_into(zeta_n, image, mu)  # the end point image + A^T mu, into zeta_n
     z_next, stats.defect_norm = restrict_copies(zeta_n, cfg.tol + SHIFT_ROUNDING)

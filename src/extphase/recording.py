@@ -1,5 +1,5 @@
-"""The recorded rows of a run, with their energy and invariants evaluated
-in chunks; it serves ``harness.run_experiment`` and is not public API."""
+"""The recorded rows of a run, each state a canonical row ``(2, d)`` whose energy
+and invariants are evaluated in chunks; for ``harness.run_experiment``, not public API."""
 
 from __future__ import annotations
 
@@ -18,11 +18,11 @@ class Recorder:
     """The recorded rows of one run.
 
     Each row's step, defect and costs go into preallocated columns when the
-    run reaches it, and its state ``(q, p)`` into a row of a
-    ``(CHUNK_ROWS, 2d)`` buffer, which is a slice of the kept states when the
-    run keeps them.  The energy (on the buffer's canonical rows) and every
-    invariant are evaluated by one stacked call each per full buffer, and
-    then for the last partial one.
+    run reaches it, and its state into a canonical row ``(q, p)`` of a
+    ``(CHUNK_ROWS, 2, d)`` buffer, which is a slice of the kept states when
+    the run keeps them.  The energy and every invariant are evaluated on the
+    buffer's rows by one call each per full buffer, and then for the last
+    partial one.
     A row whose energy raises :class:`VortexCollision` ends the record: the
     rows before it stay whole, and ``cut`` holds the collision with the
     run's totals as of that row's step.
@@ -38,9 +38,9 @@ class Recorder:
         self.defect = np.empty(n_rows)
         self.energy = np.empty(n_rows)
         self.values = [np.empty(n_rows) for _ in invs]
-        width = 2 * system.dim
-        self.states = np.empty((n_rows, width)) if keep_states else None
-        self.buffer = self.states if keep_states else np.empty((min(n_rows, CHUNK_ROWS), width))
+        row = (2, system.dim)
+        self.states = np.empty((n_rows, *row)) if keep_states else None
+        self.buffer = self.states if keep_states else np.empty((min(n_rows, CHUNK_ROWS), *row))
         # itr_total and vf_total after each buffered row's step
         self.tallies = np.empty((min(n_rows, CHUNK_ROWS), 2), dtype=int)
         self.rows = 0  # rows written
@@ -68,8 +68,7 @@ class Recorder:
         lo, hi = self.done, self.rows
         if hi == lo:
             return self.cut is None
-        zs = self.buffer[: hi - lo]
-        rows = zs.reshape(-1, 2, self.system.dim)
+        rows = self.buffer[: hi - lo]
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 self.energy[lo:hi] = self.system.energies(rows)
@@ -77,7 +76,7 @@ class Recorder:
                 hi = lo + self._first_collision(rows)
             if hi > lo:  # rows before a collision, if any
                 for values, (_, inv) in zip(self.values, self.invs):
-                    values[lo:hi] = inv.evaluate(zs[: hi - lo])
+                    values[lo:hi] = inv.evaluate(rows[: hi - lo])
         self.done = self.rows = hi
         if self.states is not None:
             self.buffer = self.states[hi:]

@@ -22,7 +22,6 @@ from extphase import (
     planar_from_canonical,
     poisson_bracket,
     restrict,
-    stack_halves,
     symplecticity_defect,
 )
 from extphase.core import shift_into
@@ -100,7 +99,7 @@ def _layout_readers(d: int) -> dict:
 
 # readers of a point of any dimension, which a wrong d does not fault
 ANY_DIMENSION = {"symplecticity_defect": lambda z: symplecticity_defect(np.copy, z), "embed": embed}
-# readers of a point that read a (B, 2d) stack too, one point per row
+# readers of a point that read canonical rows (..., 2, d) too, one point per row
 STACK_READERS = ("LinearInvariant.evaluate", "QuadraticInvariant.evaluate")
 
 
@@ -113,9 +112,6 @@ def test_every_layout_reader_rejects_a_bad_layout(d, kind, k):
     readers = _layout_readers(d)
     if kind != "wrong d":
         readers.update(ANY_DIMENSION)
-    if kind == "2-D":  # rows of length 2d: a stack, which these read
-        for name in STACK_READERS:
-            del readers[name]
     for name, reader in readers.items():
         with pytest.raises(DimensionMismatch):
             reader(bad)
@@ -124,20 +120,21 @@ def test_every_layout_reader_rejects_a_bad_layout(d, kind, k):
 
 def test_a_stack_reads_each_row_as_halves():
     zs = np.arange(12.0).reshape(3, 4)
-    for d in (None, 2):
-        qs, ps = stack_halves(zs, d)
-        assert np.shares_memory(qs, zs) and np.shares_memory(ps, zs)
-        for z, q, p in zip(zs, qs, ps):
-            assert [bits(q), bits(p)] == [bits(half) for half in halves(z, d)]
-    # the stack's readers: the layout, and the invariants on a stack
-    readers = {"stack_halves": lambda stack: stack_halves(stack, 2)}
-    point_readers = {name: reader for name, reader in _layout_readers(2).items()
-                     if name in STACK_READERS}  # a flat point is their one-row stack
-    for bad in (np.ones(4), np.ones((0, 4)), np.ones((3, 5)), np.ones((3, 6)), np.ones((2, 3, 4))):
-        for name, reader in {**readers, **(point_readers if bad.ndim != 1 else {})}.items():
+    rows = zs.reshape(3, 2, 2)
+    readers = {name: reader for name, reader in _layout_readers(2).items()
+               if name in STACK_READERS}
+    for name, reader in readers.items():
+        # each row's value is its flat point's, in the shape rows.shape[:-2]
+        assert bits(reader(rows)) == bits(np.array([reader(z) for z in zs])), name
+        assert reader(rows.reshape(3, 1, 2, 2)).shape == (3, 1)
+        assert reader(rows[0]).shape == () and reader(np.ones((0, 2, 2))).shape == (0,)
+    # a (B, 2d) stack, malformed rows and ragged ones: every one a DimensionMismatch
+    for bad in (zs, np.ones((0, 4)), np.ones((3, 5)), np.ones((3, 6)), np.ones((2, 3, 4)),
+                np.ones((3, 2, 3)), [[1.0, 2.0], [1.0]]):
+        for name, reader in readers.items():
             with pytest.raises(DimensionMismatch):
                 reader(bad)
-                pytest.fail(f"{name} accepted shape {bad.shape}")
+                pytest.fail(f"{name} accepted {bad!r}")
 
 
 @pytest.mark.parametrize(

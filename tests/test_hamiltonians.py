@@ -605,8 +605,10 @@ def _same_bits(stacked, per_point) -> bool:
 
 
 def _doubled(states, d):
-    """Doubled-space points whose copies are consecutive states, off the diagonal."""
-    return np.array([join(a[:d], b[:d], a[d:], b[d:]) for a, b in zip(states[:-1], states[1:])])
+    """Doubled-space points whose copies are consecutive states, off the diagonal,
+    each read as its ``(2, 2d)`` canonical rows."""
+    points = [join(a[:d], b[:d], a[d:], b[d:]) for a, b in zip(states[:-1], states[1:])]
+    return np.array(points).reshape(-1, 2, 2 * d)
 
 
 @pytest.mark.parametrize("seed, name", enumerate(sorted(PRESETS)))
@@ -620,7 +622,8 @@ def test_stacked_diagnostics_are_per_point_diagnostics_bit_for_bit(seed, name):
     # Both kinds of point run under the harness's error state, where any
     # other numerical warning is an error.
     for zs, doubled in (
-        (np.array(kernel_points(2 * d, seed)), np.array(kernel_points(4 * d, seed))),
+        (np.array(kernel_points(2 * d, seed)),
+         np.array(kernel_points(4 * d, seed)).reshape(-1, 2, 2 * d)),
         (states, _doubled(states, d)),
     ):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -632,10 +635,16 @@ def test_stacked_diagnostics_are_per_point_diagnostics_bit_for_bit(seed, name):
                 with pytest.raises(VortexCollision):
                     system.energies(rows)
             for _, inv in invariants:
-                assert _same_bits(inv.evaluate(zs), [inv.evaluate(z) for z in zs])
+                assert _same_bits(inv.evaluate(rows), [inv.evaluate(z) for z in zs])
             for inv in lifts:
-                assert _same_bits(inv.evaluate(doubled), [inv.evaluate(z) for z in doubled])
+                assert _same_bits(inv.evaluate(doubled),
+                                  [inv.evaluate(z.reshape(-1)) for z in doubled])
     assert isinstance(invariants[0][1].evaluate(states[0]), float)
+    # an empty stack of rows: every kernel and every evaluate returns no values
+    empty = np.empty((0, 2, d))
+    assert system.fields(empty).shape == empty.shape and system.energies(empty).shape == (0,)
+    for inv in [inv for _, inv in invariants] + lifts:
+        assert inv.evaluate(np.empty((0, 2, inv.dim))).shape == (0,)
 
 
 def test_stacked_diagnostics_read_overflow_as_inf_and_a_bad_domain_as_nan():
@@ -646,6 +655,6 @@ def test_stacked_diagnostics_read_overflow_as_inf_and_a_bad_domain_as_nan():
         assert _same_bits(testcase.energies(rows), [np.inf, np.nan])
         assert _same_bits(one_site.energies(np.array([[[1e200], [1.0]], [[np.nan], [1.0]]])),
                           [np.inf, np.nan])
-        zs = np.array([np.full(10, 1e200), np.full(10, np.nan)])
-        assert _same_bits(nls_mass(5).evaluate(zs), [np.inf, np.nan])
-        assert np.isnan(lattice.energies(zs.reshape(2, 2, 5))).all()  # inf - inf in the coupling
+        rows = np.array([np.full(10, 1e200), np.full(10, np.nan)]).reshape(2, 2, 5)
+        assert _same_bits(nls_mass(5).evaluate(rows), [np.inf, np.nan])
+        assert np.isnan(lattice.energies(rows)).all()  # inf - inf in the coupling

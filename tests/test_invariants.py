@@ -393,6 +393,17 @@ def test_drift_series_accepts_plain_callables():
         drift_series([], [("first", lambda z: z[0])])
 
 
+def test_drift_series_raises_dimension_mismatch_on_malformed_states():
+    lin = tc_linear_form()
+    first = ("first", lambda z: z[0])
+    for states, evaluator in (([[1.0, 2.0], [1.0]], ("L", lin)), ([[1.0, 2.0], [1.0]], first),
+                              (np.ones((3, 5)), ("L", lin)), (np.ones((3, 6)), ("L", lin)),
+                              (np.ones((2, 3, 4)), ("L", lin)), (np.ones(4), first)):
+        with pytest.raises(DimensionMismatch):
+            drift_series(states, [evaluator])
+            pytest.fail(f"drift_series accepted {states!r}")
+
+
 def test_drift_series_reads_a_blown_up_state_as_a_run_does():
     # inf past float or math range, nan past the domain, and no warning
     z0 = np.arange(1.0, 11.0)

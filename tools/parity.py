@@ -7,7 +7,9 @@ Usage, from the repository root:
     python3 tools/parity.py compare /tmp/old.json /tmp/new.json
 
 ``dump`` imports ``extphase`` from the given source directory and writes
-one JSON object of named entries.  It covers every built-in preset under
+one JSON object of named entries.  A tree from before invariants took
+canonical rows ``(..., 2, d)`` (when ``evaluate`` took a ``(B, 2d)``
+stack) is dumped with its own copy of this tool.  It covers every built-in preset under
 every method configuration: a 20-step run recording every step with its
 state, ``drift_series`` over those states with each of the preset's named
 invariants, the SHA-256 of that run's CSV and SVG files, ``final_state``,
@@ -20,8 +22,8 @@ subnormals and ``1e150``; a point a kernel refuses records its error.
 ``fields`` is pinned at every point, one ``(2, d)`` row at a time, and on
 one stack of each system's six finite points, the normal draws, so the
 kernel is judged on more than one row.  The energy and the invariants are
-pinned per point and as a one-row stack (``energies`` and a stacked
-``evaluate``).  It also covers 23 runs that
+pinned per point and on its one canonical row ``(1, 2, d)`` (``energies``
+and a stacked ``evaluate``).  It also covers 23 runs that
 fail, 16 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
 ``tol=1e-16``, whose errors are compared as text and, for a
 ``NonConvergence``, by what they carry: ``iterations``, ``final_residual``
@@ -167,8 +169,7 @@ def _diagnostics(xp, system, invariants) -> list:
     """``(entry, per point, on a stack)`` evaluators of the energy and each
     named invariant."""
     d = system.dim
-    energy = ("energy", lambda z: system.energy(*xp.halves(z, d)),
-              lambda zs: system.energies(zs.reshape(len(zs), 2, d)))
+    energy = ("energy", lambda z: system.energy(*xp.halves(z, d)), system.energies)
     return [energy] + [(name, inv.evaluate, inv.evaluate) for name, inv in invariants]
 
 
@@ -254,7 +255,7 @@ def dump(src_dir: str, out_path: str) -> int:
                 _guarded(out, key, evaluate)
                 fields_at.append((f"{key}/fields", z.reshape(2, -1)))
                 for entry, one, stacked in diagnostics:
-                    for label, fn, arg in ((entry, one, z), (f"{entry}/stack", stacked, z[None])):
+                    for label, fn, arg in ((entry, one, z), (f"{entry}/stack", stacked, z.reshape(1, 2, -1))):
 
                         def diagnose(fn=fn, arg=arg, label=f"{key}/{label}"):
                             with np.errstate(all="ignore"):
