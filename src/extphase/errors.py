@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one type rule of configuration fields."""
+
+import numbers
+import sys
+from dataclasses import fields
 
 __all__ = [
     "ConfigError", "DimensionMismatch", "ExtPhaseError", "NonConvergence", "NotOnDiagonal",
@@ -48,3 +52,25 @@ class UnsupportedOrder(ExtPhaseError):
 
 class ConfigError(ExtPhaseError, ValueError):
     """Invalid experiment, solver or coupling configuration."""
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a number a float holds, inf and nan included; a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        isinstance(value, float) or abs(value) <= sys.float_info.max)
+
+
+_TYPES = {"str": str, "int": numbers.Integral, "bool": bool, "tuple": tuple}  # float fields: _real
+
+
+def _check_fields(config) -> None:
+    """Raise :class:`ConfigError` unless each field of the dataclass ``config``
+    holds its annotated type: ``float``, ``int``, ``str``, ``bool`` or
+    ``tuple``, optionally ``| None``; a bool is only a ``bool``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        ok = _real(value) if kind == "float" else isinstance(value, _TYPES[kind]) and (
+            isinstance(value, bool) == (kind == "bool"))
+        if not (ok or value is None and optional):
+            raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")

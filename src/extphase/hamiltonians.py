@@ -241,6 +241,8 @@ class VortexConfig:
         object.__setattr__(self, "circulations", gammas)
         if self.initial_positions is not None:
             pos = _planar_positions(self.initial_positions, gammas.size)
+            if not np.isfinite(pos).all():  # the collision check skips a nan pair
+                raise ConfigError("initial positions must be finite")
             _pair_geometry(pos.T)  # the collision check
             object.__setattr__(self, "initial_positions", pos)
 

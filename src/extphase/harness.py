@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -22,7 +20,9 @@ import numpy as np
 
 from . import invariants as inv_mod
 from .core import COPIES, defect_norm, embed, halves, join, row_pairs
-from .errors import ConfigError, DimensionMismatch, NonConvergence, VortexCollision
+from .errors import (
+    ConfigError, DimensionMismatch, NonConvergence, VortexCollision, _check_fields, _real,
+)
 from .hamiltonians import (
     EvalCounter,
     HamiltonianSystem,
@@ -50,15 +50,6 @@ SYSTEMS = ("testcase", "nls", "vortex")
 MAX_RECORD_ROWS = 100_000
 
 
-def _real(value) -> bool:
-    """Whether ``value`` is a number a float holds, inf and nan included; a bool is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-        isinstance(value, float) or abs(value) <= sys.float_info.max)
-
-
-_TYPES = {"str": str, "int": numbers.Integral, "bool": bool, "tuple": tuple}  # float fields: _real
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Flat description of one integration run.
@@ -66,8 +57,9 @@ class ExperimentSpec:
     A spec checks itself when it is built, by the constructor or by
     :func:`dataclasses.replace`, and raises :class:`ConfigError` for any
     field or combination of fields that no run accepts.  It checks its
-    initial data by building its system with :func:`build_system`, so
-    coincident initial vortices raise :class:`VortexCollision` here.
+    method by building its step, and its initial data by building its
+    system with :func:`build_system`, so coincident initial vortices raise
+    :class:`VortexCollision` here.
     """
 
     system: str = "testcase"
@@ -91,13 +83,7 @@ class ExperimentSpec:
     name: str = "experiment"
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, _, optional = f.type.partition(" | ")
-            ok = _real(value) if kind == "float" else isinstance(value, _TYPES[kind]) and (
-                isinstance(value, bool) == (kind == "bool"))
-            if not (ok or value is None and optional):
-                raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
+        _check_fields(self)
         blocks = [b for b in (self.gammas, self.q0, self.p0) if b is not None]
         blocks += self.positions or ()
         if not all(isinstance(b, tuple) and all(_real(v) and math.isfinite(v) for v in b)
@@ -114,19 +100,7 @@ class ExperimentSpec:
         if self.dt > self.t_end * (1.0 + 1e-12):
             raise ConfigError("dt must not exceed t_end")
         self.n_steps  # raises unless t_end is a whole number of dt steps
-        if self.method in GAUSS_ORDERS:  # its own order (or the default 2), uncomposed
-            pairs = dict.fromkeys([(2, None), (GAUSS_ORDERS[self.method], None)])
-        else:
-            pairs = COMPOSITIONS
-        if (self.order, self.composition) not in pairs:
-            raise ConfigError(f"{self.method} takes (order, composition) in {list(pairs)}")
-        SolverConfig(self.tol, self.max_iter, self.solver)
-        TaoParams(self.omega)
-        if self.method == "tao":
-            # the angle coupling_flow rotates by in each substep
-            gammas = COMPOSITIONS[self.order, self.composition].coefficients
-            if not all(math.isfinite(2.0 * self.omega * (g * self.dt)) for g in gammas):
-                raise ConfigError("omega is too large: the coupling rotation angle overflows")
+        _make_step(self)  # the method, its schedule and its solve and coupling settings
         if self.record_stride is not None and self.record_stride < 1:
             raise ConfigError("record_stride must be at least 1")
         build_system(self)  # the initial data must fit the system and evaluate
@@ -281,7 +255,8 @@ def build_system(spec: ExperimentSpec):
 
 
 def _make_step(spec: ExperimentSpec):
-    """Build the run's ``step(system, dt, state) -> (state, StepStats)``.
+    """Build the run's ``step(system, dt, state) -> (state, StepStats)``; raise
+    :class:`ConfigError` for method, schedule, solve or coupling settings no run takes.
 
     Returns ``(step, cost)``: every pass of the step (a projection
     iteration, a Gauss sweep, or one explicit step) costs exactly ``cost``
@@ -290,14 +265,24 @@ def _make_step(spec: ExperimentSpec):
     looked up when the run starts or at call time, never at import, so a
     wrapper installed on one of them sees every call of the run.
     """
+    if spec.method in GAUSS_ORDERS:  # its own order (or the default 2), uncomposed
+        pairs = dict.fromkeys([(2, None), (GAUSS_ORDERS[spec.method], None)])
+    else:
+        pairs = COMPOSITIONS
+    if (spec.order, spec.composition) not in pairs:
+        raise ConfigError(f"{spec.method} takes (order, composition) in {list(pairs)}")
     cfg = SolverConfig(spec.tol, spec.max_iter, spec.solver)
+    params = TaoParams(spec.omega)
     if spec.method in GAUSS_ORDERS:
         tableau = gl_tableau(GAUSS_ORDERS[spec.method])
         return partial(gl_step, tableau=tableau, cfg=cfg), tableau.stages
 
     scheme = COMPOSITIONS[spec.order, spec.composition]
     if spec.method == "tao":
-        base = partial(tao_step, params=TaoParams(spec.omega))
+        # the angle coupling_flow rotates by in each substep
+        if not all(math.isfinite(2.0 * spec.omega * (g * spec.dt)) for g in scheme.coefficients):
+            raise ConfigError("omega is too large: the coupling rotation angle overflows")
+        base = partial(tao_step, params=params)
         cost = (4 if spec.omega != 0.0 else 3) * len(scheme)
     else:
         base, cost = pihajoki_step, 3 * len(scheme)

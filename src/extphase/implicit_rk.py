@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import halves
-from .errors import UnsupportedOrder
+from .errors import ConfigError, UnsupportedOrder
 from .hamiltonians import HamiltonianSystem
 from .projection import SolverConfig, iterate
 
@@ -37,13 +37,13 @@ class ButcherTableau:
         c = np.asarray(self.c, dtype=float)
         s = b.size
         if a.shape != (s, s) or c.shape != (s,):
-            raise ValueError("tableau blocks have inconsistent shapes")
+            raise ConfigError("tableau blocks have inconsistent shapes")
         if abs(b.sum() - 1.0) > 1e-15:
-            raise ValueError("weights must sum to 1")
+            raise ConfigError("weights must sum to 1")
         # b_i a_ij + b_j a_ji - b_i b_j = 0 characterises symplectic RK methods
         m = b[:, None] * a + (b[:, None] * a).T - np.outer(b, b)
         if np.max(np.abs(m)) > 1e-14:
-            raise ValueError("tableau violates the symplecticity condition")
+            raise ConfigError("tableau violates the symplecticity condition")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

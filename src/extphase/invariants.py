@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import block_length, blocks, embed, halves, join
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .hamiltonians import HamiltonianSystem, _canonical_scaling, _central_differences, _evaluate
 
 __all__ = [
@@ -76,7 +76,7 @@ class LinearInvariant:
         a = np.asarray(self.a, dtype=float)
         halves(a)  # the layout check
         if not np.isfinite(a).all():
-            raise ValueError("coefficients must be finite")
+            raise ConfigError("coefficients must be finite")
         object.__setattr__(self, "a", a)
 
     @cached_property  # evaluate reads it on every call
@@ -115,9 +115,11 @@ class QuadraticInvariant:
         for name, blk in (("k11", k11), ("k12", k12), ("k22", k22)):
             if blk.shape != (d, d):
                 raise DimensionMismatch(f"{name} must be {d}x{d}, got {blk.shape}")
+        if not all(np.isfinite(blk).all() for blk in (k11, k12, k22)):
+            raise ConfigError("blocks must be finite")
         for name, blk in (("k11", k11), ("k22", k22)):
             if np.max(np.abs(blk - blk.T), initial=0.0) > 1e-14:
-                raise ValueError(f"{name} must be symmetric")
+                raise ConfigError(f"{name} must be symmetric")
         object.__setattr__(self, "k11", k11)
         object.__setattr__(self, "k12", k12)
         object.__setattr__(self, "k22", k22)

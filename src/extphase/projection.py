@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import COPIES, block_length, embed, restrict_copies, row_pairs, shift_into
-from .errors import ConfigError, NonConvergence
+from .errors import ConfigError, NonConvergence, _check_fields
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
 
@@ -53,8 +53,9 @@ class SolverConfig:
     method: str = "simplified_newton"
 
     def __post_init__(self):
-        if not (self.tol > 0.0 and self.tol >= 1e-16):
-            raise ConfigError("tol must be positive and no smaller than 1e-16")
+        _check_fields(self)
+        if not (math.isfinite(self.tol) and self.tol >= 1e-16):
+            raise ConfigError("tol must be finite and no smaller than 1e-16")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
         if self.method not in SOLVER_METHODS:

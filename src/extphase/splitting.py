@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .core import COPIES, FLOWS, row_pairs
-from .errors import ConfigError
+from .errors import ConfigError, _check_fields
 from .hamiltonians import HamiltonianSystem
 
 __all__ = [
@@ -49,6 +49,7 @@ class TaoParams:
     omega: float = 10.0
 
     def __post_init__(self):
+        _check_fields(self)
         if not (math.isfinite(self.omega) and self.omega >= 0.0):
             raise ConfigError("omega must be finite and non-negative")
 
@@ -62,9 +63,9 @@ class CompositionScheme:
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coefficients)
         if coeffs != coeffs[::-1]:
-            raise ValueError("composition coefficients must be palindromic")
+            raise ConfigError("composition coefficients must be palindromic")
         if abs(sum(coeffs) - 1.0) > 1e-14:
-            raise ValueError("composition coefficients must sum to 1")
+            raise ConfigError("composition coefficients must sum to 1")
         object.__setattr__(self, "coefficients", coeffs)
 
     def __len__(self) -> int:

@@ -167,6 +167,10 @@ def test_wrong_length_state_is_a_dimension_mismatch(system, state):
 def test_vortex_config_validation():
     with pytest.raises(ValueError):
         VortexConfig((1.0, 0.0), ((0.0, 0.0), (1.0, 0.0)))
+    # the collision check skips a nan pair, so finiteness is checked first
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="initial positions must be finite"):
+            VortexConfig((1.0, 2.0), ((bad, 0.0), (1.0, 1.0)))
     with pytest.raises(DimensionMismatch):
         VortexConfig((1.0, 1.0), ((0.0, 0.0),))
     with pytest.raises(DimensionMismatch):
@@ -493,6 +497,20 @@ def test_stacked_counters_charge_every_point_to_each_counter(name):
     assert outer.n_grad == inner.n_grad == timed.calls == 4 and stacks == [(4,)]
     system.fields(rows[0])
     assert outer.n_grad == inner.n_grad == timed.calls == 5 and stacks == [(4,), ()]
+
+
+@pytest.mark.parametrize("name", ["nls5", "vortex4"])
+def test_a_counter_forwards_energies_whole_and_charges_nothing(name):
+    base = STACKED_SYSTEMS[name]
+    timed = GradOnly(base)
+    stacks = []  # the rows each call of the wrapped kernel receives
+    timed.energies = lambda rows: stacks.append(rows) or base.energies(rows)
+    counter = EvalCounter()
+    rows = seeded_rng(209).normal(size=(5, 2, base.dim)) + np.arange(base.dim)
+    values = CountingSystem(timed, counter).energies(rows)
+    assert len(stacks) == 1 and stacks[0] is rows
+    assert values.tobytes() == base.energies(rows).tobytes()
+    assert counter.n_grad == timed.calls == 0
 
 
 @pytest.mark.parametrize("name", sorted(STACKED_SYSTEMS))

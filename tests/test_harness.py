@@ -619,6 +619,8 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     # solver and coupling settings are checked before the run, not inside it
     for extra in (
         ["--tol", "1e-17"],
+        ["--tol", "inf"],
+        ["--method", "gl4", "--tol", "inf"],
         ["--solver", "foo"],
         ["--omega", "nan"],
         ["--method", "tao", "--omega", "1e308"],

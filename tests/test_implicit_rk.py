@@ -3,6 +3,7 @@ import pytest
 
 from extphase import (
     ButcherTableau,
+    ConfigError,
     NonConvergence,
     SolverConfig,
     UnsupportedOrder,
@@ -68,7 +69,7 @@ def test_unsupported_order_rejected():
 
 
 def test_invalid_tableau_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="symplecticity"):
         ButcherTableau(a=[[0.0]], b=[1.0], c=[0.0])  # explicit Euler: not symplectic
     with pytest.raises(ValueError):
         ButcherTableau(a=[[0.5]], b=[0.9], c=[0.5])  # weights do not sum to 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from extphase import (
+    ConfigError,
     DimensionMismatch,
     LinearInvariant,
     QuadraticInvariant,
@@ -80,14 +81,19 @@ def test_eval_dimension_checks():
 
 
 def test_quadratic_block_symmetry_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="k11 must be symmetric"):
         QuadraticInvariant(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)), np.eye(2))
+    # non-finite blocks are refused before the symmetry check could subtract inf - inf
+    for blocks in (([[np.nan]], [[0.0]], [[1.0]]), ([[np.inf]], [[0.0]], [[1.0]]),
+                   ([[1.0]], [[-np.inf]], [[1.0]]), ([[1.0]], [[0.0]], [[np.nan]])):
+        with pytest.raises(ConfigError, match="blocks must be finite"):
+            QuadraticInvariant(*map(np.array, blocks))
     with pytest.raises(DimensionMismatch, match=re.escape("k12 must be 2x2, got (3, 3)")):
         QuadraticInvariant(np.eye(2), np.zeros((3, 3)), np.eye(2))
 
 
 def test_linear_invariant_coefficients_and_gradient():
-    with pytest.raises(ValueError, match="coefficients must be finite"):
+    with pytest.raises(ConfigError, match="coefficients must be finite"):
         LinearInvariant(np.array([1.0, np.nan]))
     lin = tc_linear_form()
     grad = lin.gradient(np.ones(4))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from extphase import (
+    ConfigError,
     DimensionMismatch,
     EvalCounter,
     NonConvergence,
@@ -149,6 +150,15 @@ def test_solver_config_validation():
         SolverConfig(tol=1e-17)
     with pytest.raises(ValueError):
         SolverConfig(method="newton_krylov")
+    # a non-finite tol would end every solve after one pass
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="tol must be finite"):
+            SolverConfig(tol=tol)
+    # the spec's own field rule: a bool is no number, and max_iter is whole
+    for name, value in (("tol", True), ("tol", None), ("max_iter", 2.5), ("max_iter", True),
+                        ("method", 1)):
+        with pytest.raises(ConfigError, match=f"{name} must be "):
+            SolverConfig(**{name: value})
 
 
 def test_solve_converges_immediately_for_constant_gradient(linear_system):

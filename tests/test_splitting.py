@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from extphase import (
+    ConfigError,
     EvalCounter,
     HamiltonianSystem,
     QuadraticInvariant,
@@ -256,6 +257,9 @@ def test_tao_params_validation():
         TaoParams(-1.0)
     with pytest.raises(ValueError):
         TaoParams(float("nan"))
+    for omega in (True, "10", None):
+        with pytest.raises(ConfigError, match="omega must be float"):
+            TaoParams(omega)
 
 
 def test_coupled_step_conserves_compatible_lifted_quadratics():
@@ -355,7 +359,7 @@ def test_compose_applies_substeps_in_order():
 
 
 def test_scheme_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="palindromic"):
         CompositionScheme((0.7, 0.3))  # not palindromic
     with pytest.raises(ValueError):
         CompositionScheme((0.6, 0.6))  # does not sum to 1
