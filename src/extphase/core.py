@@ -3,21 +3,20 @@
 A point of the original phase space is a flat float64 array ``z = (q, p)``
 of length ``2*d``.  A point of the doubled (extended) phase space is a flat
 array ``zeta = (q, x, p, y)`` of length ``4*d``: ``(q, p)`` and ``(x, y)``
-are two copies of the original variables.  This module alone stores that
-layout.  Every other module reads a point through :func:`halves` (the
-positions and momenta, in either space), :func:`blocks` (the four rows of
-a doubled point) or :func:`row_pairs` (two ``(2, d)`` canonical rows of
-them), builds one with :func:`join` and doubles one with :func:`embed`.
-These hold the one check of the layout's shape, :func:`block_length`,
-which the projected step calls once per point and step.  A stack of
-points is canonical rows ``(..., 2, d)``, as the system kernels read it.
+are two copies of the original variables.  Other modules read a point
+through :func:`halves` (positions and momenta, in either space),
+:func:`blocks` (the four rows of a doubled point) or :func:`row_pairs`
+(two ``(2, d)`` canonical rows of them), build one with :func:`join` and
+double one with :func:`embed`; only the projection solve reads a doubled
+point as its ``(2, 2, d)`` copy view itself.  These hold the one check of
+the layout's shape, :func:`block_length`, which the projected step calls
+once per point and step.  A stack of points is canonical rows ``(..., 2, d)``.
 The diagonal subspace ``x == q, y == p`` is the kernel of the constraint
 operator implemented by :func:`apply_A`; its transpose is
 :func:`apply_AT` and ``A @ A.T == 2*I`` holds exactly.
 
-All functions here but :func:`shift_into` (``zeta + A^T mu`` into a buffer)
-are pure and allocation-light, and each checks the shape of its operand,
-raising :class:`DimensionMismatch` on a bad layout.
+All functions here are pure and allocation-light, and each checks the
+shape of its operand, raising :class:`DimensionMismatch` on a bad layout.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def blocks(zeta: np.ndarray, d: int | None = None) -> np.ndarray:
     return zeta.reshape(4, -1)
 
 
-# A^T mu as rows ((mu1, -mu1), (mu2, -mu2)): the (2, 1, d) rows of mu times these.
+# The copies' signs in A^T mu = ((mu1, -mu1), (mu2, -mu2)), a column to broadcast mu by.
 _AT_SIGNS = np.array([[1.0], [-1.0]])
 
 # Slices of the rows (q, x, p, y) that pick two canonical rows (positions,
@@ -114,20 +113,24 @@ def restrict(zeta: np.ndarray, tol: float) -> np.ndarray:
     return restrict_copies(np.asarray(zeta, dtype=float), tol)[0]
 
 
-def restrict_copies(zeta: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """The fresh point ``(q, p)`` of a doubled point and its :func:`defect_norm`.
+def restrict_copies(zeta: np.ndarray, tol: float, mu: np.ndarray | None = None) -> tuple:
+    """The fresh point ``(q, p)`` of the doubled point ``zeta + A^T mu`` (of
+    ``zeta`` when ``mu`` is None; a flat ``mu``, unchecked) and its :func:`defect_norm`.
 
     Raises :class:`NotOnDiagonal` if ``|A zeta|_inf`` is not finite or
     exceeds ``tol * max(1, |zeta|_inf)``; a failure here signals that an
     upstream projection did not actually land on the diagonal.
     """
-    first, second = row_pairs(zeta, COPIES)
-    gap = (first - second).reshape(-1)
-    worst = np.abs(gap).max()
-    bound = tol * max(1.0, np.abs(zeta).max())
-    if not (math.isfinite(worst) and worst <= bound):
+    d = block_length(zeta, 4)
+    rows = np.empty((3, 2 * d))  # the copies (q, p) and (x, y), then their gap
+    rows.reshape(3, 2, d)[:2] = zeta.reshape(2, 2, d).swapaxes(0, 1)
+    if mu is not None:
+        rows[:2] += _AT_SIGNS * mu  # + A^T mu: mu into the first copy, -mu into the second
+    gap = np.subtract(rows[0], rows[1], out=rows[2])
+    first, second, worst = np.maximum.reduce(np.abs(rows), axis=1).tolist()
+    if not (math.isfinite(worst) and worst <= tol * max(1.0, first, second)):
         raise NotOnDiagonal(f"diagonal defect {worst:.3e} exceeds tolerance {tol:.3e}")
-    return first.flatten(), math.sqrt(gap.dot(gap))
+    return rows[0], math.sqrt(gap.dot(gap))
 
 
 def apply_A(zeta: np.ndarray) -> np.ndarray:
@@ -143,13 +146,6 @@ def apply_AT(mu: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(mu, dtype=float)
     return (m.reshape(2, 1, block_length(m, 2)) * _AT_SIGNS).reshape(-1)
-
-
-def shift_into(out: np.ndarray, zeta: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Write ``zeta + A^T mu`` (bit for bit ``zeta + apply_AT(mu)``) into the flat
-    ``out`` and return it, unchecked: the projected step checks once per step."""
-    np.multiply(mu.reshape(2, 1, -1), _AT_SIGNS, out=out.reshape(2, 2, -1))
-    return np.add(zeta, out, out=out)
 
 
 def defect_norm(zeta: np.ndarray) -> float:

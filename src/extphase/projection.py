@@ -10,7 +10,8 @@ inner doubled-space step lands back on the diagonal, then read off the
 a dense nonlinear system of size ``2d`` solved here either by a simplified
 Newton iteration with the constant Jacobian approximation ``Df ~= 4 I``
 (one inner-step evaluation per iteration) or by Broyden's rank-one update
-of the inverse Jacobian seeded with ``I/4``.
+of the inverse Jacobian seeded with ``I/4``; it iterates on the shift
+``A^T mu`` and the residual ``A^T f``, whose first copies are ``mu`` and ``f``.
 
 The projected step is symmetric, symplectic on the original phase space,
 and preserves every linear and quadratic first integral of the underlying
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import COPIES, block_length, embed, restrict_copies, row_pairs, shift_into
+from .core import apply_AT, block_length, embed, restrict_copies
 from .errors import ConfigError, NonConvergence, _check_fields
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
@@ -105,7 +106,7 @@ def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str
         while True:
             try:
                 r, out = evaluate(x)
-                norm = float(np.abs(r).max())
+                norm = float(np.maximum.reduce(np.abs(r), axis=None))
             except (ArithmeticError, ValueError):  # math's range and domain errors
                 norm = math.inf
             passes += 1
@@ -150,25 +151,34 @@ def solve_mu(
     :class:`DimensionMismatch`.  Every multiplier and residual is fresh.
     """
     d = block_length(zeta_n, 4)  # the layout check, once per solve
-    mu = np.zeros(2 * d) if mu0 is None else np.array(mu0, dtype=float)
-    block_length(mu, 2, d)  # a warm start must be (mu1, mu2), one entry per constraint
+    shape = (2, 2, d)  # A^T mu as rows ((mu1, -mu1), (mu2, -mu2)), and A^T r alike
+    if mu0 is None:
+        start = np.zeros(shape)
+        start[:, 1] = -0.0  # A^T 0, signs and all
+    else:
+        mu = np.asarray(mu0, dtype=float)
+        block_length(mu, 2, d)  # a warm start must be (mu1, mu2), one entry per constraint
+        start = apply_AT(mu).reshape(shape)
     point = np.empty(4 * d)
+    rows, zeta = point.reshape(shape), zeta_n.reshape(shape)
 
-    def evaluate(mu):
-        image = extended_step(system, dt, shift_into(point, zeta_n, mu))  # zeta_n + A^T mu
-        # the image's copies, after one shape compare: another length raises
-        a, b = row_pairs(image, COPIES, d)
-        r = np.subtract(a, b).reshape(-1)  # fresh on every pass: Broyden keeps the last one
-        r += mu + mu  # 2 mu bit for bit, with no float operand
+    def evaluate(shift):
+        np.add(zeta, shift, out=rows)  # zeta_n + A^T mu
+        image = extended_step(system, dt, point)
+        block_length(image, 4, d)  # another length raises
+        copies = image.reshape(shape)
+        r = copies - copies[:, ::-1]  # A^T A image, fresh on every pass
+        r += shift + shift  # A^T 2 mu bit for bit, with no float operand
         return r, image
 
-    def newton(mu, r, _image):
-        return mu - QUARTER * r
+    def newton(shift, r, _image):
+        return shift - QUARTER * r
 
-    inv_jac = prev_mu = prev_r = None  # Broyden's inverse Jacobian and last pass
+    inv_jac = prev_mu = prev_r = None  # Broyden's inverse Jacobian and last pass, in mu
 
-    def broyden(mu, r, _image):
+    def broyden(shift, r, _image):
         nonlocal inv_jac, prev_mu, prev_r
+        mu, r = shift[:, 0].flatten(), r[:, 0].flatten()
         if inv_jac is None:
             inv_jac = np.eye(mu.size) / 4.0
         else:
@@ -178,12 +188,16 @@ def solve_mu(
             if denom != 0.0:
                 inv_jac += np.outer(s - hy, s @ inv_jac) / denom
         prev_mu, prev_r = mu, r
-        return mu - inv_jac @ r
+        return apply_AT(mu - inv_jac @ r).reshape(shape)
 
     advance = newton if cfg.method == "simplified_newton" else broyden
-    mu, image, stats = iterate(evaluate, advance, mu, cfg, "projection", "residual")
-    stats.mu = mu
-    return mu, image, stats
+    try:
+        shift, image, stats = iterate(evaluate, advance, start, cfg, "projection", "residual")
+    except NonConvergence as failure:  # its best iterate is a shift: hand back its mu
+        failure.best = failure.best[:, 0].flatten()
+        raise
+    stats.mu = shift[:, 0].flatten()
+    return stats.mu, image, stats
 
 
 def semiexplicit_step(
@@ -204,6 +218,5 @@ def semiexplicit_step(
     """
     zeta_n = embed(z_n)  # the layout check, once per step
     mu, image, stats = solve_mu(system, extended_step, dt, zeta_n, cfg, mu0=mu0)
-    shift_into(zeta_n, image, mu)  # the end point image + A^T mu, into zeta_n
-    z_next, stats.defect_norm = restrict_copies(zeta_n, cfg.tol + SHIFT_ROUNDING)
+    z_next, stats.defect_norm = restrict_copies(image, cfg.tol + SHIFT_ROUNDING, mu)  # + A^T mu
     return z_next, stats

@@ -36,6 +36,7 @@ __all__ = [
 
 # One step of an integrator on the doubled space: (system, dt, zeta) -> zeta'.
 ExtendedStep = Callable[[HamiltonianSystem, float, np.ndarray], np.ndarray]
+HALF = np.array(0.5)  # coupling_flow's 1/2, 0-d
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def pihajoki_step(system: HamiltonianSystem, dt: float, zeta: np.ndarray) -> np.
     out = np.array(zeta, dtype=float)
     qy, xp = row_pairs(out, FLOWS, system.dim)
     _push(xp, h, system.fields(qy))  # A(dt/2)
-    _push(qy, dt, system.fields(xp))  # B(dt)
+    _push(qy, np.array(dt), system.fields(xp))  # B(dt), 0-d as h
     _push(xp, h, system.fields(qy))  # A(dt/2)
     return out
 
@@ -159,8 +160,7 @@ def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
     angle = 2.0 * omega * t
     if angle == 0.0:
         return out
-    c = math.cos(angle)
-    s = math.sin(angle)
+    c, s = np.array(math.cos(angle)), math.sin(angle)  # 0-d c, as h in pihajoki_step
     total = first + second
     diff = first - second  # (u, v)
     # (c u + s v, c v - s u); adding -s u rounds exactly as subtracting s u
@@ -168,7 +168,7 @@ def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
     diff_r += np.array(((s,), (-s,))) * diff[::-1]
     np.add(total, diff_r, out=first)
     np.subtract(total, diff_r, out=second)
-    out *= 0.5
+    out *= HALF
     return out
 
 

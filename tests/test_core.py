@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -24,7 +25,7 @@ from extphase import (
     restrict,
     symplecticity_defect,
 )
-from extphase.core import shift_into
+from extphase.core import restrict_copies
 
 from conftest import seeded_rng
 
@@ -199,6 +200,38 @@ def test_restrict_rejects_a_non_finite_copy_gap(zeta):
         restrict(np.array(zeta), tol=1e-12)
 
 
+@pytest.mark.parametrize("zeta, message", [
+    ([1.0, np.nan, 2.0, 2.0], "diagonal defect nan exceeds tolerance 1.000e-12"),  # one copy
+    ([np.inf, np.inf, 2.0, 2.0], "diagonal defect nan exceeds tolerance 1.000e-12"),  # inf - inf
+    ([np.inf, 1.0, 2.0, -np.inf], "diagonal defect inf exceeds tolerance 1.000e-12"),
+])
+def test_restrict_copies_names_a_non_finite_defect(zeta, message):
+    with np.errstate(invalid="ignore"), pytest.raises(NotOnDiagonal) as err:
+        restrict_copies(np.array(zeta), 1e-12)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("q, x, p, y, tol, message", [
+    # the largest entry is in the second copy: the bound reads both copies
+    ([1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -8.0], 1.0,
+     "diagonal defect 8.000e+00 exceeds tolerance 1.000e+00"),
+    # every entry below 1: the bound is tol itself
+    ([0.5], [0.25], [0.0], [0.0], 0.25, "diagonal defect 2.500e-01 exceeds tolerance 2.500e-01"),
+])
+def test_restrict_copies_accepts_a_gap_exactly_at_its_bound(q, x, p, y, tol, message):
+    """``|A zeta|_inf == tol * max(1, |zeta|_inf)`` passes with the first
+    copy and the gap's Euclidean norm; one ulp less of ``tol`` fails."""
+    zeta = join(*map(np.array, (q, x, p, y)))
+    z, defect = restrict_copies(zeta, tol)
+    assert z.tobytes() == np.array(q + p).tobytes()
+    gap = np.array(q + p) - np.array(x + y)
+    assert defect == math.sqrt(gap.dot(gap))
+    assert not np.shares_memory(z, zeta)
+    with pytest.raises(NotOnDiagonal) as err:
+        restrict_copies(zeta, np.nextafter(tol, 0.0))
+    assert str(err.value) == message
+
+
 def test_apply_A_vanishes_on_diagonal():
     assert np.all(apply_A(embed(np.array([3.0, -2.0]))) == 0.0)
 
@@ -235,14 +268,22 @@ def test_shift_linearity():
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-14)
 
 
-def test_shift_into_is_zeta_plus_AT_mu_bit_for_bit_in_its_buffer():
+def test_restrict_copies_reads_zeta_plus_AT_mu_bit_for_bit():
+    # the projected step's finish: the copies and defect of the shifted point, never formed
     rng = seeded_rng(105)
     for _ in range(50):
         zeta = rng.normal(size=8) * rng.choice([1e-7, 1.0, 1e7])
         mu = rng.normal(size=4) * rng.choice([1e-7, 1.0, 1e7])
-        out = np.empty(8)
-        assert shift_into(out, zeta, mu) is out
-        assert out.tobytes() == (zeta + apply_AT(mu)).tobytes()
+        before = zeta.tobytes(), mu.tobytes()
+        z, defect = restrict_copies(zeta, math.inf, mu)
+        shifted = zeta + apply_AT(mu)
+        assert z.tobytes() == blocks(shifted)[0::2].tobytes()
+        assert defect == defect_norm(shifted)
+        assert (zeta.tobytes(), mu.tobytes()) == before
+        # the bound reads the shifted point: A^T mu - A^T mu is on the diagonal
+        assert not restrict_copies(apply_AT(mu), 0.0, -mu)[0].any()
+        with pytest.raises(NotOnDiagonal):
+            restrict_copies(apply_AT(mu), 0.0)
 
 
 def test_defect_norm_on_diagonal_is_zero():

@@ -428,6 +428,31 @@ def _bits(z_next, mu, iterations, final_residual, defect):
             float(defect).hex())
 
 
+NLS5_Z0 = np.array([3.0, 0.01, 0.01, 0.01, 0.01, 1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("solver", ["simplified_newton", "broyden"])
+@pytest.mark.parametrize("case", ["testcase", "nls5"])
+def test_a_stalled_solve_fails_as_the_seed_formulas_do(case, solver, warm):
+    """A solve stopped by ``max_iter`` raises the seed formulas' failure bit
+    for bit: its message, pass count, smallest residual and the flat ``2d``
+    multiplier with that residual, not the iterate the solve runs on."""
+    system, z = (make_testcase(), Z0) if case == "testcase" else (make_nls(5), NLS5_Z0)
+    cfg = SolverConfig(tol=1e-16, max_iter=3, method=solver)
+    mu0 = 1e-3 * seeded_rng(402).normal(size=z.size) if warm else None
+    with pytest.raises(NonConvergence) as ours:
+        semiexplicit_step(system, pihajoki_step, 0.1, z, cfg, mu0=mu0)
+    with pytest.raises(NonConvergence) as seed:
+        _seed_projected_step(system, pihajoki_step, 0.1, z, cfg, mu0)
+    ours, seed = ours.value, seed.value
+    assert str(ours) == str(seed)
+    assert ours.iterations == seed.iterations == 3
+    assert float(ours.final_residual).hex() == float(seed.final_residual).hex()
+    assert ours.best.shape == (z.size,)
+    assert ours.best.tobytes() == seed.best.tobytes()
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(
     case=systems_with_invariants(),

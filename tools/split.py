@@ -27,7 +27,11 @@ the script prints the projected step's kernel time (``3 * passes`` fields
 calls), the inner step's time outside the kernel per pass, the solve +
 embed + finish time per step (the step minus its inner steps), and the
 step's time outside the kernel against the kernel's; then the sweep's time,
-split into its ``fields`` call and the rest.
+split into its ``fields`` call and the rest.  The solve + embed + finish
+time splits into the step's fixed time, embed + finish, which is a step
+over an inner step that returns a copy of its input (one pass, at
+``mu = 0``) less ``solve_mu`` over that inner step, and the solve's own
+time per pass, the rest over the passes.
 """
 
 from __future__ import annotations
@@ -83,6 +87,10 @@ def pieces(xp) -> tuple[dict, int, int]:
             xp.semiexplicit_step(system, timed_inner, dt, z, cfg)
         return spent[0] / number
 
+    def copy_inner(_system, _dt, zeta):  # on the diagonal: one pass, at mu = 0
+        return zeta.copy()
+
+    zeta = xp.embed(z)
     gspec = harness.preset("vortex10", method="gl6", order=6, tol=1e-10, dt=0.1)
     vortices, w, _ = harness.build_system(gspec)
     tableau = xp.gl_tableau(6)
@@ -91,6 +99,8 @@ def pieces(xp) -> tuple[dict, int, int]:
     return {
         "step": timed(lambda: xp.semiexplicit_step(system, xp.pihajoki_step, dt, z, cfg)),
         "inner": inner_in_step,
+        "copy_step": timed(lambda: xp.semiexplicit_step(system, copy_inner, dt, z, cfg)),
+        "copy_solve": timed(lambda: xp.solve_mu(system, copy_inner, dt, zeta, cfg)),
         "fields": timed(lambda: system.fields(row)),
         "gl_step": timed(lambda: xp.gl_step(vortices, gspec.dt, w, tableau, cfg)),
         "gl_fields": timed(lambda: vortices.fields(stages)),
@@ -119,7 +129,10 @@ def report(root: Path, us: dict, passes: int, sweeps: int) -> None:
     inner = us["inner"] / passes  # one inner step, as it runs inside the step
     print(f"    inner step outside the kernel: {inner - 3 * us['fields']:.2f} us/pass "
           f"({inner:.2f} us per inner step)")
-    print(f"    solve + embed + finish: {us['step'] - us['inner']:.1f} us/step")
+    fixed = us["copy_step"] - us["copy_solve"]  # embed + finish, as a step over a copy reads them
+    solve = us["step"] - us["inner"] - fixed
+    print(f"    solve + embed + finish: {us['step'] - us['inner']:.1f} us/step: "
+          f"solve {solve / passes:.2f} us/pass, embed + finish {fixed:.2f} us/step")
     print(f"    outside the kernel: {us['step'] - kernel:.1f} us/step "
           f"against the kernel's {kernel:.1f}")
     sweep = us["gl_step"] / sweeps
