@@ -66,8 +66,7 @@ def _spec_from_args(args) -> ExperimentSpec:
     return replace(spec, **overrides)
 
 
-def _cmd_run(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_run(spec: ExperimentSpec, args) -> int:
     record = run_experiment(spec)
     if args.out:
         emit_csv(record, args.out)
@@ -87,8 +86,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_bench(spec: ExperimentSpec, args) -> int:
     row = benchmark(spec, args.reps)
     if args.out:
         emit_benchmark_csv([row], args.out)
@@ -99,13 +97,12 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _cmd_converge(args) -> int:
-    spec = _spec_from_args(args)
+def _cmd_converge(spec: ExperimentSpec, args) -> int:
     try:
         dts = [float(v) for v in args.dt_list.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad --dt-list: {exc}") from exc
-    slope, errors = convergence_study(spec, dts, t_end=args.t_end)
+    slope, errors = convergence_study(spec, dts)  # over the spec's t_end, which --t-end sets
     for dt, err in errors.items():
         print(f"dt={dt:g} error={err:.6e}")
     print(f"slope={slope:.3f}")
@@ -116,10 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extphase",
         description="Structure-preserving integrators for non-separable Hamiltonian systems",
+        allow_abbrev=False,  # --d is not --dt; each subparser sets this too
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="integrate and record drift series")
+    p_run = sub.add_parser("run", help="integrate and record drift series", allow_abbrev=False)
     _add_spec_arguments(p_run)
     p_run.add_argument("--out", help="trajectory CSV path")
     p_run.add_argument("--svg", help="drift chart SVG path")
@@ -128,13 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append state columns")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_bench = sub.add_parser("bench", help="time the bare stepping loop")
+    p_bench = sub.add_parser("bench", help="time the bare stepping loop", allow_abbrev=False)
     _add_spec_arguments(p_bench)
     p_bench.add_argument("--reps", type=int, default=1, help="timing repetitions")
     p_bench.add_argument("--out", help="benchmark CSV path")
     p_bench.set_defaults(fn=_cmd_bench)
 
-    p_conv = sub.add_parser("converge", help="estimate the convergence order")
+    p_conv = sub.add_parser("converge", help="estimate the convergence order",
+                            allow_abbrev=False)
     _add_spec_arguments(p_conv)
     p_conv.add_argument("--dt-list", required=True, help="comma-separated step sizes")
     p_conv.set_defaults(fn=_cmd_converge)
@@ -145,7 +144,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        return args.fn(_spec_from_args(args), args)
     except SystemExit as exc:  # argparse printed a usage error, or the help
         return EXIT_CONFIG if exc.code else EXIT_OK
     except ConfigError as exc:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one type rule of configuration fields."""
+"""Exception types shared across the package, and the one type rule of configuration fields.
+
+Every configuration the package refuses, a Gauss order too, is a :class:`ConfigError` (exit 4)."""
 
 import numbers
 import sys
@@ -6,7 +8,7 @@ from dataclasses import fields
 
 __all__ = [
     "ConfigError", "DimensionMismatch", "ExtPhaseError", "NonConvergence", "NotOnDiagonal",
-    "UnsupportedOrder", "VortexCollision",
+    "VortexCollision",
 ]
 
 
@@ -44,10 +46,6 @@ class NonConvergence(ExtPhaseError):
 
 class VortexCollision(ExtPhaseError):
     """Two point vortices came closer than the singularity guard allows."""
-
-
-class UnsupportedOrder(ExtPhaseError):
-    """Requested integrator order is not provided."""
 
 
 class ConfigError(ExtPhaseError, ValueError):

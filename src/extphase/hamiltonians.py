@@ -160,7 +160,19 @@ def _row_dots(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-class NlsLattice(HamiltonianSystem):
+class _RowKernelSystem(HamiltonianSystem):
+    """A system that overrides both row kernels; its :meth:`energy` and
+    :meth:`grad` are their one-row cases, bit for bit."""
+
+    def energy(self, q, p) -> float:
+        return float(self.energies(np.stack((q, p))))
+
+    def grad(self, q, p):
+        rows = self.fields(np.stack((q, p)))
+        return -rows[1], rows[0]
+
+
+class NlsLattice(_RowKernelSystem):
     """Quartic lattice with nearest-neighbour coupling (discrete NLS-type).
 
     ``H = 1/4 sum_i (q_i^2 + p_i^2)^2
@@ -183,9 +195,6 @@ class NlsLattice(HamiltonianSystem):
             raise DimensionMismatch(f"lattice needs a whole number of sites, at least 1: {d!r}")
         self.dim = int(d)
 
-    def energy(self, q, p) -> float:
-        return float(self.energies(np.stack((q, p))))  # the one-row case
-
     def energies(self, rows):
         qs, ps = rows[..., 0, :], rows[..., 1, :]
         n2 = qs * qs + ps * ps
@@ -196,10 +205,6 @@ class NlsLattice(HamiltonianSystem):
             b = q_next * q_next - p_next * p_next
             e -= _row_dots(a, b) + 4.0 * _row_dots(q * p, q_next * p_next)
         return e
-
-    def grad(self, q, p):
-        rows = self.fields(np.stack((q, p)))  # the one-row case
-        return -rows[1], rows[0]
 
     def fields(self, rows):
         if rows.ndim > 2:  # a stack takes the site loop once per row
@@ -289,7 +294,7 @@ def _pair_geometry(rows):
     return diffs, r2
 
 
-class PointVortexSystem(HamiltonianSystem):
+class PointVortexSystem(_RowKernelSystem):
     """N planar point vortices in canonical coordinates.
 
     The planar variables ``(X_i, Y_i)`` relate to the canonical ones through
@@ -315,18 +320,11 @@ class PointVortexSystem(HamiltonianSystem):
         self._grad_weights = -1.0 / (2.0 * math.pi) * g
         self._pair_weights = np.triu(np.outer(g, g), 1)  # G_i G_j for i < j
 
-    def energy(self, q, p) -> float:
-        return float(self.energies(np.stack((q, p))))  # the one-row case
-
     def energies(self, rows):
         _, r2 = _pair_geometry(rows / self._scales)  # r2 is fresh
         n = self.dim
         r2.reshape(-1, n * n)[:, :: n + 1] = 1.0  # log(1) = 0 under the zero-diagonal weights
         return -(self._pair_weights * np.log(r2)).sum(axis=(-2, -1)) / (4.0 * math.pi)
-
-    def grad(self, q, p):
-        rows = self.fields(np.stack((q, p)))  # the one-row case
-        return -rows[1], rows[0]
 
     def fields(self, rows):
         diffs, r2 = _pair_geometry(rows / self._scales)  # fresh arrays, free to overwrite

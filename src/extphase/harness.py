@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -458,8 +459,9 @@ def benchmark(spec: ExperimentSpec, repetitions: int) -> dict:
     outside the timed region; only stepping and the solves inside it are
     measured on a monotonic clock.
     """
-    if repetitions < 1:
-        raise ConfigError("repetitions must be at least 1")
+    whole = isinstance(repetitions, numbers.Integral) and not isinstance(repetitions, bool)
+    if not whole or repetitions < 1:
+        raise ConfigError(f"repetitions must be a whole number, at least 1: {repetitions!r}")
     system, z0, _ = build_system(spec)
     n_steps = spec.n_steps
     elapsed = []
@@ -504,9 +506,9 @@ def convergence_study(spec: ExperimentSpec, dt_list, t_end: float | None = None)
     Returns ``(slope, errors)`` with ``errors`` mapping dt to the Euclidean
     final-state error.
     """
+    horizon = t_end if t_end is not None else spec.t_end
     dts = sorted((float(v) for v in dt_list), reverse=True)
-    if not all(dt > 0.0 and math.isfinite(dt) for dt in dts):
-        raise ConfigError("step sizes must be positive and finite")
+    specs = [replace(spec, dt=dt, t_end=horizon) for dt in dts]  # each checked before any run
     if len(dts) < 4:
         raise ConfigError("need at least four step sizes")
     if len(set(dts)) < len(dts):
@@ -514,7 +516,6 @@ def convergence_study(spec: ExperimentSpec, dt_list, t_end: float | None = None)
     ratios = [dts[i] / dts[i + 1] for i in range(len(dts) - 1)]
     if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
         raise ConfigError("step sizes must form a geometric progression")
-    horizon = t_end if t_end is not None else spec.t_end
     ref_spec = replace(
         spec,
         method="gl6",
@@ -526,10 +527,7 @@ def convergence_study(spec: ExperimentSpec, dt_list, t_end: float | None = None)
         max_iter=500,
     )
     z_ref = final_state(ref_spec)
-    errors = {}
-    for dt in dts:
-        z = final_state(replace(spec, dt=dt, t_end=horizon))
-        errors[dt] = max(float(np.linalg.norm(z - z_ref)), 1e-16)
+    errors = {s.dt: max(float(np.linalg.norm(final_state(s) - z_ref)), 1e-16) for s in specs}
     slope = float(
         np.polyfit(np.log(list(errors.keys())), np.log(list(errors.values())), 1)[0]
     )
@@ -583,6 +581,8 @@ def load_csv(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
+            if header == [""]:  # an empty file, or an empty first line
+                raise ConfigError("no header line")
             start = fh.tell()
             table = np.empty((0, len(header)))  # a header-only file, which loadtxt warns on
             if fh.readline().strip():

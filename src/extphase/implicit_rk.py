@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import halves
-from .errors import ConfigError, UnsupportedOrder
+from .errors import ConfigError
 from .hamiltonians import HamiltonianSystem
 from .projection import SolverConfig, iterate
 
@@ -75,7 +75,7 @@ def gl_tableau(order: int) -> ButcherTableau:
             b=[5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0],
             c=[0.5 - r / 10.0, 0.5, 0.5 + r / 10.0],
         )
-    raise UnsupportedOrder(f"Gauss-Legendre order must be 2, 4, or 6, got {order}")
+    raise ConfigError(f"Gauss-Legendre order must be 2, 4, or 6, got {order}")
 
 
 def gl_step(

@@ -37,7 +37,9 @@ from extphase import (
     load_csv,
     make_spec,
     preset,
+    projection,
     run_experiment,
+    splitting,
 )
 from extphase.cli import main
 from extphase.harness import emit_benchmark_csv
@@ -480,6 +482,9 @@ def test_load_csv_turns_an_unreadable_file_into_a_config_error(tmp_path):
     bad.write_text("step,t\n0,zero\n")
     with pytest.raises(ConfigError):
         load_csv(bad)
+    bad.write_text("")
+    with pytest.raises(ConfigError, match=f"cannot read {re.escape(str(bad))}: no header line"):
+        load_csv(bad)
 
 
 def test_svg_emission(tmp_path):
@@ -507,8 +512,10 @@ def test_benchmark_rows():
     row = benchmark(spec, 1)
     assert row["vf_avg"] == pytest.approx(2.0 * row["itr_avg"], abs=1e-12)
 
-    with pytest.raises(ConfigError):
-        benchmark(spec, 0)
+    for repetitions in (0, -1, 2.5, True, "2"):
+        with pytest.raises(ConfigError, match="repetitions must be a whole number"):
+            benchmark(spec, repetitions)
+    assert benchmark(spec, np.int64(1))["total_steps"] == 20
 
 
 def test_benchmark_csv(tmp_path):
@@ -523,7 +530,22 @@ def test_benchmark_csv(tmp_path):
     assert lines[1].startswith("tao-2,2,")
 
 
-def test_convergence_study_input_validation():
+def test_convergence_study_input_validation(monkeypatch):
+    # every step size is a spec over the horizon, checked before the reference run
+    def no_run(spec):
+        raise AssertionError(f"a run started at dt={spec.dt}")
+
+    monkeypatch.setattr(harness, "final_state", no_run)
+    spec = preset("vortex4", method="gl4", order=4)
+    for dts, message in (
+        ([0.8, 0.4, 0.2, 0.1], "t_end must be an integer number of steps"),
+        ([0.1, 0.05, 0.025, 0.0], "dt must be positive and finite"),
+        ([0.1, 0.05, 0.025, float("nan")], "dt must be positive and finite"),
+        ([100.0, 50.0, 25.0, 12.5], "dt must not exceed t_end"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            convergence_study(spec, dts, t_end=50.0)
+    monkeypatch.undo()
     spec = preset("testcase", tol=1e-13)
     with pytest.raises(ConfigError):
         convergence_study(spec, [0.1, 0.05, 0.025], t_end=1.0)
@@ -668,9 +690,17 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         ["bench", "--preset", "testcase", "--dt", "x"],
         ["converge", "--preset", "testcase", "--dt-list", "0.1,0.05,0.025,0"],
         ["converge", "--preset", "testcase", "--dt-list", "0.1,x"],
+        # a prefix of a flag is not the flag: --d is not --dt, and d has no flag
+        ["run", "--preset", "testcase", "--t-end", "1", "--d", "0.05"],
+        ["run", "--preset", "testcase", "--t-end", "1", "--om", "3", "--meth", "tao"],
+        ["bench", "--preset", "testcase", "--t-end", "1", "--rep", "2"],
     ):
         assert main(argv) == 4, argv
     capsys.readouterr()
+    argv = ["converge", "--preset", "vortex4", "--method", "gl4", "--t-end", "50",
+            "--dt-list", "0.8,0.4,0.2,0.1"]
+    assert main(argv) == 4
+    assert "t_end must be an integer number of steps" in capsys.readouterr().err
     argv = ["converge", "--preset", "testcase", "--method", "gl4", "--t-end", "1",
             "--dt-list", "0.1,0.1,0.1,0.1"]
     assert main(argv) == 4
@@ -692,6 +722,28 @@ def test_cost_identity_guard_fires(monkeypatch, attribute, method):
     monkeypatch.setattr(harness, attribute, one_gradient_too_many)
     with pytest.raises(AssertionError, match="cost accounting violated"):
         run_experiment(preset("testcase", method=method, t_end=0.1))
+
+
+@pytest.mark.parametrize(
+    "module, attribute, method",
+    [(projection, "solve_mu", "semiexplicit"), (splitting, "coupling_flow", "tao")],
+)
+def test_steps_look_their_layers_up_at_call_time(monkeypatch, module, attribute, method):
+    # a tracer wraps these module attributes; a step that bound one at import
+    # would run the original and leave that layer's spans empty
+    spec = preset("testcase", method=method, t_end=1.0, tol=1e-12)
+    assert spec.omega != 0.0  # tao rotates its copies in every step
+    expected = final_state(spec)
+    original = getattr(module, attribute)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attribute, counted)
+    assert final_state(spec).tobytes() == expected.tobytes()
+    assert len(calls) == spec.n_steps
 
 
 def test_cli_exit_code_on_nonconvergence(capsys):
@@ -840,6 +892,7 @@ OPTIONS = {
 }
 SPEC_FLAGS = ["--method", "--order", "--composition", "--omega", "--tol", "--solver"]
 COMMAND_FLAGS = {"run": ["--stride", "--record-state"], "bench": ["--reps"], "converge": []}
+PREFIX_FLAGS = ["--d", "--om", "--rep"]  # prefixes of --dt, --omega and --reps, all refused
 
 
 def _pick(draw, choices):
@@ -876,7 +929,7 @@ def cli_argvs(draw, tmp: Path):
     # mostly the flags the command takes, sometimes one it does not
     flags = SPEC_FLAGS + COMMAND_FLAGS.get(command, [])
     if draw(st.integers(0, 7)) == 7:
-        flags = flags + ["--stride", "--reps", "--bogus"]
+        flags = flags + ["--stride", "--reps", "--bogus", *PREFIX_FLAGS]
     for flag in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)):
         if flag == "--record-state":
             argv += [flag]
@@ -896,3 +949,5 @@ def test_cli_returns_a_documented_exit_code(tmp_path_factory, data):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3, 4), argv
+    if set(argv) & set(PREFIX_FLAGS):
+        assert code == 4, argv

@@ -6,7 +6,6 @@ from extphase import (
     ConfigError,
     NonConvergence,
     SolverConfig,
-    UnsupportedOrder,
     VortexConfig,
     canonical_from_planar,
     gl_step,
@@ -62,9 +61,9 @@ def test_tableaux_satisfy_symplecticity_condition(order):
 
 
 def test_unsupported_order_rejected():
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ConfigError, match="order must be 2, 4, or 6"):
         gl_tableau(3)
-    with pytest.raises(UnsupportedOrder):
+    with pytest.raises(ConfigError, match="order must be 2, 4, or 6"):
         gl_tableau(8)
 
 
