@@ -15,8 +15,11 @@ The diagonal subspace ``x == q, y == p`` is the kernel of the constraint
 operator implemented by :func:`apply_A`; its transpose is
 :func:`apply_AT` and ``A @ A.T == 2*I`` holds exactly.
 
-All functions here are pure and allocation-light, and each checks the
-shape of its operand, raising :class:`DimensionMismatch` on a bad layout.
+The package reads every array argument through :func:`floats`, the one rule
+of what it may hold, but for two on the hot path: the systems' row kernels
+take their rows unchecked, and ``solve_mu`` checks its embedded point's shape.
+All functions here are pure and allocation-light, and each checks the shape
+of its operand, raising :class:`DimensionMismatch` on a bad layout.
 """
 
 from __future__ import annotations
@@ -25,11 +28,34 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotOnDiagonal
+from .errors import ConfigError, DimensionMismatch, NotOnDiagonal
 
 __all__ = [
     "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join", "restrict",
 ]
+
+_NDARRAY, _FLOAT = np.ndarray, np.dtype(float)  # an array floats returns as it is
+
+
+def floats(value) -> np.ndarray:
+    """``value`` as a float array, itself if it is one: the one rule for an array
+    argument.  Ragged rows raise :class:`DimensionMismatch`, and entries other than
+    floats and integers (complex, bool, object, text) :class:`ConfigError`."""
+    if type(value) is _NDARRAY and value.dtype is _FLOAT:
+        return value
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # ragged rows, which NumPy cannot make one array
+        raise DimensionMismatch(f"an array's rows must have one length: {exc}") from None
+    if array.dtype.kind not in "fiu":
+        raise ConfigError(f"an array must hold real numbers, not {array.dtype}")
+    return array.astype(float, copy=False)
+
+
+def read_point(value, parts: int, d: int | None = None) -> tuple[np.ndarray, int]:
+    """``(point, d)``: ``value`` read by :func:`floats`, checked by :func:`block_length`."""
+    point = floats(value)
+    return point, block_length(point, parts, d)
 
 
 def block_length(point: np.ndarray, parts: int, d: int | None = None) -> int:
@@ -50,7 +76,7 @@ def halves(z: np.ndarray, d: int | None = None) -> tuple[np.ndarray, np.ndarray]
     :class:`DimensionMismatch` unless ``z`` is a flat array of length
     ``2*d`` (any positive even length when ``d`` is None).
     """
-    n = block_length(z, 2, d)
+    z, n = read_point(z, 2, d)
     return z[:n], z[n:]
 
 
@@ -63,8 +89,7 @@ def blocks(zeta: np.ndarray, d: int | None = None) -> np.ndarray:
     unless ``zeta`` is flat with length ``4*d`` (any positive multiple of 4
     when ``d`` is None).
     """
-    block_length(zeta, 4, d)
-    return zeta.reshape(4, -1)
+    return read_point(zeta, 4, d)[0].reshape(4, -1)
 
 
 # The copies' signs in A^T mu = ((mu1, -mu1), (mu2, -mu2)), a column to broadcast mu by.
@@ -91,6 +116,7 @@ def join(*parts: np.ndarray) -> np.ndarray:
     Raises :class:`DimensionMismatch` unless there are two or four flat
     arrays of one positive length.
     """
+    parts = [floats(block) for block in parts]
     shapes = [block.shape for block in parts]
     if len(parts) not in (2, 4) or len(shapes[0]) != 1 or not shapes[0][0] or (
             shapes.count(shapes[0]) != len(parts)):
@@ -101,8 +127,7 @@ def join(*parts: np.ndarray) -> np.ndarray:
 def embed(z: np.ndarray) -> np.ndarray:
     """Duplicate ``z = (q, p)`` into the fresh diagonal point ``(q, q, p, p)``,
     by one broadcast write; checked as :func:`halves` checks."""
-    z = np.asarray(z, dtype=float)
-    d = block_length(z, 2)
+    z, d = read_point(z, 2)
     zeta = np.empty(4 * d)
     zeta.reshape(2, 2, d)[:] = z.reshape(2, 1, d)
     return zeta
@@ -110,7 +135,7 @@ def embed(z: np.ndarray) -> np.ndarray:
 
 def restrict(zeta: np.ndarray, tol: float) -> np.ndarray:
     """The ``(q, p)`` block of a point on the diagonal; see :func:`restrict_copies`."""
-    return restrict_copies(np.asarray(zeta, dtype=float), tol)[0]
+    return restrict_copies(floats(zeta), tol)[0]
 
 
 def restrict_copies(zeta: np.ndarray, tol: float, mu: np.ndarray | None = None) -> tuple:
@@ -135,7 +160,7 @@ def restrict_copies(zeta: np.ndarray, tol: float, mu: np.ndarray | None = None) 
 
 def apply_A(zeta: np.ndarray) -> np.ndarray:
     """``A zeta = (q - x, p - y)``, zero exactly on the diagonal."""
-    first, second = row_pairs(zeta, COPIES)
+    first, second = row_pairs(floats(zeta), COPIES)
     return (first - second).reshape(-1)
 
 
@@ -144,8 +169,8 @@ def apply_AT(mu: np.ndarray) -> np.ndarray:
 
     That is the embedding of ``mu = (mu1, mu2)`` with its second copy negated.
     """
-    m = np.asarray(mu, dtype=float)
-    return (m.reshape(2, 1, block_length(m, 2)) * _AT_SIGNS).reshape(-1)
+    m, d = read_point(mu, 2)
+    return (m.reshape(2, 1, d) * _AT_SIGNS).reshape(-1)
 
 
 def defect_norm(zeta: np.ndarray) -> float:

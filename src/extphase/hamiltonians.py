@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import halves, join
+from .core import floats, halves, join
 from .errors import ConfigError, DimensionMismatch, VortexCollision
 
 __all__ = [
@@ -238,7 +238,7 @@ class VortexConfig:
     initial_positions: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        gammas = np.asarray(self.circulations, dtype=float)
+        gammas = floats(self.circulations)
         if gammas.ndim != 1 or gammas.size == 0:
             raise DimensionMismatch("circulations must be a non-empty vector")
         if np.any(gammas == 0.0) or not np.isfinite(gammas).all():
@@ -260,8 +260,8 @@ def _planar_positions(positions, n: int) -> np.ndarray:
     """``positions`` as an ``(n, 2)`` float array; the one shape rule for
     planar vortex positions."""
     try:
-        pos = np.asarray(positions, dtype=float)
-    except ValueError:  # ragged rows: NumPy cannot make them one array
+        pos = floats(positions)
+    except DimensionMismatch:  # ragged rows, named by the shape rule
         pos = None
     if pos is None or pos.shape != (n, 2):
         raise DimensionMismatch("initial positions must have shape (N, 2)")
@@ -357,7 +357,7 @@ def canonical_from_planar(config: VortexConfig, positions) -> np.ndarray:
 
 def planar_from_canonical(config: VortexConfig, z) -> np.ndarray:
     """Inverse of :func:`canonical_from_planar`; returns positions (N, 2)."""
-    q, p = halves(np.asarray(z, dtype=float), config.n)
+    q, p = halves(z, config.n)
     s, signed = _canonical_scaling(config.circulations)
     return np.column_stack((q / s, p / signed))
 
@@ -384,7 +384,7 @@ def check_gradient(system: HamiltonianSystem, z: np.ndarray) -> float:
     (max-norm, floored at 1), so the verdict is not drowned by difference
     noise on individual near-zero components.
     """
-    z = np.asarray(z, dtype=float)
+    z = floats(z)
     analytic = join(*system.grad(*halves(z, system.dim)))
     numeric = _central_differences(lambda y: system.energy(*halves(y, system.dim)), z, 1e-5)
     scale = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1.0)

@@ -36,7 +36,9 @@ from .hamiltonians import (
 from .implicit_rk import gl_step, gl_tableau
 from .projection import SolverConfig, StepStats, semiexplicit_step
 from .recording import CHUNK_ROWS, Recorder
-from .splitting import COMPOSITIONS, TaoParams, composed_step, pihajoki_step, tao_step
+from .splitting import (
+    COMPOSITIONS, TaoParams, _rotation_angle, composed_step, pihajoki_step, tao_step,
+)
 
 __all__ = [
     "PRESETS", "ExperimentSpec", "TrajectoryRecord", "benchmark", "build_system",
@@ -245,7 +247,7 @@ def build_system(spec: ExperimentSpec):
                 }
             if q0 is None or p0 is None:
                 raise ConfigError("no initial blocks q0 and p0 (or vortex positions)")
-            z0 = join(np.array(q0, dtype=float), np.array(p0, dtype=float))
+            z0 = join(q0, p0)
             system.energy(*halves(z0, system.dim))  # z0's length, before any d x d block exists
             invs = [(name, make()) for name, make in named.items()]
             [inv.evaluate(z0) for _, inv in invs]  # only to see they evaluate
@@ -280,9 +282,7 @@ def _make_step(spec: ExperimentSpec):
 
     scheme = COMPOSITIONS[spec.order, spec.composition]
     if spec.method == "tao":
-        # the angle coupling_flow rotates by in each substep
-        if not all(math.isfinite(2.0 * spec.omega * (g * spec.dt)) for g in scheme.coefficients):
-            raise ConfigError("omega is too large: the coupling rotation angle overflows")
+        [_rotation_angle(spec.omega, g * spec.dt) for g in scheme.coefficients]
         base = partial(tao_step, params=params)
         cost = (4 if spec.omega != 0.0 else 3) * len(scheme)
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import halves
+from .core import floats, read_point
 from .errors import ConfigError
 from .hamiltonians import HamiltonianSystem
 from .projection import SolverConfig, iterate
@@ -32,12 +32,12 @@ class ButcherTableau:
     c: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        a, b, c = floats(self.a), floats(self.b), floats(self.c)
         s = b.size
         if a.shape != (s, s) or c.shape != (s,):
             raise ConfigError("tableau blocks have inconsistent shapes")
+        if not all(np.isfinite(blk).all() for blk in (a, b, c)):
+            raise ConfigError("tableau entries must be finite")
         if abs(b.sum() - 1.0) > 1e-15:
             raise ConfigError("weights must sum to 1")
         # b_i a_ij + b_j a_ji - b_i b_j = 0 characterises symplectic RK methods
@@ -96,8 +96,7 @@ def gl_step(
     ``(z_next, stats)`` with ``stats.iterations`` the sweep count; the step
     costs ``stages * sweeps`` gradient evaluations.
     """
-    z = np.asarray(z, dtype=float)
-    halves(z, system.dim)  # the layout check, once per step
+    z, _ = read_point(z, 2, system.dim)  # the layout check, once per step
     shape = (tableau.stages, 2, system.dim)  # the stage points' canonical rows
     h = np.array(dt, dtype=float)  # 0-d: a ufunc takes it faster than a float, at the same bits
 

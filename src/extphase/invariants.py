@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import block_length, blocks, embed, halves, join
+from .core import block_length, blocks, embed, floats, halves, join, read_point
 from .errors import ConfigError, DimensionMismatch
 from .hamiltonians import HamiltonianSystem, _canonical_scaling, _central_differences, _evaluate
 
@@ -44,20 +44,11 @@ __all__ = [
 DRIFT_FLOOR = 1e-300
 
 
-def _array(points) -> np.ndarray:
-    """``points`` as one float array; ragged rows raise :class:`DimensionMismatch`,
-    not NumPy's ``ValueError``."""
-    try:
-        return np.asarray(points, dtype=float)
-    except ValueError as exc:  # ragged rows, which NumPy cannot make one array
-        raise DimensionMismatch(f"points must form one float array: {exc}") from None
-
-
 def _rows(z, d: int) -> tuple[np.ndarray, tuple | None]:
     """``z``, one flat point or canonical rows ``(..., 2, d)``, as checked
     rows ``(B, 2, d)``, and the shape of its values: ``None`` for one flat
     point, which has a float."""
-    z = _array(z)
+    z = floats(z)
     if z.ndim == 1:
         block_length(z, 2, d)  # the layout check
         return z.reshape(1, 2, d), None
@@ -73,8 +64,7 @@ class LinearInvariant:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        halves(a)  # the layout check
+        a, _ = read_point(self.a, 2)  # the layout check
         if not np.isfinite(a).all():
             raise ConfigError("coefficients must be finite")
         object.__setattr__(self, "a", a)
@@ -91,7 +81,7 @@ class LinearInvariant:
         return float(values[0]) if shape is None else values.reshape(shape)
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        halves(np.asarray(z, dtype=float), self.dim)  # the layout check
+        halves(z, self.dim)  # the layout check
         return self.a.copy()
 
     def lift(self) -> LinearInvariant:
@@ -108,9 +98,7 @@ class QuadraticInvariant:
     k22: np.ndarray
 
     def __post_init__(self):
-        k11 = np.atleast_2d(np.asarray(self.k11, dtype=float))
-        k12 = np.atleast_2d(np.asarray(self.k12, dtype=float))
-        k22 = np.atleast_2d(np.asarray(self.k22, dtype=float))
+        k11, k12, k22 = (np.atleast_2d(floats(blk)) for blk in (self.k11, self.k12, self.k22))
         d = k11.shape[0]
         for name, blk in (("k11", k11), ("k12", k12), ("k22", k22)):
             if blk.shape != (d, d):
@@ -145,7 +133,7 @@ class QuadraticInvariant:
         return float(values[0]) if shape is None else values.reshape(shape)
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        q, p = halves(np.asarray(z, dtype=float), self.dim)
+        q, p = halves(z, self.dim)
         return join(self.k11 @ q + self.k12 @ p, self.k12.T @ q + self.k22 @ p)
 
     def lift(self) -> QuadraticInvariant:
@@ -167,22 +155,21 @@ class QuadraticInvariant:
 
 def infinitesimal_generator(inv: QuadraticInvariant, z: np.ndarray) -> np.ndarray:
     """Symmetry direction ``J k z = (k12^T q + k22 p, -k11 q - k12 p)``."""
-    q, p = halves(np.asarray(z, dtype=float), inv.dim)
+    q, p = halves(z, inv.dim)
     return join(inv.k12.T @ q + inv.k22 @ p, -(inv.k11 @ q) - inv.k12 @ p)
 
 
 def poisson_bracket(grad_f, grad_g, z: np.ndarray) -> float:
     """Canonical bracket ``DF^T J DG`` at ``z`` from two gradient callables."""
-    z = np.asarray(z, dtype=float)
-    d = halves(z)[0].size
-    fq, fp = halves(np.asarray(grad_f(z), dtype=float), d)
-    gq, gp = halves(np.asarray(grad_g(z), dtype=float), d)
+    z, d = read_point(z, 2)
+    fq, fp = halves(grad_f(z), d)
+    gq, gp = halves(grad_g(z), d)
     return float(fq @ gp - fp @ gq)
 
 
 def extended_hamiltonian_gradient(system: HamiltonianSystem, zeta: np.ndarray) -> np.ndarray:
     """Gradient of ``H(q, y) + H(x, p)`` with respect to ``(q, x, p, y)``."""
-    q, x, p, y = blocks(np.asarray(zeta, dtype=float), system.dim)
+    q, x, p, y = blocks(zeta, system.dim)
     g1q, g1p = system.grad(q, y)
     g2q, g2p = system.grad(x, p)
     return join(g1q, g2q, g2p, g1p)
@@ -190,7 +177,7 @@ def extended_hamiltonian_gradient(system: HamiltonianSystem, zeta: np.ndarray) -
 
 def coupling_energy_gradient(omega: float, zeta: np.ndarray) -> np.ndarray:
     """Gradient of the copy-coupling energy ``(omega/2)(|x-q|^2 + |y-p|^2)``."""
-    q, x, p, y = blocks(np.asarray(zeta, dtype=float))
+    q, x, p, y = blocks(zeta)
     u = x - q
     v = y - p
     return omega * join(-u, u, -v, v)
@@ -205,7 +192,7 @@ def coupling_bracket(inv: QuadraticInvariant, zeta: np.ndarray, omega: float) ->
     ``k22 == k11``, which is the precise condition for the copy-coupling
     rotation to conserve the lifted quadratic.
     """
-    q, x, p, y = blocks(np.asarray(zeta, dtype=float), inv.dim)
+    q, x, p, y = blocks(zeta, inv.dim)
     u = x - q
     v = y - p
     return float(
@@ -247,8 +234,7 @@ def symplecticity_defect(map_fn, point: np.ndarray) -> float:
     doubled-space points (length ``4d``) this is exactly the doubled
     structure matrix.
     """
-    point = np.asarray(point, dtype=float)
-    m = halves(point)[0].size
+    point, m = read_point(point, 2)
     n = point.size
     step = float(np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, np.max(np.abs(point))))
     jac = _central_differences(map_fn, point, step).T
@@ -276,9 +262,9 @@ def drift_series(states, invariants) -> dict:
     state reads inf or nan.  States that are not flat points of one length,
     or that an invariant object cannot read, raise :class:`DimensionMismatch`.
     """
-    zs = _array(states)
+    zs = floats(states)
     if zs.shape[:1] == (0,):
-        raise ValueError("trajectory must contain at least one state")
+        raise ConfigError("trajectory must contain at least one state")
     if zs.ndim != 2:
         raise DimensionMismatch(f"states must be flat points of one length, got shape {zs.shape}")
     drifts = {}
@@ -314,18 +300,18 @@ def testcase_Q() -> QuadraticInvariant:
 
 def vortex_linear_impulse_x(circulations) -> LinearInvariant:
     """First linear impulse component ``sum_i G_i X_i`` in canonical form."""
-    g = np.asarray(circulations, dtype=float)
+    g = floats(circulations)
     return LinearInvariant(join(_canonical_scaling(g)[1], np.zeros(g.size)))
 
 
 def vortex_linear_impulse_y(circulations) -> LinearInvariant:
     """Second linear impulse component ``sum_i G_i Y_i`` in canonical form."""
-    g = np.asarray(circulations, dtype=float)
+    g = floats(circulations)
     return LinearInvariant(join(np.zeros(g.size), _canonical_scaling(g)[0]))
 
 
 def vortex_angular_impulse(circulations) -> QuadraticInvariant:
     """Angular impulse ``sum_i G_i |X_i|^2 = sum_i sgn(G_i)(q_i^2 + p_i^2)``."""
-    g = np.asarray(circulations, dtype=float)
+    g = floats(circulations)
     sigma = 2.0 * np.diag(np.sign(g))
     return QuadraticInvariant(sigma, np.zeros((g.size, g.size)), sigma)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_AT, block_length, embed, restrict_copies
+from .core import apply_AT, block_length, embed, read_point, restrict_copies
 from .errors import ConfigError, NonConvergence, _check_fields
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
@@ -156,8 +156,7 @@ def solve_mu(
         start = np.zeros(shape)
         start[:, 1] = -0.0  # A^T 0, signs and all
     else:
-        mu = np.asarray(mu0, dtype=float)
-        block_length(mu, 2, d)  # a warm start must be (mu1, mu2), one entry per constraint
+        mu, _ = read_point(mu0, 2, d)  # a warm start is (mu1, mu2), one entry per constraint
         start = apply_AT(mu).reshape(shape)
     point = np.empty(4 * d)
     rows, zeta = point.reshape(shape), zeta_n.reshape(shape)

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import COPIES, FLOWS, row_pairs
+from .core import COPIES, FLOWS, floats, row_pairs
 from .errors import ConfigError, _check_fields
 from .hamiltonians import HamiltonianSystem
 
@@ -62,7 +62,10 @@ class CompositionScheme:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = floats(self.coefficients)
+        if coeffs.ndim != 1 or not np.isfinite(coeffs).all():
+            raise ConfigError("composition coefficients must be a sequence of finite numbers")
+        coeffs = tuple(coeffs.tolist())
         if coeffs != coeffs[::-1]:
             raise ConfigError("composition coefficients must be palindromic")
         if abs(sum(coeffs) - 1.0) > 1e-14:
@@ -119,7 +122,7 @@ def flow_a(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
 
     One gradient evaluation, taken at the frozen copy ``(q, y)``.
     """
-    out = np.array(zeta, dtype=float)
+    out = floats(zeta).copy()
     qy, xp = row_pairs(out, FLOWS, system.dim)
     _push(xp, t, system.fields(qy))
     return out
@@ -127,7 +130,7 @@ def flow_a(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
 
 def flow_b(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
     """Exact flow freezing ``(x, p)``: pushes ``(q, y)`` for time ``t``."""
-    out = np.array(zeta, dtype=float)
+    out = floats(zeta).copy()
     qy, xp = row_pairs(out, FLOWS, system.dim)
     _push(qy, t, system.fields(xp))
     return out
@@ -140,12 +143,20 @@ def pihajoki_step(system: HamiltonianSystem, dt: float, zeta: np.ndarray) -> np.
     gradient evaluations.  The flows act in place on one copy of ``zeta``.
     """
     h = np.array(0.5 * dt)  # 0-d: a ufunc takes it faster than a float, at the same bits
-    out = np.array(zeta, dtype=float)
+    out = floats(zeta).copy()
     qy, xp = row_pairs(out, FLOWS, system.dim)
     _push(xp, h, system.fields(qy))  # A(dt/2)
     _push(qy, np.array(dt), system.fields(xp))  # B(dt), 0-d as h
     _push(xp, h, system.fields(qy))  # A(dt/2)
     return out
+
+
+def _rotation_angle(omega: float, t: float) -> float:
+    """The angle ``2*omega*t`` of the coupling rotation; :class:`ConfigError` if it overflows."""
+    angle = 2.0 * omega * t
+    if math.isinf(angle):
+        raise ConfigError("omega is too large: the coupling rotation angle overflows")
+    return angle
 
 
 def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
@@ -155,9 +166,9 @@ def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
     ``2*omega*t`` while fixing the copy sums; costs no gradient evaluations.
     Returns a fresh array: the rotation acts in place on one copy of ``zeta``.
     """
-    out = np.array(zeta, dtype=float)
+    angle = _rotation_angle(omega, t)
+    out = floats(zeta).copy()
     first, second = row_pairs(out, COPIES)
-    angle = 2.0 * omega * t
     if angle == 0.0:
         return out
     c, s = np.array(math.cos(angle)), math.sin(angle)  # 0-d c, as h in pihajoki_step
@@ -185,7 +196,7 @@ def tao_step(
     if params.omega == 0.0:
         return pihajoki_step(system, dt, zeta)
     h = np.array(0.5 * dt)  # 0-d, as in pihajoki_step
-    out = np.array(zeta, dtype=float)
+    out = floats(zeta).copy()
     qy, xp = row_pairs(out, FLOWS, system.dim)
     _push(xp, h, system.fields(qy))  # A(dt/2)
     _push(qy, h, system.fields(xp))  # B(dt/2)

@@ -7,23 +7,36 @@ from hypothesis import given, settings, strategies as st
 
 import extphase
 from extphase import (
+    ConfigError,
     DimensionMismatch,
     LinearInvariant,
     NotOnDiagonal,
+    SolverConfig,
+    TaoParams,
     VortexConfig,
     apply_A,
     apply_AT,
     blocks,
+    check_gradient,
+    coupling_flow,
     defect_norm,
     embed,
+    flow_a,
+    flow_b,
+    gl_step,
+    gl_tableau,
     halves,
     infinitesimal_generator,
     join,
+    make_nls,
     nls_mass,
+    pihajoki_step,
     planar_from_canonical,
     poisson_bracket,
     restrict,
+    semiexplicit_step,
     symplecticity_defect,
+    tao_step,
 )
 from extphase.core import restrict_copies
 
@@ -70,23 +83,36 @@ def test_layout_round_trips_bitwise(values):
     assert bits(positions) == bits(zeta)[: 2 * d]
     assert bits(join(positions, momenta)) == bits(zeta)
     assert bits(join(*blocks(zeta, d))) == bits(zeta)
+    # a list reads as its array, bit for bit
+    assert bits(np.concatenate(halves(values, 2 * d))) == bits(zeta)
+    assert bits(blocks(values, d)) == bits(zeta.reshape(4, d))
+    assert bits(join(*blocks(zeta, d).tolist())) == bits(zeta)
 
 
-def _bad_point(d: int, kind: str, k: int) -> np.ndarray:
-    """A point no reader of dimension ``d`` accepts; ``k`` in 1..6 sizes it."""
+# entries that are not real numbers, in an array of the right length
+NOT_REAL = {"complex": complex, "bool": bool, "object": object, "text": str}
+
+
+def _bad_point(d: int, kind: str, k: int, parts: int) -> np.ndarray:
+    """A point of ``parts`` blocks that no reader of dimension ``d`` accepts;
+    ``k`` in 1..6 sizes it."""
     if kind == "odd":
         return np.ones(2 * k - 1)
     if kind == "empty":
         return np.ones(0)
     if kind == "2-D":
-        return np.ones((k, 2 * d))
-    return np.ones(2 * (d + k))  # wrong d
+        return np.ones((k, parts * d))
+    if kind in NOT_REAL:
+        return np.ones(parts * d).astype(NOT_REAL[kind])
+    return np.ones(parts * (d + k))  # wrong d
 
 
 def _layout_readers(d: int) -> dict:
-    """Every reader of a ``(q, p)`` point of dimension ``d``."""
+    """Every reader of a point of dimension ``d``: ``(q, p)``, or ``(q, x, p, y)``
+    for the names in :data:`DOUBLED`."""
     linear = LinearInvariant(np.arange(1.0, 2 * d + 1))
     quadratic = nls_mass(d)
+    system, cfg = make_nls(d), SolverConfig()
     return {
         "LinearInvariant.evaluate": linear.evaluate,
         "LinearInvariant.gradient": linear.gradient,
@@ -95,28 +121,57 @@ def _layout_readers(d: int) -> dict:
         "poisson_bracket": lambda z: poisson_bracket(linear.gradient, quadratic.gradient, z),
         "infinitesimal_generator": lambda z: infinitesimal_generator(quadratic, z),
         "planar_from_canonical": lambda z: planar_from_canonical(VortexConfig(np.ones(d)), z),
+        "check_gradient": lambda z: check_gradient(system, z),
+        "gl_step": lambda z: gl_step(system, 0.1, z, gl_tableau(2), cfg)[0],
+        "semiexplicit_step": lambda z: semiexplicit_step(system, pihajoki_step, 0.1, z, cfg)[0],
+        "flow_a": lambda zeta: flow_a(system, 0.1, zeta),
+        "flow_b": lambda zeta: flow_b(system, 0.1, zeta),
+        "pihajoki_step": lambda zeta: pihajoki_step(system, 0.1, zeta),
+        "tao_step": lambda zeta: tao_step(system, 0.1, zeta, TaoParams()),
     }
 
 
 # readers of a point of any dimension, which a wrong d does not fault
-ANY_DIMENSION = {"symplecticity_defect": lambda z: symplecticity_defect(np.copy, z), "embed": embed}
+ANY_DIMENSION = {
+    "symplecticity_defect": lambda z: symplecticity_defect(np.copy, z),
+    "embed": embed,
+    "apply_AT": apply_AT,
+    "restrict": lambda zeta: restrict(zeta, 1e-12),
+    "apply_A": apply_A,
+    "defect_norm": defect_norm,
+    "coupling_flow": lambda zeta: coupling_flow(10.0, 0.1, zeta),
+}
+# readers of a doubled point (q, x, p, y); the others read 2*d entries
+DOUBLED = ("flow_a", "flow_b", "pihajoki_step", "tao_step", "restrict", "apply_A", "defect_norm",
+           "coupling_flow")
 # readers of a point that read canonical rows (..., 2, d) too, one point per row
 STACK_READERS = ("LinearInvariant.evaluate", "QuadraticInvariant.evaluate")
 
 
 @LAYOUT
 @given(
-    st.integers(1, 5), st.sampled_from(["odd", "empty", "2-D", "wrong d"]), st.integers(1, 6)
+    st.integers(1, 5), st.sampled_from(["odd", "empty", "2-D", "wrong d", *NOT_REAL]),
+    st.integers(1, 6),
 )
 def test_every_layout_reader_rejects_a_bad_layout(d, kind, k):
-    bad = _bad_point(d, kind, k)
+    # under the suite's error::RuntimeWarning, a ComplexWarning fails the case too
+    error = ConfigError if kind in NOT_REAL else DimensionMismatch
     readers = _layout_readers(d)
     if kind != "wrong d":
         readers.update(ANY_DIMENSION)
     for name, reader in readers.items():
-        with pytest.raises(DimensionMismatch):
+        bad = _bad_point(d, kind, k, 4 if name in DOUBLED else 2)
+        with pytest.raises(error):
             reader(bad)
-            pytest.fail(f"{name} accepted shape {bad.shape} at d={d}")
+            pytest.fail(f"{name} accepted {bad.dtype} shape {bad.shape} at d={d}")
+
+
+def test_every_layout_reader_reads_a_list_as_its_array():
+    d = 2
+    z = np.array([0.3, -0.2, 0.5, 0.1])
+    for name, reader in {**_layout_readers(d), **ANY_DIMENSION}.items():
+        point = embed(z) if name in DOUBLED else z  # on the diagonal, for restrict
+        assert bits(np.asarray(reader(point.tolist()))) == bits(np.asarray(reader(point))), name
 
 
 def test_a_stack_reads_each_row_as_halves():

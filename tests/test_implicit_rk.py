@@ -74,6 +74,12 @@ def test_invalid_tableau_rejected():
         ButcherTableau(a=[[0.5]], b=[0.9], c=[0.5])  # weights do not sum to 1
     with pytest.raises(ValueError, match="inconsistent shapes"):
         ButcherTableau(a=[[0.5]], b=[0.5, 0.5], c=[0.5])
+    # nan passes every comparison, and text or complex entries are no numbers
+    for a, b, c in (([[np.nan]], [1.0], [0.5]), ([[0.5]], [1.0], [np.nan]),
+                    ([[0.5]], [1.0], [np.inf]), ([["a"]], [1.0], [0.5]), ([[0.5j]], [1.0], [0.5])):
+        with pytest.raises(ConfigError):
+            ButcherTableau(a=a, b=b, c=c)
+            pytest.fail(f"accepted {a!r}, {b!r}, {c!r}")
 
 
 def test_midpoint_matches_cayley_rotation(oscillator):

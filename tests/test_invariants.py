@@ -395,7 +395,7 @@ def test_drift_series_accepts_plain_callables():
     states = [np.array([1.0, 2.0]), np.array([1.5, 2.0])]
     out = drift_series(states, [("first", lambda z: z[0])])
     assert out["first"][1] == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="at least one state"):
+    with pytest.raises(ConfigError, match="at least one state"):
         drift_series([], [("first", lambda z: z[0])])
 
 

@@ -260,6 +260,12 @@ def test_tao_params_validation():
     for omega in (True, "10", None):
         with pytest.raises(ConfigError, match="omega must be float"):
             TaoParams(omega)
+    # a finite omega whose rotation angle overflows: the rule the spec applies
+    zeta = embed(np.array([-1.0, 2.0, 1.0, -1.0]))
+    for step in (lambda: coupling_flow(1.7e308, 1.0, zeta),
+                 lambda: tao_step(make_testcase(), 1.0, zeta, TaoParams(1.7e308))):
+        with pytest.raises(ConfigError, match="omega is too large"):
+            step()
 
 
 def test_coupled_step_conserves_compatible_lifted_quadratics():
@@ -363,6 +369,11 @@ def test_scheme_validation():
         CompositionScheme((0.7, 0.3))  # not palindromic
     with pytest.raises(ValueError):
         CompositionScheme((0.6, 0.6))  # does not sum to 1
+    # nan compares false with any bound, and text or complex coefficients are no numbers
+    for coefficients in ((np.nan,), (0.5, np.nan, 0.5), ("a",), (1j,), ((1.0,),)):
+        with pytest.raises(ConfigError):
+            CompositionScheme(coefficients)
+            pytest.fail(f"accepted {coefficients!r}")
 
 
 def test_every_schedule_is_a_symmetric_composition():
