@@ -8,7 +8,7 @@ through :func:`halves` (positions and momenta, in either space),
 :func:`blocks` (the four rows of a doubled point) or :func:`row_pairs`
 (two ``(2, d)`` canonical rows of them), build one with :func:`join` and
 double one with :func:`embed`; only the projection solve reads a doubled
-point as its ``(2, 2, d)`` copy view itself.  These hold the one check of
+point as its ``(4, d)`` rows itself.  These hold the one check of
 the layout's shape, :func:`block_length`, which the projected step calls
 once per point and step.  A stack of points is canonical rows ``(..., 2, d)``.
 The diagonal subspace ``x == q, y == p`` is the kernel of the constraint
@@ -16,8 +16,8 @@ operator implemented by :func:`apply_A`; its transpose is
 :func:`apply_AT` and ``A @ A.T == 2*I`` holds exactly.
 
 The package reads every array argument through :func:`floats`, the one rule
-of what it may hold, but for two on the hot path: the systems' row kernels
-take their rows unchecked, and ``solve_mu`` checks its embedded point's shape.
+of what it may hold, but for the systems' row kernels, which take their rows
+unchecked on the hot path.
 All functions here are pure and allocation-light, and each checks the shape
 of its operand, raising :class:`DimensionMismatch` on a bad layout.
 """
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NotOnDiagonal
+from .errors import ConfigError, DimensionMismatch, NotOnDiagonal, _real
 
 __all__ = [
     "apply_A", "apply_AT", "blocks", "defect_norm", "embed", "halves", "join", "restrict",
@@ -40,13 +40,17 @@ _NDARRAY, _FLOAT = np.ndarray, np.dtype(float)  # an array floats returns as it 
 def floats(value) -> np.ndarray:
     """``value`` as a float array, itself if it is one: the one rule for an array
     argument.  Ragged rows raise :class:`DimensionMismatch`, and entries other than
-    floats and integers (complex, bool, object, text) :class:`ConfigError`."""
+    floats and integers (complex, bool, object, text) :class:`ConfigError`.  A
+    list's integer past 64 bits reads as its float where a float holds it, the
+    rule of a spec's numbers."""
     if type(value) is _NDARRAY and value.dtype is _FLOAT:
         return value
     try:
         array = np.asarray(value)
     except ValueError as exc:  # ragged rows, which NumPy cannot make one array
         raise DimensionMismatch(f"an array's rows must have one length: {exc}") from None
+    if array.dtype == object and not isinstance(value, _NDARRAY) and all(map(_real, array.flat)):
+        array = array.astype(float)  # an integer past 64 bits, which NumPy keeps as an object
     if array.dtype.kind not in "fiu":
         raise ConfigError(f"an array must hold real numbers, not {array.dtype}")
     return array.astype(float, copy=False)
@@ -138,9 +142,10 @@ def restrict(zeta: np.ndarray, tol: float) -> np.ndarray:
     return restrict_copies(floats(zeta), tol)[0]
 
 
-def restrict_copies(zeta: np.ndarray, tol: float, mu: np.ndarray | None = None) -> tuple:
-    """The fresh point ``(q, p)`` of the doubled point ``zeta + A^T mu`` (of
-    ``zeta`` when ``mu`` is None; a flat ``mu``, unchecked) and its :func:`defect_norm`.
+def restrict_copies(zeta: np.ndarray, tol: float, shift: np.ndarray | None = None) -> tuple:
+    """The fresh point ``(q, p)`` of the doubled point ``zeta + shift`` (of
+    ``zeta`` when ``shift`` is None) and its :func:`defect_norm`; ``shift`` is
+    ``A^T mu`` with the size of ``zeta``, in any shape (unchecked).
 
     Raises :class:`NotOnDiagonal` if ``|A zeta|_inf`` is not finite or
     exceeds ``tol * max(1, |zeta|_inf)``; a failure here signals that an
@@ -148,9 +153,11 @@ def restrict_copies(zeta: np.ndarray, tol: float, mu: np.ndarray | None = None) 
     """
     d = block_length(zeta, 4)
     rows = np.empty((3, 2 * d))  # the copies (q, p) and (x, y), then their gap
-    rows.reshape(3, 2, d)[:2] = zeta.reshape(2, 2, d).swapaxes(0, 1)
-    if mu is not None:
-        rows[:2] += _AT_SIGNS * mu  # + A^T mu: mu into the first copy, -mu into the second
+    copies = rows.reshape(3, 2, d)[:2].swapaxes(0, 1)  # laid out as zeta's (2, 2, d) view
+    if shift is None:
+        copies[...] = zeta.reshape(2, 2, d)
+    else:
+        np.add(zeta.reshape(2, 2, d), shift.reshape(2, 2, d), out=copies)
     gap = np.subtract(rows[0], rows[1], out=rows[2])
     first, second, worst = np.maximum.reduce(np.abs(rows), axis=1).tolist()
     if not (math.isfinite(worst) and worst <= tol * max(1.0, first, second)):

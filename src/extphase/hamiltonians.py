@@ -111,6 +111,7 @@ class CountingSystem(HamiltonianSystem):
         self.base = base
         self.counter = counter
         self.dim = base.dim
+        self._row = 2 * base.dim  # entries per canonical row
 
     def energy(self, q, p) -> float:
         return self.base.energy(q, p)
@@ -123,7 +124,7 @@ class CountingSystem(HamiltonianSystem):
         return self.base.grad(q, p)
 
     def fields(self, rows):
-        self.counter.tick(rows.size // (2 * self.dim))
+        self.counter.n_grad += rows.size // self._row  # tick's charge, without its call
         return self.base.fields(rows)
 
 
@@ -184,8 +185,9 @@ class NlsLattice(_RowKernelSystem):
     rotation ``(q, p) -> (cq - sp, sq + cp)``, hence the total mass
     ``sum_i (q_i^2 + p_i^2)`` is conserved.
 
-    :meth:`fields` loops over sites on Python floats and rounds as the array
-    formula does, right neighbours first; a stack takes it once per row.
+    :meth:`fields` loops once over the sites on Python floats, taking each
+    site's right neighbour, then its left, and rounds as the array formula
+    does; a stack takes it once per row.
     :meth:`energies` indexes sites along the last axis of the rows, so
     :meth:`energy` is its one-row case.
     """
@@ -211,23 +213,23 @@ class NlsLattice(_RowKernelSystem):
             shape = (-1, 2, rows.shape[-1])
             return np.array([self.fields(row) for row in rows.reshape(shape)]).reshape(rows.shape)
         q, p = rows.tolist()
-        gq, gp, s, w = [], [], [], []
-        for qi, pi in zip(q, p):
-            qq, pp = qi * qi, pi * pi
-            n2 = qq + pp
-            gq.append(qi * n2)
-            gp.append(pi * n2)
-            s.append(qq - pp)  # s_i = q_i^2 - p_i^2
-            w.append(qi * pi)
-        # right neighbours first, so a middle site rounds as (g - right) - left
-        for j in range(len(q) - 1):  # site j coupled to the right neighbour
-            gq[j] -= 2.0 * q[j] * s[j + 1] + 4.0 * p[j] * w[j + 1]
-            gp[j] -= -2.0 * p[j] * s[j + 1] + 4.0 * q[j] * w[j + 1]
-        for j in range(1, len(q)):  # site j coupled to the left neighbour
-            gq[j] -= 2.0 * q[j] * s[j - 1] + 4.0 * p[j] * w[j - 1]
-            gp[j] -= -2.0 * p[j] * s[j - 1] + 4.0 * q[j] * w[j - 1]
-        gp += [-g for g in gq]  # the field (D2H, -D1H), flat
-        return np.array(gp).reshape(rows.shape)
+        sw = [(qi * qi - pi * pi, qi * pi) for qi, pi in zip(q, p)]  # (q_i^2 - p_i^2, q_i p_i)
+        flat, minus_gq = [], []
+        for qi, pi, right, left in zip(q, p, sw[1:] + [None], [None] + sw):
+            n2 = qi * qi + pi * pi
+            gq, gp = qi * n2, pi * n2
+            if right:  # the right neighbour first, so a middle site rounds as (g - right) - left
+                s, w = right
+                gq -= 2.0 * qi * s + 4.0 * pi * w
+                gp -= -2.0 * pi * s + 4.0 * qi * w
+            if left:
+                s, w = left
+                gq -= 2.0 * qi * s + 4.0 * pi * w
+                gp -= -2.0 * pi * s + 4.0 * qi * w
+            flat.append(gp)
+            minus_gq.append(-gq)
+        flat += minus_gq  # the field (D2H, -D1H), flat
+        return np.array(flat).reshape(rows.shape)
 
 
 @dataclass(frozen=True)

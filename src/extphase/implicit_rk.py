@@ -102,7 +102,8 @@ def gl_step(
 
     def sweep(k):
         k_next = system.fields((z + h * (tableau.a @ k)).reshape(shape)).reshape(k.shape)
-        return k_next - k, k_next
+        change = k_next - k
+        return change, float(np.maximum.reduce(np.abs(change), axis=None)), k_next
 
     k0 = np.zeros((tableau.stages, z.size))
     _, k, stats = iterate(sweep, lambda _k, _change, k_next: k_next, k0, cfg,

@@ -11,7 +11,8 @@ a dense nonlinear system of size ``2d`` solved here either by a simplified
 Newton iteration with the constant Jacobian approximation ``Df ~= 4 I``
 (one inner-step evaluation per iteration) or by Broyden's rank-one update
 of the inverse Jacobian seeded with ``I/4``; it iterates on the shift
-``A^T mu`` and the residual ``A^T f``, whose first copies are ``mu`` and ``f``.
+``A^T mu`` and the residual ``A^T f``, whose first copies are ``mu`` and ``f``,
+both held as the ``(4, d)`` rows of a doubled point.
 
 The projected step is symmetric, symplectic on the original phase space,
 and preserves every linear and quadratic first integral of the underlying
@@ -20,6 +21,7 @@ system up to the solve tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +45,9 @@ SHIFT_ROUNDING = 4.0 * np.finfo(float).eps
 
 # Newton's step with the Jacobian 4I; 0-d, which a ufunc takes faster than a float.
 QUARTER = np.array(0.25)
+
+# The rows (x, q, y, p) of a doubled point's rows (q, x, p, y): its copies swapped.
+SWAP = np.array([1, 0, 3, 2])
 
 
 @dataclass(frozen=True)
@@ -71,23 +76,27 @@ class StepStats:
     sweeps (stage solves), and is 0 for an explicit step.  Each of them
     costs the same number of gradient evaluations, so a step's cost is
     ``iterations`` times that per-pass cost (one pass for an explicit
-    step); the harness meters it with its own counter.
+    step); the harness meters it with its own counter.  A projection solve
+    also sets ``shift``, its accepted ``A^T mu`` as the ``(4, d)`` rows of a
+    doubled point, which the projected step's finish reads.
     """
 
     iterations: int
     final_residual: float
     mu: np.ndarray | None = field(default=None, repr=False)
     defect_norm: float = 0.0
+    shift: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str):
     """The one solve loop: evaluate, test, advance, until the residual is small.
 
-    ``evaluate(x)`` returns ``(r, out)``, the residual at ``x`` and what the
-    caller keeps from that pass; ``advance(x, r, out)`` returns the next
-    iterate.  Iterates are rebound, never written in place, so the one with
-    the smallest residual is kept without a copy.  Returns ``(x, out,
-    stats)`` at the first pass with ``max|r| <= cfg.tol``.
+    ``evaluate(x)`` returns ``(r, norm, out)``: the residual at ``x``, its
+    sup norm ``max|r|`` as a float, and what the caller keeps from that
+    pass; ``advance(x, r, out)`` returns the next iterate.  Iterates are
+    rebound, never written in place, so the one with the smallest residual
+    is kept without a copy.  Returns ``(x, out, stats)`` at the first pass
+    with ``norm <= cfg.tol``.
 
     Raises :class:`NonConvergence`, carrying the smallest-residual iterate
     and its residual, when the residual is no longer finite (a math range
@@ -105,8 +114,7 @@ def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             try:
-                r, out = evaluate(x)
-                norm = float(np.maximum.reduce(np.abs(r), axis=None))
+                r, norm, out = evaluate(x)
             except (ArithmeticError, ValueError):  # math's range and domain errors
                 norm = math.inf
             passes += 1
@@ -128,6 +136,16 @@ def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str
             x = advance(x, r, out)
 
 
+@functools.cache
+def cold_start(d: int) -> np.ndarray:
+    """``A^T 0`` as the solve's ``(4, d)`` rows, signs and all: the start of
+    every cold solve of size ``d``, one read-only array shared by them all."""
+    start = np.zeros((4, d))
+    start[1::2] = -0.0  # the second copy is -mu
+    start.flags.writeable = False
+    return start
+
+
 def solve_mu(
     system: HamiltonianSystem,
     extended_step: ExtendedStep,
@@ -142,7 +160,9 @@ def solve_mu(
     Returns ``(mu, image, stats)`` where ``image = Phi(zeta_n + A^T mu)`` is
     the inner-step output already computed at the accepted ``mu`` (so the
     caller never pays an extra step evaluation) and ``stats`` carries the
-    iteration/cost accounting.  Failures raise as :func:`iterate` says.
+    iteration/cost accounting and the accepted shift ``A^T mu`` (read-only
+    when it is the shared :func:`cold_start`).  Failures raise as
+    :func:`iterate` says.
 
     Every pass writes its shifted point ``zeta_n + A^T mu`` into one buffer
     of the solve and hands it to the inner step, which may write into it and
@@ -150,11 +170,10 @@ def solve_mu(
     An image of another length than ``zeta_n`` raises
     :class:`DimensionMismatch`.  Every multiplier and residual is fresh.
     """
-    d = block_length(zeta_n, 4)  # the layout check, once per solve
-    shape = (2, 2, d)  # A^T mu as rows ((mu1, -mu1), (mu2, -mu2)), and A^T r alike
+    zeta_n, d = read_point(zeta_n, 4)  # the layout check, once per solve
+    shape = (4, d)  # A^T mu as the rows (mu1, -mu1, mu2, -mu2), and A^T r alike
     if mu0 is None:
-        start = np.zeros(shape)
-        start[:, 1] = -0.0  # A^T 0, signs and all
+        start = cold_start(d)
     else:
         mu, _ = read_point(mu0, 2, d)  # a warm start is (mu1, mu2), one entry per constraint
         start = apply_AT(mu).reshape(shape)
@@ -165,10 +184,12 @@ def solve_mu(
         np.add(zeta, shift, out=rows)  # zeta_n + A^T mu
         image = extended_step(system, dt, point)
         block_length(image, 4, d)  # another length raises
-        copies = image.reshape(shape)
-        r = copies - copies[:, ::-1]  # A^T A image, fresh on every pass
+        four = image.reshape(shape)
+        r = four - four.take(SWAP, axis=0)  # A^T A image, fresh on every pass
         r += shift + shift  # A^T 2 mu bit for bit, with no float operand
-        return r, image
+        # r holds each entry's negation too, as rounding is sign-symmetric, so
+        # max(r) is max|r|; abs makes an all-zero residual's norm +0.0
+        return r, abs(float(np.maximum.reduce(r, axis=None))), image
 
     def newton(shift, r, _image):
         return shift - QUARTER * r
@@ -177,7 +198,7 @@ def solve_mu(
 
     def broyden(shift, r, _image):
         nonlocal inv_jac, prev_mu, prev_r
-        mu, r = shift[:, 0].flatten(), r[:, 0].flatten()
+        mu, r = shift[::2].flatten(), r[::2].flatten()
         if inv_jac is None:
             inv_jac = np.eye(mu.size) / 4.0
         else:
@@ -193,9 +214,9 @@ def solve_mu(
     try:
         shift, image, stats = iterate(evaluate, advance, start, cfg, "projection", "residual")
     except NonConvergence as failure:  # its best iterate is a shift: hand back its mu
-        failure.best = failure.best[:, 0].flatten()
+        failure.best = failure.best[::2].flatten()
         raise
-    stats.mu = shift[:, 0].flatten()
+    stats.mu, stats.shift = shift[::2].flatten(), shift
     return stats.mu, image, stats
 
 
@@ -216,6 +237,6 @@ def semiexplicit_step(
     configuration.  Returns ``(z_next, stats)``, both fresh.
     """
     zeta_n = embed(z_n)  # the layout check, once per step
-    mu, image, stats = solve_mu(system, extended_step, dt, zeta_n, cfg, mu0=mu0)
-    z_next, stats.defect_norm = restrict_copies(image, cfg.tol + SHIFT_ROUNDING, mu)  # + A^T mu
+    _, image, stats = solve_mu(system, extended_step, dt, zeta_n, cfg, mu0=mu0)
+    z_next, stats.defect_norm = restrict_copies(image, cfg.tol + SHIFT_ROUNDING, stats.shift)
     return z_next, stats

@@ -35,6 +35,7 @@ from extphase import (
     poisson_bracket,
     restrict,
     semiexplicit_step,
+    solve_mu,
     symplecticity_defect,
     tao_step,
 )
@@ -124,6 +125,7 @@ def _layout_readers(d: int) -> dict:
         "check_gradient": lambda z: check_gradient(system, z),
         "gl_step": lambda z: gl_step(system, 0.1, z, gl_tableau(2), cfg)[0],
         "semiexplicit_step": lambda z: semiexplicit_step(system, pihajoki_step, 0.1, z, cfg)[0],
+        "solve_mu": lambda zeta: np.concatenate(solve_mu(system, pihajoki_step, 0.1, zeta, cfg)[:2]),
         "flow_a": lambda zeta: flow_a(system, 0.1, zeta),
         "flow_b": lambda zeta: flow_b(system, 0.1, zeta),
         "pihajoki_step": lambda zeta: pihajoki_step(system, 0.1, zeta),
@@ -143,7 +145,7 @@ ANY_DIMENSION = {
 }
 # readers of a doubled point (q, x, p, y); the others read 2*d entries
 DOUBLED = ("flow_a", "flow_b", "pihajoki_step", "tao_step", "restrict", "apply_A", "defect_norm",
-           "coupling_flow")
+           "coupling_flow", "solve_mu")
 # readers of a point that read canonical rows (..., 2, d) too, one point per row
 STACK_READERS = ("LinearInvariant.evaluate", "QuadraticInvariant.evaluate")
 
@@ -329,14 +331,15 @@ def test_restrict_copies_reads_zeta_plus_AT_mu_bit_for_bit():
     for _ in range(50):
         zeta = rng.normal(size=8) * rng.choice([1e-7, 1.0, 1e7])
         mu = rng.normal(size=4) * rng.choice([1e-7, 1.0, 1e7])
-        before = zeta.tobytes(), mu.tobytes()
-        z, defect = restrict_copies(zeta, math.inf, mu)
+        shift = apply_AT(mu).reshape(4, -1)  # the solve's rows (mu1, -mu1, mu2, -mu2)
+        before = zeta.tobytes(), shift.tobytes()
+        z, defect = restrict_copies(zeta, math.inf, shift)
         shifted = zeta + apply_AT(mu)
         assert z.tobytes() == blocks(shifted)[0::2].tobytes()
         assert defect == defect_norm(shifted)
-        assert (zeta.tobytes(), mu.tobytes()) == before
+        assert (zeta.tobytes(), shift.tobytes()) == before
         # the bound reads the shifted point: A^T mu - A^T mu is on the diagonal
-        assert not restrict_copies(apply_AT(mu), 0.0, -mu)[0].any()
+        assert not restrict_copies(apply_AT(mu), 0.0, -shift)[0].any()
         with pytest.raises(NotOnDiagonal):
             restrict_copies(apply_AT(mu), 0.0)
 

@@ -37,7 +37,7 @@ from extphase import (
     vortex_linear_impulse_x,
     vortex_linear_impulse_y,
 )
-from extphase.projection import iterate
+from extphase.projection import cold_start, iterate
 
 from conftest import seeded_rng
 
@@ -93,14 +93,16 @@ def scripted(residuals):
 
     def evaluate(x):
         value = residuals[int(x[0])]
-        return np.array([math.exp(1e3) if value is None else value]), x
+        r = np.array([math.exp(1e3) if value is None else value])
+        return r, float(np.max(np.abs(r))), x
 
     return evaluate, lambda x, _r, _out: x + 1.0
 
 
 def test_iterate_returns_the_first_iterate_within_tol():
     # simplified Newton on f(x) = x: the residual halves each pass
-    x, out, stats = iterate(lambda x: (x, 2.0 * x), lambda x, r, _out: x - 0.5 * r,
+    x, out, stats = iterate(lambda x: (x, float(abs(x[0])), 2.0 * x),
+                            lambda x, r, _out: x - 0.5 * r,
                             np.array([1.0]), SolverConfig(tol=1e-3), "toy", "residual")
     assert stats.iterations == 11
     assert x.tolist() == [2.0**-10] and stats.final_residual == 2.0**-10
@@ -398,7 +400,8 @@ def _seed_projected_step(system, inner, dt, z_n, cfg, mu0):
 
     def evaluate(mu):
         image = inner(system, dt, zeta_n + apply_AT(mu))
-        return apply_A(image) + 2.0 * mu, image
+        r = apply_A(image) + 2.0 * mu
+        return r, float(np.max(np.abs(r))), image
 
     inv_jac = prev_mu = prev_r = None
 
@@ -491,6 +494,84 @@ def test_the_projected_step_is_the_seed_formulas_and_owns_its_buffers(
     for i, a in enumerate(returned):
         for b in inputs + returned[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def _outcome(step):
+    """The bits of what ``step()`` returns, or of the :class:`NonConvergence` it raises."""
+    try:
+        return _bits(*step())
+    except NonConvergence as failure:
+        return (str(failure), failure.iterations, float(failure.final_residual).hex(),
+                failure.best.tobytes())
+
+
+def _projected(system, inner, z, cfg, mu0):
+    """What :func:`_seed_projected_step` returns, from :func:`semiexplicit_step` at ``dt=0.1``."""
+    z_next, stats = semiexplicit_step(system, inner, 0.1, z, cfg, mu0=mu0)
+    return z_next, stats.mu, stats.iterations, stats.final_residual, stats.defect_norm
+
+
+def _poisoned(value, entry, first_pass):
+    """An inner step that writes ``value`` into entry ``entry`` of the
+    Strang step's image from pass ``first_pass`` (counted from 0) on."""
+    passes = []
+
+    def inner(system, dt, zeta):
+        image = pihajoki_step(system, dt, zeta)
+        if len(passes) >= first_pass:
+            image[entry] = value
+        passes.append(None)
+        return image
+
+    return inner
+
+
+@pytest.mark.parametrize("solver", ["simplified_newton", "broyden"])
+@pytest.mark.parametrize(
+    "make_inner, z, mu0",
+    [
+        # an exactly-zero residual whose entries are -0.0 and +0.0: its norm is +0.0
+        (lambda: identity_step, np.full(4, -0.0), None),
+        (lambda: identity_step, np.array([-0.0, 0.0, 0.0, -0.0]), np.array([-0.0, 0.0, -0.0, 0.0])),
+        (lambda: identity_step, np.array([0.0, -0.0, -0.0, 0.0]), np.full(4, -0.0)),
+        # inf and nan in either copy of the image, at once or after a finite pass
+        (lambda: _poisoned(math.inf, 0, 0), Z0, None),
+        (lambda: _poisoned(-math.inf, 5, 0), Z0, None),
+        (lambda: _poisoned(math.nan, 3, 0), Z0, None),
+        (lambda: _poisoned(math.inf, 7, 1), Z0, None),
+        (lambda: _poisoned(math.nan, 2, 1), Z0, np.full(4, 1e-3)),
+        # a state that is not finite
+        (lambda: pihajoki_step, np.array([math.inf, 2.0, 1.0, -1.0]), None),
+        (lambda: identity_step, np.array([-1.0, math.nan, 1.0, -1.0]), None),
+    ],
+)
+def test_the_projected_step_is_the_seed_formulas_at_zero_and_non_finite_residuals(
+        solver, make_inner, z, mu0):
+    """The residual's sup norm is read as ``max(r)``, which equals ``max|r|``
+    only because the signed residual holds each entry's negation; at a
+    residual of signed zeros, and at one with inf or nan entries, the step
+    still returns, or fails with, the seed formulas' bits, the final
+    residual compared by ``float.hex``."""
+    system, cfg = make_testcase(), SolverConfig(tol=1e-12, method=solver)
+    ours = _outcome(lambda: _projected(system, make_inner(), z, cfg, mu0))
+    seed = _outcome(lambda: _seed_projected_step(system, make_inner(), 0.1, z, cfg, mu0))
+    assert ours == seed
+
+
+def test_a_projected_step_leaves_the_shared_cold_start_as_it_was():
+    """Every cold solve of one size starts from one read-only ``A^T 0``,
+    signs and all, which no step writes."""
+    start = cold_start(2)
+    before = start.tobytes()
+    assert start is cold_start(2)
+    assert [float(v).hex() for v in start[:, 0]] == ["0x0.0p+0", "-0x0.0p+0"] * 2
+    for _ in range(3):
+        semiexplicit_step(make_testcase(), pihajoki_step, 0.1, Z0, SolverConfig())
+        semiexplicit_step(make_testcase(), identity_step, 0.1, Z0, SolverConfig())
+    assert start.tobytes() == before
+    assert not start.flags.writeable
+    with pytest.raises(ValueError):
+        start[0, 0] = 1.0
 
 
 def _writes_into_its_input(system, dt, zeta):
