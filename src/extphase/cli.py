@@ -25,7 +25,6 @@ from .harness import (
     preset,
     run_experiment,
 )
-from .projection import SOLVER_METHODS
 from .splitting import COMPOSITIONS
 
 EXIT_OK = 0
@@ -50,7 +49,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--omega", type=float, help="copy-coupling strength")
     parser.add_argument("--tol", type=float, help="nonlinear solve tolerance")
     parser.add_argument("--max-iter", dest="max_iter", type=int, help="solver iteration cap")
-    parser.add_argument("--solver", help=" | ".join(SOLVER_METHODS))
 
 
 def _spec_from_args(args) -> ExperimentSpec:

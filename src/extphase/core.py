@@ -17,7 +17,8 @@ operator implemented by :func:`apply_A`; its transpose is
 
 The package reads every array argument through :func:`floats`, the one rule
 of what it may hold, but for the systems' row kernels, which take their rows
-unchecked on the hot path.
+unchecked on the hot path; and every scalar argument (a time, a step size,
+``omega``, a tolerance) through :func:`scalar`.
 All functions here are pure and allocation-light, and each checks the shape
 of its operand, raising :class:`DimensionMismatch` on a bad layout.
 """
@@ -54,6 +55,17 @@ def floats(value) -> np.ndarray:
     if array.dtype.kind not in "fiu":
         raise ConfigError(f"an array must hold real numbers, not {array.dtype}")
     return array.astype(float, copy=False)
+
+
+def scalar(value, name: str) -> float:
+    """``value`` as a float, the one rule for a scalar argument: a number a
+    float holds (:func:`errors._real`), inf and nan included, where a bool,
+    text, None, a complex or an array is a :class:`ConfigError` naming ``name``."""
+    if type(value) is float:
+        return value
+    if not _real(value):
+        raise ConfigError(f"{name} must be a real number, not {value!r}")
+    return float(value)
 
 
 def read_point(value, parts: int, d: int | None = None) -> tuple[np.ndarray, int]:
@@ -139,7 +151,7 @@ def embed(z: np.ndarray) -> np.ndarray:
 
 def restrict(zeta: np.ndarray, tol: float) -> np.ndarray:
     """The ``(q, p)`` block of a point on the diagonal; see :func:`restrict_copies`."""
-    return restrict_copies(floats(zeta), tol)[0]
+    return restrict_copies(floats(zeta), scalar(tol, "tol"))[0]
 
 
 def restrict_copies(zeta: np.ndarray, tol: float, shift: np.ndarray | None = None) -> tuple:

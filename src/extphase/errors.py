@@ -3,7 +3,6 @@
 Every configuration the package refuses, a Gauss order too, is a :class:`ConfigError` (exit 4)."""
 
 import numbers
-import sys
 from dataclasses import fields
 
 __all__ = [
@@ -54,8 +53,13 @@ class ConfigError(ExtPhaseError, ValueError):
 
 def _real(value) -> bool:
     """Whether ``value`` is a number a float holds, inf and nan included; a bool is not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-        isinstance(value, float) or abs(value) <= sys.float_info.max)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)  # an integer past float range overflows; a NumPy float32 does not warn
+    except OverflowError:
+        return False
+    return True
 
 
 _TYPES = {"str": str, "int": numbers.Integral, "bool": bool, "tuple": tuple}  # float fields: _real

@@ -74,7 +74,7 @@ class ExperimentSpec:
     omega: float = 10.0
     tol: float = SolverConfig.tol
     max_iter: int = SolverConfig.max_iter
-    solver: str = SolverConfig.method
+    solver: str = "simplified_newton"  # the only value a spec takes
     warm_start: bool = False
     d: int | None = None
     gammas: tuple | None = None
@@ -274,7 +274,9 @@ def _make_step(spec: ExperimentSpec):
         pairs = COMPOSITIONS
     if (spec.order, spec.composition) not in pairs:
         raise ConfigError(f"{spec.method} takes (order, composition) in {list(pairs)}")
-    cfg = SolverConfig(spec.tol, spec.max_iter, spec.solver)
+    if spec.solver != ExperimentSpec.solver:  # its default, the one projection solve
+        raise ConfigError(f"solver must be {ExperimentSpec.solver!r}, not {spec.solver!r}")
+    cfg = SolverConfig(spec.tol, spec.max_iter)
     params = TaoParams(spec.omega)
     if spec.method in GAUSS_ORDERS:
         tableau = gl_tableau(GAUSS_ORDERS[spec.method])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import floats, read_point
+from .core import floats, read_point, scalar
 from .errors import ConfigError
 from .hamiltonians import HamiltonianSystem
 from .projection import SolverConfig, iterate
@@ -98,7 +98,7 @@ def gl_step(
     """
     z, _ = read_point(z, 2, system.dim)  # the layout check, once per step
     shape = (tableau.stages, 2, system.dim)  # the stage points' canonical rows
-    h = np.array(dt, dtype=float)  # 0-d: a ufunc takes it faster than a float, at the same bits
+    h = np.array(scalar(dt, "dt"))  # 0-d: a ufunc takes it faster than a float, at the same bits
 
     def sweep(k):
         k_next = system.fields((z + h * (tableau.a @ k)).reshape(shape)).reshape(k.shape)

@@ -7,12 +7,11 @@ inner doubled-space step lands back on the diagonal, then read off the
 
     f(mu) = A Phi(zeta_n + A^T mu) + 2 mu = 0,
 
-a dense nonlinear system of size ``2d`` solved here either by a simplified
-Newton iteration with the constant Jacobian approximation ``Df ~= 4 I``
-(one inner-step evaluation per iteration) or by Broyden's rank-one update
-of the inverse Jacobian seeded with ``I/4``; it iterates on the shift
-``A^T mu`` and the residual ``A^T f``, whose first copies are ``mu`` and ``f``,
-both held as the ``(4, d)`` rows of a doubled point.
+a dense nonlinear system of size ``2d`` solved here by a simplified Newton
+iteration with the constant Jacobian approximation ``Df ~= 4 I`` (one
+inner-step evaluation per iteration).  It iterates on the shift ``A^T mu``
+and the residual ``A^T f``, whose first copies are ``mu`` and ``f``, both
+held as the ``(4, d)`` rows of a doubled point.
 
 The projected step is symmetric, symplectic on the original phase space,
 and preserves every linear and quadratic first integral of the underlying
@@ -27,14 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_AT, block_length, embed, read_point, restrict_copies
+from .core import apply_AT, block_length, embed, read_point, restrict_copies, scalar
 from .errors import ConfigError, NonConvergence, _check_fields
 from .hamiltonians import HamiltonianSystem
 from .splitting import ExtendedStep
 
 __all__ = ["SolverConfig", "StepStats", "semiexplicit_step", "solve_mu"]
-
-SOLVER_METHODS = ("simplified_newton", "broyden")
 
 # Abort when the residual grows by this factor over its initial value.
 DIVERGENCE_FACTOR = 1e4
@@ -56,7 +53,6 @@ class SolverConfig:
 
     tol: float = 1e-12
     max_iter: int = 100
-    method: str = "simplified_newton"
 
     def __post_init__(self):
         _check_fields(self)
@@ -64,8 +60,6 @@ class SolverConfig:
             raise ConfigError("tol must be finite and no smaller than 1e-16")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.method not in SOLVER_METHODS:
-            raise ConfigError(f"solver must be one of {SOLVER_METHODS}")
 
 
 @dataclass
@@ -170,6 +164,7 @@ def solve_mu(
     An image of another length than ``zeta_n`` raises
     :class:`DimensionMismatch`.  Every multiplier and residual is fresh.
     """
+    dt = scalar(dt, "dt")
     zeta_n, d = read_point(zeta_n, 4)  # the layout check, once per solve
     shape = (4, d)  # A^T mu as the rows (mu1, -mu1, mu2, -mu2), and A^T r alike
     if mu0 is None:
@@ -191,28 +186,9 @@ def solve_mu(
         # max(r) is max|r|; abs makes an all-zero residual's norm +0.0
         return r, abs(float(np.maximum.reduce(r, axis=None))), image
 
-    def newton(shift, r, _image):
-        return shift - QUARTER * r
-
-    inv_jac = prev_mu = prev_r = None  # Broyden's inverse Jacobian and last pass, in mu
-
-    def broyden(shift, r, _image):
-        nonlocal inv_jac, prev_mu, prev_r
-        mu, r = shift[::2].flatten(), r[::2].flatten()
-        if inv_jac is None:
-            inv_jac = np.eye(mu.size) / 4.0
-        else:
-            s = mu - prev_mu
-            hy = inv_jac @ (r - prev_r)
-            denom = float(s @ hy)
-            if denom != 0.0:
-                inv_jac += np.outer(s - hy, s @ inv_jac) / denom
-        prev_mu, prev_r = mu, r
-        return apply_AT(mu - inv_jac @ r).reshape(shape)
-
-    advance = newton if cfg.method == "simplified_newton" else broyden
-    try:
-        shift, image, stats = iterate(evaluate, advance, start, cfg, "projection", "residual")
+    try:  # Newton's step, the shift less r/4
+        shift, image, stats = iterate(evaluate, lambda s, r, _image: s - QUARTER * r, start,
+                                      cfg, "projection", "residual")
     except NonConvergence as failure:  # its best iterate is a shift: hand back its mu
         failure.best = failure.best[::2].flatten()
         raise

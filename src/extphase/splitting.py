@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import COPIES, FLOWS, floats, row_pairs
+from .core import COPIES, FLOWS, floats, row_pairs, scalar
 from .errors import ConfigError, _check_fields
 from .hamiltonians import HamiltonianSystem
 
@@ -122,6 +122,7 @@ def flow_a(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
 
     One gradient evaluation, taken at the frozen copy ``(q, y)``.
     """
+    t = scalar(t, "t")
     out = floats(zeta).copy()
     qy, xp = row_pairs(out, FLOWS, system.dim)
     _push(xp, t, system.fields(qy))
@@ -130,6 +131,7 @@ def flow_a(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
 
 def flow_b(system: HamiltonianSystem, t: float, zeta: np.ndarray) -> np.ndarray:
     """Exact flow freezing ``(x, p)``: pushes ``(q, y)`` for time ``t``."""
+    t = scalar(t, "t")
     out = floats(zeta).copy()
     qy, xp = row_pairs(out, FLOWS, system.dim)
     _push(qy, t, system.fields(xp))
@@ -142,6 +144,7 @@ def pihajoki_step(system: HamiltonianSystem, dt: float, zeta: np.ndarray) -> np.
     Second order, symmetric, symplectic on the doubled space; exactly three
     gradient evaluations.  The flows act in place on one copy of ``zeta``.
     """
+    dt = scalar(dt, "dt")
     h = np.array(0.5 * dt)  # 0-d: a ufunc takes it faster than a float, at the same bits
     out = floats(zeta).copy()
     qy, xp = row_pairs(out, FLOWS, system.dim)
@@ -166,7 +169,7 @@ def coupling_flow(omega: float, t: float, zeta: np.ndarray) -> np.ndarray:
     ``2*omega*t`` while fixing the copy sums; costs no gradient evaluations.
     Returns a fresh array: the rotation acts in place on one copy of ``zeta``.
     """
-    angle = _rotation_angle(omega, t)
+    angle = _rotation_angle(scalar(omega, "omega"), scalar(t, "t"))
     out = floats(zeta).copy()
     first, second = row_pairs(out, COPIES)
     if angle == 0.0:
@@ -193,6 +196,7 @@ def tao_step(
     :func:`pihajoki_step` and reproduces it bit for bit (at three gradient
     evaluations).
     """
+    dt = scalar(dt, "dt")
     if params.omega == 0.0:
         return pihajoki_step(system, dt, zeta)
     h = np.array(0.5 * dt)  # 0-d, as in pihajoki_step
@@ -213,6 +217,7 @@ def composed_step(base: ExtendedStep, scheme: CompositionScheme) -> ExtendedStep
         return base
 
     def step(system: HamiltonianSystem, dt: float, zeta: np.ndarray) -> np.ndarray:
+        dt = scalar(dt, "dt")
         for gamma in scheme.coefficients:
             zeta = base(system, gamma * dt, zeta)
         return zeta

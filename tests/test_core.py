@@ -18,6 +18,8 @@ from extphase import (
     apply_AT,
     blocks,
     check_gradient,
+    COMPOSITIONS,
+    composed_step,
     coupling_flow,
     defect_norm,
     embed,
@@ -174,6 +176,55 @@ def test_every_layout_reader_reads_a_list_as_its_array():
     for name, reader in {**_layout_readers(d), **ANY_DIMENSION}.items():
         point = embed(z) if name in DOUBLED else z  # on the diagonal, for restrict
         assert bits(np.asarray(reader(point.tolist()))) == bits(np.asarray(reader(point))), name
+
+
+def _scalar_readers() -> dict:
+    """Each function with a scalar argument, as ``(name, argument)`` to a call
+    of that value on a fixed point, the other arguments well formed."""
+    system, cfg, params = make_nls(2), SolverConfig(), TaoParams()
+    z = np.array([0.3, -0.2, 0.5, 0.1])
+    zeta = embed(z)
+    fourth = composed_step(pihajoki_step, COMPOSITIONS[4, None])
+    return {
+        ("flow_a", "t"): lambda t: flow_a(system, t, zeta),
+        ("flow_b", "t"): lambda t: flow_b(system, t, zeta),
+        ("pihajoki_step", "dt"): lambda dt: pihajoki_step(system, dt, zeta),
+        ("tao_step", "dt"): lambda dt: tao_step(system, dt, zeta, params),
+        ("composed_step", "dt"): lambda dt: fourth(system, dt, zeta),
+        ("coupling_flow", "omega"): lambda omega: coupling_flow(omega, 0.1, zeta),
+        ("coupling_flow", "t"): lambda t: coupling_flow(10.0, t, zeta),
+        ("solve_mu", "dt"): lambda dt: solve_mu(system, pihajoki_step, dt, zeta, cfg)[0],
+        ("semiexplicit_step", "dt"): lambda dt: semiexplicit_step(
+            system, pihajoki_step, dt, z, cfg)[0],
+        ("gl_step", "dt"): lambda dt: gl_step(system, dt, z, gl_tableau(4), cfg)[0],
+        ("restrict", "tol"): lambda tol: restrict(zeta, tol),
+    }
+
+
+# scalars no reader takes: each was an untyped error, a misleading
+# NonConvergence or a result before scalar arguments were read by one rule
+NOT_SCALARS = {
+    "None": None, "bool": True, "text": "0.1", "complex": 1j, "0-d array": np.array(0.1),
+    "list": [0.1], "int past float range": 10**400,
+}
+
+
+@pytest.mark.parametrize("value", NOT_SCALARS.values(), ids=NOT_SCALARS.keys())
+@pytest.mark.parametrize("reader", _scalar_readers().keys(), ids="{0[0]}-{0[1]}".format)
+def test_every_scalar_argument_is_refused_by_name_unless_a_real_number(reader, value):
+    _, argument = reader
+    with pytest.raises(ConfigError, match=f"^{argument} must be a real number, not "):
+        _scalar_readers()[reader](value)
+
+
+@pytest.mark.parametrize("reader", _scalar_readers().keys(), ids="{0[0]}-{0[1]}".format)
+def test_a_scalar_argument_reads_an_integer_or_a_numpy_number_as_its_float(reader):
+    call = _scalar_readers()[reader]
+    value = 1e-12 if reader[1] == "tol" else 0.1
+    expected = bits(np.asarray(call(value)))
+    assert bits(np.asarray(call(np.float64(value)))) == expected
+    assert bits(np.asarray(call(np.float32(0.5)))) == bits(np.asarray(call(0.5)))
+    assert bits(np.asarray(call(1))) == bits(np.asarray(call(1.0)))
 
 
 def test_a_stack_reads_each_row_as_halves():

@@ -43,7 +43,6 @@ from extphase import (
 )
 from extphase.cli import main
 from extphase.harness import emit_benchmark_csv
-from extphase.projection import SOLVER_METHODS
 from extphase.splitting import COMPOSITIONS
 
 
@@ -110,7 +109,7 @@ def test_spec_checks_itself_on_construction():
     assert spec.n_steps == 4
     # the solve defaults are the solver's own
     cfg = SolverConfig()
-    assert (spec.tol, spec.max_iter, spec.solver) == (cfg.tol, cfg.max_iter, cfg.method)
+    assert (spec.tol, spec.max_iter, spec.solver) == (cfg.tol, cfg.max_iter, "simplified_newton")
 
 
 _G4 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -593,10 +592,10 @@ def test_cli_run_with_preset(tmp_path, capsys):
     cols = load_csv(out)
     assert "q1" in cols and "p2" in cols
     assert cols["step"].tolist() == [0, 2, 4, 6, 8, 10]
-    # the help names every method, order, composition and solver a spec accepts
+    # the help names every method, order and composition a spec accepts
     assert main(["run", "--help"]) == 0
     words = capsys.readouterr().out.split()
-    names = [*harness.METHODS, *SOLVER_METHODS, *(c for _, c in COMPOSITIONS if c)]
+    names = [*harness.METHODS, *(c for _, c in COMPOSITIONS if c)]
     names += [str(order) for order, _ in COMPOSITIONS]
     assert [name for name in names if name not in words] == []
 
@@ -643,7 +642,6 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         ["--tol", "1e-17"],
         ["--tol", "inf"],
         ["--method", "gl4", "--tol", "inf"],
-        ["--solver", "foo"],
         ["--omega", "nan"],
         ["--method", "tao", "--omega", "1e308"],
         ["--method", "tao", "--omega", "1e308", "--order", "6", "--composition", "yoshida"],
@@ -694,6 +692,9 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         ["run", "--preset", "testcase", "--t-end", "1", "--d", "0.05"],
         ["run", "--preset", "testcase", "--t-end", "1", "--om", "3", "--meth", "tao"],
         ["bench", "--preset", "testcase", "--t-end", "1", "--rep", "2"],
+        # the projection has one solver, and no flag to choose it
+        ["run", "--preset", "vortex4", "--solver", "broyden"],
+        ["run", "--preset", "vortex4", "--solver", "simplified_newton"],
     ):
         assert main(argv) == 4, argv
     capsys.readouterr()
@@ -705,6 +706,21 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
             "--dt-list", "0.1,0.1,0.1,0.1"]
     assert main(argv) == 4
     assert "step sizes must be distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["broyden", "newton", ""])
+def test_a_spec_takes_only_the_one_projection_solver(tmp_path, capsys, solver):
+    config = {"system": "testcase", "method": "semiexplicit", "dt": 0.1, "t_end": 1.0}
+    accepted = "solver must be 'simplified_newton'"
+    with pytest.raises(ConfigError, match=accepted):
+        make_spec({**config, "solver": solver})
+    with pytest.raises(ConfigError, match=accepted):  # whatever the method
+        make_spec({**config, "method": "gl2", "solver": solver})
+    path = tmp_path / "solver.json"
+    path.write_text(json.dumps({**config, "solver": solver}))
+    assert main(["run", "--config", str(path)]) == 4
+    assert accepted in capsys.readouterr().err
+    assert make_spec({**config, "solver": "simplified_newton"}).solver == "simplified_newton"
 
 
 @pytest.mark.parametrize(
@@ -761,7 +777,7 @@ def test_cli_exit_code_on_nonconvergence(capsys):
         ["bench", "--preset", "nls_bench", "--tol", "1e-16", "--t-end", "0.1"],
         ["run", "--preset", "testcase", "--order", "4", "--composition", "triple_jump",
          "--tol", "1e-16", "--t-end", "1"],
-        ["run", "--preset", "vortex4", "--solver", "broyden", "--tol", "1e-16", "--t-end", "0.5"],
+        ["run", "--preset", "vortex4", "--tol", "1e-16", "--t-end", "0.5"],
     ):
         assert main(argv) == 2, argv
         expected = r"run incomplete at step \d+ \(t=[0-9.e+-]+\): " if argv[0] == "run" else (
@@ -900,13 +916,12 @@ OPTIONS = {
     "--composition": (["triple_jump", "suzuki", "yoshida"], ["single", "bogus"]),
     "--omega": (["10", "0", "1e3"], ["-1", "nan", "inf", "1e308"]),
     "--tol": (["1e-10", "1e-12", "1e-6"], ["1e-17", "0", "nan", "inf"]),
-    "--solver": (["simplified_newton", "broyden"], ["newton"]),
     "--stride": (["1", "3"], ["0", "-1", "x"]),
     "--reps": (["1", "2"], ["0", "x"]),
     "--dt": (["0.01", "0.05", "0.1"], ["0", "-0.1", "nan", "inf", "1e400", "x"]),
     "--max-iter": (["50", "200"], ["1", "0", "-3", "2.5"]),
 }
-SPEC_FLAGS = ["--method", "--order", "--composition", "--omega", "--tol", "--solver"]
+SPEC_FLAGS = ["--method", "--order", "--composition", "--omega", "--tol"]
 COMMAND_FLAGS = {"run": ["--stride", "--record-state"], "bench": ["--reps"], "converge": []}
 PREFIX_FLAGS = ["--d", "--om", "--rep"]  # prefixes of --dt, --omega and --reps, all refused
 

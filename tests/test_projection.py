@@ -150,15 +150,12 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=1e-17)
-    with pytest.raises(ValueError):
-        SolverConfig(method="newton_krylov")
     # a non-finite tol would end every solve after one pass
     for tol in (math.inf, math.nan):
         with pytest.raises(ConfigError, match="tol must be finite"):
             SolverConfig(tol=tol)
     # the spec's own field rule: a bool is no number, and max_iter is whole
-    for name, value in (("tol", True), ("tol", None), ("max_iter", 2.5), ("max_iter", True),
-                        ("method", 1)):
+    for name, value in (("tol", True), ("tol", None), ("max_iter", 2.5), ("max_iter", True)):
         with pytest.raises(ConfigError, match=f"{name} must be "):
             SolverConfig(**{name: value})
 
@@ -184,17 +181,6 @@ def test_solve_on_testcase_converges_quickly():
     assert stats.iterations <= 10
     assert counter.n_grad == 3 * stats.iterations
     assert stats.final_residual <= 1e-12
-
-
-def test_broyden_solver_agrees_with_newton():
-    sys_ = make_testcase()
-    newton = SolverConfig(tol=1e-13, max_iter=60, method="simplified_newton")
-    broyden = SolverConfig(tol=1e-13, max_iter=60, method="broyden")
-    mu_n, _, st_n = solve_mu(sys_, pihajoki_step, 0.1, embed(Z0), newton)
-    mu_b, _, st_b = solve_mu(sys_, pihajoki_step, 0.1, embed(Z0), broyden)
-    assert st_b.final_residual <= broyden.tol
-    np.testing.assert_allclose(mu_b, mu_n, atol=1e-12)
-    assert st_b.iterations <= st_n.iterations + 3
 
 
 def test_solver_divergence_guard():
@@ -403,22 +389,8 @@ def _seed_projected_step(system, inner, dt, z_n, cfg, mu0):
         r = apply_A(image) + 2.0 * mu
         return r, float(np.max(np.abs(r))), image
 
-    inv_jac = prev_mu = prev_r = None
-
     def advance(mu, r, _image):
-        nonlocal inv_jac, prev_mu, prev_r
-        if cfg.method == "simplified_newton":
-            return mu - 0.25 * r
-        if inv_jac is None:
-            inv_jac = np.eye(mu.size) / 4.0
-        else:
-            s = mu - prev_mu
-            hy = inv_jac @ (r - prev_r)
-            denom = float(s @ hy)
-            if denom != 0.0:
-                inv_jac += np.outer(s - hy, s @ inv_jac) / denom
-        prev_mu, prev_r = mu, r
-        return mu - inv_jac @ r
+        return mu - 0.25 * r
 
     mu, image, stats = iterate(evaluate, advance, mu, cfg, "projection", "residual")
     zeta_next = image + apply_AT(mu)
@@ -435,14 +407,13 @@ NLS5_Z0 = np.array([3.0, 0.01, 0.01, 0.01, 0.01, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("warm", [False, True])
-@pytest.mark.parametrize("solver", ["simplified_newton", "broyden"])
 @pytest.mark.parametrize("case", ["testcase", "nls5"])
-def test_a_stalled_solve_fails_as_the_seed_formulas_do(case, solver, warm):
+def test_a_stalled_solve_fails_as_the_seed_formulas_do(case, warm):
     """A solve stopped by ``max_iter`` raises the seed formulas' failure bit
     for bit: its message, pass count, smallest residual and the flat ``2d``
     multiplier with that residual, not the iterate the solve runs on."""
     system, z = (make_testcase(), Z0) if case == "testcase" else (make_nls(5), NLS5_Z0)
-    cfg = SolverConfig(tol=1e-16, max_iter=3, method=solver)
+    cfg = SolverConfig(tol=1e-16, max_iter=3)
     mu0 = 1e-3 * seeded_rng(402).normal(size=z.size) if warm else None
     with pytest.raises(NonConvergence) as ours:
         semiexplicit_step(system, pihajoki_step, 0.1, z, cfg, mu0=mu0)
@@ -460,19 +431,17 @@ def test_a_stalled_solve_fails_as_the_seed_formulas_do(case, solver, warm):
 @given(
     case=systems_with_invariants(),
     key=st.sampled_from(list(COMPOSITIONS)),
-    solver=st.sampled_from(["simplified_newton", "broyden"]),
     warm=st.booleans(),
     dt=st.floats(0.01, 0.05),
     data=st.data(),
 )
-def test_the_projected_step_is_the_seed_formulas_and_owns_its_buffers(
-        case, key, solver, warm, dt, data):
+def test_the_projected_step_is_the_seed_formulas_and_owns_its_buffers(case, key, warm, dt, data):
     """Two consecutive steps, cold or warm started, equal the seed formulas
     bit for bit; they leave their input as it was, and what they return
     shares no memory with it or with each other."""
     system, z0, _ = case
     inner = composed_step(pihajoki_step, COMPOSITIONS[key])
-    cfg = SolverConfig(tol=1e-12, method=solver)
+    cfg = SolverConfig(tol=1e-12)
     d = z0.size // 2
     mu0 = data.draw(arrays(np.float64, 2 * d, elements=st.floats(-1e-3, 1e-3))) if warm else None
     inputs = [z0] if mu0 is None else [z0, mu0]
@@ -526,7 +495,6 @@ def _poisoned(value, entry, first_pass):
     return inner
 
 
-@pytest.mark.parametrize("solver", ["simplified_newton", "broyden"])
 @pytest.mark.parametrize(
     "make_inner, z, mu0",
     [
@@ -546,13 +514,13 @@ def _poisoned(value, entry, first_pass):
     ],
 )
 def test_the_projected_step_is_the_seed_formulas_at_zero_and_non_finite_residuals(
-        solver, make_inner, z, mu0):
+        make_inner, z, mu0):
     """The residual's sup norm is read as ``max(r)``, which equals ``max|r|``
     only because the signed residual holds each entry's negation; at a
     residual of signed zeros, and at one with inf or nan entries, the step
     still returns, or fails with, the seed formulas' bits, the final
     residual compared by ``float.hex``."""
-    system, cfg = make_testcase(), SolverConfig(tol=1e-12, method=solver)
+    system, cfg = make_testcase(), SolverConfig(tol=1e-12)
     ours = _outcome(lambda: _projected(system, make_inner(), z, cfg, mu0))
     seed = _outcome(lambda: _seed_projected_step(system, make_inner(), 0.1, z, cfg, mu0))
     assert ours == seed
@@ -588,17 +556,15 @@ def _returns_a_fresh_array(system, dt, zeta):
 @given(
     case=systems_with_invariants(),
     inner=st.sampled_from([_writes_into_its_input, _returns_a_fresh_array]),
-    solver=st.sampled_from(["simplified_newton", "broyden"]),
     warm=st.booleans(),
     dt=st.floats(0.01, 0.05),
 )
-def test_an_inner_step_may_write_into_its_input_or_return_a_fresh_array(
-        case, inner, solver, warm, dt):
+def test_an_inner_step_may_write_into_its_input_or_return_a_fresh_array(case, inner, warm, dt):
     """The solve hands the inner step its buffer: an inner step that writes
     into it and returns it, and one that returns a fresh array, both give the
     seed formulas' steps bit for bit, cold or warm started."""
     system, z, _ = case
-    cfg = SolverConfig(tol=1e-12, method=solver)
+    cfg = SolverConfig(tol=1e-12)
     mu_start = None
     for _ in range(2):
         z_next, stats = semiexplicit_step(system, inner, dt, z, cfg, mu0=mu_start)

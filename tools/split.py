@@ -13,8 +13,10 @@ configurations at their presets' initial states:
   (``nls_bench``, d=5, ``semiexplicit`` over ``pihajoki_step``, simplified
   Newton, ``tol=1e-10``, cold start): the whole step, its inner steps as
   they run inside it (a ``perf_counter`` pair around each), and one
-  ``fields`` call on a ``(2, d)`` row; and a ``CountingSystem`` around a
-  kernel that returns its rows, against that kernel bare;
+  ``fields`` call on each of the strided ``FLOWS`` views ``(q, y)`` and
+  ``(x, p)`` of the embedded point, which an inner step's kernel reads
+  twice and once; and a ``CountingSystem`` around a kernel that returns its
+  rows, against that kernel bare;
 - a gl6 sweep of the vortex-gauss workload (``vortex10``, ``dt=0.1``,
   ``tol=1e-10``): the whole step and one ``fields`` call on its three stage
   rows;
@@ -27,8 +29,8 @@ order that rotates from round to round, and a piece's time is its minimum
 over the rounds, so that all pieces see the same swings of the host.  Each
 timing follows untimed calls of the same piece, since the piece timed just
 before leaves the caches to a different working set.  For each checkout
-the script prints the projected step's kernel time (``3 * passes`` fields
-calls), the inner step's time outside the kernel per pass, the solve +
+the script prints the projected step's kernel time (``passes`` times two
+``(q, y)`` and one ``(x, p)`` fields call), the inner step's time outside the kernel per pass, the solve +
 embed + finish time per step (the step minus its inner steps), and the
 step's time outside the kernel against the kernel's, with the counting
 wrapper's own cost per ``fields`` call (the counted call less the bare
@@ -98,6 +100,7 @@ def pieces(xp) -> tuple[dict, int, int]:
         return zeta.copy()
 
     zeta = xp.embed(z)
+    qy, xp_rows = xp.core.row_pairs(zeta, xp.core.FLOWS)  # the flows' points, strided
 
     class Rows(xp.HamiltonianSystem):  # a kernel that costs next to nothing
         dim = system.dim
@@ -127,7 +130,8 @@ def pieces(xp) -> tuple[dict, int, int]:
         "inner": inner_in_step,
         "copy_step": timed(lambda: xp.semiexplicit_step(system, copy_inner, dt, z, cfg)),
         "copy_solve": timed(lambda: xp.solve_mu(system, copy_inner, dt, zeta, cfg)),
-        "fields": timed(lambda: system.fields(row)),
+        "fields_qy": timed(lambda: system.fields(qy)),
+        "fields_xp": timed(lambda: system.fields(xp_rows)),
         "bare_rows": timed(lambda: bare.fields(row)),
         "counted_rows": timed(lambda: counted.fields(row)),
         "gl_step": timed(lambda: xp.gl_step(vortices, gspec.dt, w, tableau, cfg)),
@@ -152,13 +156,15 @@ def interleaved_minima(timings: dict, rounds: int) -> dict:
 
 
 def report(root: Path, us: dict, passes: int, sweeps: int) -> None:
-    kernel = 3 * passes * us["fields"]
+    per_pass = 2 * us["fields_qy"] + us["fields_xp"]  # A(dt/2) B(dt) A(dt/2)
+    kernel = passes * per_pass
     print(f"extphase from {root}")
     print(f"  projected lattice step (nls_bench, tol 1e-10, {passes} passes): "
           f"{us['step']:.1f} us")
-    print(f"    kernel, {3 * passes} fields calls of {us['fields']:.2f} us: {kernel:.1f} us/step")
+    print(f"    kernel, {3 * passes} fields calls, on (q, y) {us['fields_qy']:.2f} us and "
+          f"(x, p) {us['fields_xp']:.2f} us: {kernel:.1f} us/step")
     inner = us["inner"] / passes  # one inner step, as it runs inside the step
-    print(f"    inner step outside the kernel: {inner - 3 * us['fields']:.2f} us/pass "
+    print(f"    inner step outside the kernel: {inner - per_pass:.2f} us/pass "
           f"({inner:.2f} us per inner step)")
     fixed = us["copy_step"] - us["copy_solve"]  # embed + finish, as a step over a copy reads them
     solve = us["step"] - us["inner"] - fixed
