@@ -50,9 +50,6 @@ class EvalCounter:
 
     n_grad: int = 0
 
-    def tick(self, points: int = 1) -> None:
-        self.n_grad += points
-
 
 class HamiltonianSystem(ABC):
     """A canonical Hamiltonian system on ``R^d x R^d`` with analytic gradients."""
@@ -120,11 +117,11 @@ class CountingSystem(HamiltonianSystem):
         return self.base.energies(rows)
 
     def grad(self, q, p):
-        self.counter.tick()
+        self.counter.n_grad += 1
         return self.base.grad(q, p)
 
     def fields(self, rows):
-        self.counter.n_grad += rows.size // self._row  # tick's charge, without its call
+        self.counter.n_grad += rows.size // self._row
         return self.base.fields(rows)
 
 
@@ -288,10 +285,8 @@ def _pair_geometry(rows):
     r2 = squares[..., 0, :, :] + squares[..., 1, :, :]
     pairs = r2.reshape(-1, n * n)  # one row per configuration
     pairs[:, :: n + 1] = np.inf
-    worst = pairs.min(initial=math.inf)
-    if worst != worst:  # a nan coordinate must not hide a coincident pair, here or elsewhere
-        worst = np.fmin.reduce(pairs.ravel())
-    if worst < COLLISION_GUARD**2:
+    # fmin skips a nan, so a nan coordinate cannot hide a coincident pair elsewhere
+    if np.fmin.reduce(pairs, axis=None, initial=math.inf) < COLLISION_GUARD**2:
         raise VortexCollision(f"vortices closer than {COLLISION_GUARD:g} in planar coordinates")
     return diffs, r2
 

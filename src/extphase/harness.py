@@ -227,8 +227,8 @@ def build_system(spec: ExperimentSpec):
             q0, p0 = spec.q0, spec.p0
             if spec.system == "testcase":
                 system = make_testcase()
-                # the reference state by default; an empty block is not a missing one
-                q0, p0 = (-1.0, 2.0) if q0 is None else q0, (1.0, -1.0) if p0 is None else p0
+                default = PRESETS["testcase"]  # its state for a block that is None, not empty
+                q0, p0 = default["q0"] if q0 is None else q0, default["p0"] if p0 is None else p0
                 named = {"L": inv_mod.testcase_L, "Q": inv_mod.testcase_Q}
             elif spec.system == "nls":
                 if spec.d is None:
@@ -238,8 +238,8 @@ def build_system(spec: ExperimentSpec):
             else:
                 config = VortexConfig(spec.gammas, spec.positions)
                 system = make_vortices(config)
-                if spec.positions is not None:
-                    q0, p0 = halves(canonical_from_planar(config, spec.positions))
+                if config.initial_positions is not None:
+                    q0, p0 = halves(canonical_from_planar(config, config.initial_positions))
                 named = {
                     "L_a": partial(inv_mod.vortex_linear_impulse_x, config.circulations),
                     "L_b": partial(inv_mod.vortex_linear_impulse_y, config.circulations),
@@ -500,17 +500,16 @@ def final_state(spec: ExperimentSpec) -> np.ndarray:
     return run.write_z(np.empty((2, system.dim))).reshape(-1)
 
 
-def convergence_study(spec: ExperimentSpec, dt_list, t_end: float | None = None):
-    """Least-squares order estimate from final-state errors over a dt sweep.
+def convergence_study(spec: ExperimentSpec, dt_list):
+    """Least-squares order estimate from final-state errors over a dt sweep to ``spec.t_end``.
 
     Requires at least four distinct step sizes in geometric progression.  The
     reference solution is a 3-stage Gauss run at ``min(dt)/20``, solved to ``1e-14``.
     Returns ``(slope, errors)`` with ``errors`` mapping dt to the Euclidean
     final-state error.
     """
-    horizon = t_end if t_end is not None else spec.t_end
     dts = sorted((float(v) for v in dt_list), reverse=True)
-    specs = [replace(spec, dt=dt, t_end=horizon) for dt in dts]  # each checked before any run
+    specs = [replace(spec, dt=dt) for dt in dts]  # each checked before any run
     if len(dts) < 4:
         raise ConfigError("need at least four step sizes")
     if len(set(dts)) < len(dts):
@@ -524,7 +523,6 @@ def convergence_study(spec: ExperimentSpec, dt_list, t_end: float | None = None)
         order=6,
         composition=None,
         dt=min(dts) / 20.0,
-        t_end=horizon,
         tol=1e-14,
         max_iter=500,
     )

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import block_length, blocks, embed, floats, halves, join, read_point
+from .core import block_length, blocks, embed, floats, halves, join, read_point, scalar
 from .errors import ConfigError, DimensionMismatch
 from .hamiltonians import HamiltonianSystem, _canonical_scaling, _central_differences, _evaluate
 
@@ -193,8 +193,7 @@ def coupling_bracket(inv: QuadraticInvariant, zeta: np.ndarray, omega: float) ->
     rotation to conserve the lifted quadratic.
     """
     q, x, p, y = blocks(zeta, inv.dim)
-    u = x - q
-    v = y - p
+    u, v, omega = x - q, y - p, scalar(omega, "omega")
     return float(
         0.5 * omega * (v @ (inv.k12 @ v) - u @ (inv.k12 @ u) + u @ ((inv.k22 - inv.k11) @ v))
     )

@@ -36,6 +36,9 @@ __all__ = ["SolverConfig", "StepStats", "semiexplicit_step", "solve_mu"]
 # Abort when the residual grows by this factor over its initial value.
 DIVERGENCE_FACTOR = 1e4
 
+# A residual no longer falling within this fraction of max(1, |out|) is round-off.
+ROUND_OFF = 1e3 * np.finfo(float).eps
+
 # Room in the final diagonal check for the shift's rounding, about one ulp of
 # |zeta_next|, which a tol near 1e-16 lacks.
 SHIFT_ROUNDING = 4.0 * np.finfo(float).eps
@@ -71,14 +74,14 @@ class StepStats:
     costs the same number of gradient evaluations, so a step's cost is
     ``iterations`` times that per-pass cost (one pass for an explicit
     step); the harness meters it with its own counter.  A projection solve
-    also sets ``shift``, its accepted ``A^T mu`` as the ``(4, d)`` rows of a
-    doubled point, which the projected step's finish reads.
+    also sets ``mu``, its accepted multiplier, and ``shift``, ``A^T mu`` as
+    the ``(4, d)`` rows of a doubled point, which the projected step's finish reads.
     """
 
     iterations: int
     final_residual: float
-    mu: np.ndarray | None = field(default=None, repr=False)
     defect_norm: float = 0.0
+    mu: np.ndarray | None = field(default=None, init=False, repr=False)
     shift: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -90,7 +93,8 @@ def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str
     pass; ``advance(x, r, out)`` returns the next iterate.  Iterates are
     rebound, never written in place, so the one with the smallest residual
     is kept without a copy.  Returns ``(x, out, stats)`` at the first pass
-    with ``norm <= cfg.tol``.
+    with ``norm <= cfg.tol``, or the first at round-off: a norm no smaller
+    than the previous one and at most ``ROUND_OFF * max(1, max|out|)``.
 
     Raises :class:`NonConvergence`, carrying the smallest-residual iterate
     and its residual, when the residual is no longer finite (a math range
@@ -100,7 +104,7 @@ def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str
     message.  Overflow and invalid operations are silent for the whole
     solve: a residual that is no longer finite ends it as above.
     """
-    x, best, best_norm, first, passes = x0, x0, math.inf, None, 0
+    x, best, best_norm, first, last, passes = x0, x0, math.inf, None, math.inf, 0
 
     def failure(message):
         return NonConvergence(message, best=best, final_residual=best_norm, iterations=passes)
@@ -118,7 +122,8 @@ def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str
                 best, best_norm = x, norm
             if first is None:
                 first = max(norm, 1e-300)
-            if norm <= cfg.tol:
+            if norm <= cfg.tol or (norm >= last and norm <= ROUND_OFF * max(
+                    1.0, float(np.maximum.reduce(np.abs(out), axis=None)))):
                 return x, out, StepStats(passes, norm)
             if norm > DIVERGENCE_FACTOR * first:
                 raise failure(f"{subject} solve diverged: {measure} {norm:.3e} from {first:.3e}")
@@ -127,7 +132,7 @@ def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str
                     f"{subject} solve stalled at {measure} {norm:.3e} after "
                     f"{passes} iterations (tol {cfg.tol:.1e})"
                 )
-            x = advance(x, r, out)
+            x, last = advance(x, r, out), norm
 
 
 @functools.cache
@@ -214,5 +219,6 @@ def semiexplicit_step(
     """
     zeta_n = embed(z_n)  # the layout check, once per step
     _, image, stats = solve_mu(system, extended_step, dt, zeta_n, cfg, mu0=mu0)
-    z_next, stats.defect_norm = restrict_copies(image, cfg.tol + SHIFT_ROUNDING, stats.shift)
+    bound = max(cfg.tol, stats.final_residual) + SHIFT_ROUNDING  # a round-off stop is above tol
+    z_next, stats.defect_norm = restrict_copies(image, bound, stats.shift)
     return z_next, stats

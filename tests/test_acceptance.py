@@ -280,7 +280,7 @@ def test_criterion_6_convergence_orders():
     # the order-4/6 errors sit below 64-bit round-off at these step sizes.
     dts = [0.1, 0.05, 0.025, 0.0125]
     base = xp.preset(
-        "testcase", tol=1e-14, max_iter=400, q0=(3.5, 3.3), p0=(-2.5, 0.8)
+        "testcase", tol=1e-14, max_iter=400, q0=(3.5, 3.3), p0=(-2.5, 0.8), t_end=1.0
     )
     cases = [
         ("pihajoki", 2, None, 2.0, 0.2),
@@ -299,7 +299,7 @@ def test_criterion_6_convergence_orders():
         spec = replace(base, method=method)
         if not method.startswith("gl"):
             spec = replace(spec, order=order, composition=comp)
-        slope, _errors = xp.convergence_study(spec, dts, t_end=1.0)
+        slope, _errors = xp.convergence_study(spec, dts)
         label = method if method.startswith("gl") else f"{method}-{order}" + (
             f"({comp})" if comp else ""
         )

@@ -305,17 +305,18 @@ def test_a_warm_started_projected_run_saves_gradients():
 
 
 def test_failed_runs_keep_the_cost_identity(capsys):
-    # the failing step's passes were paid for in gradients, so they are counted
-    stalled = ["run", "--preset", "testcase", "--order", "4", "--composition", "triple_jump",
-               "--tol", "1e-16", "--t-end", "1"]
+    # the failing step's passes were paid for in gradients, so they are counted;
+    # each run stalls at its iteration cap after steps that converged
+    stalled = ["run", "--preset", "vortex4", "--order", "4", "--composition", "triple_jump",
+               "--max-iter", "4", "--t-end", "20"]
     assert main(stalled) == 2
-    assert "1 steps, itr_total=106, vf_total=954," in capsys.readouterr().out
+    assert "5 steps, itr_total=24, vf_total=216," in capsys.readouterr().out
     for spec, cost in (
-        (preset("testcase", order=4, composition="triple_jump", tol=1e-16, t_end=1.0), 9),
-        (preset("nls_bench", method="gl4", order=4, tol=1e-16, t_end=0.1), 2),
+        (preset("vortex4", order=4, composition="triple_jump", max_iter=4, t_end=20.0), 9),
+        (preset("vortex4", method="gl4", order=4, max_iter=8, t_end=10.0), 2),
     ):
         record = run_experiment(spec)
-        assert record.failure_kind == "non_convergence"
+        assert record.failure_kind == "non_convergence" and record.total_steps > 0
         assert record.vf_total == cost * record.itr_total
         assert record.itr_total == record.itr.sum() + record.failure.iterations
 
@@ -535,7 +536,7 @@ def test_convergence_study_input_validation(monkeypatch):
         raise AssertionError(f"a run started at dt={spec.dt}")
 
     monkeypatch.setattr(harness, "final_state", no_run)
-    spec = preset("vortex4", method="gl4", order=4)
+    spec = preset("vortex4", method="gl4", order=4, t_end=50.0)
     for dts, message in (
         ([0.8, 0.4, 0.2, 0.1], "t_end must be an integer number of steps"),
         ([0.1, 0.05, 0.025, 0.0], "dt must be positive and finite"),
@@ -543,16 +544,16 @@ def test_convergence_study_input_validation(monkeypatch):
         ([100.0, 50.0, 25.0, 12.5], "dt must not exceed t_end"),
     ):
         with pytest.raises(ConfigError, match=message):
-            convergence_study(spec, dts, t_end=50.0)
+            convergence_study(spec, dts)
     monkeypatch.undo()
-    spec = preset("testcase", tol=1e-13)
+    spec = preset("testcase", tol=1e-13, t_end=1.0)
     with pytest.raises(ConfigError):
-        convergence_study(spec, [0.1, 0.05, 0.025], t_end=1.0)
+        convergence_study(spec, [0.1, 0.05, 0.025])
     with pytest.raises(ConfigError):
-        convergence_study(spec, [0.1, 0.05, 0.03, 0.02], t_end=1.0)
+        convergence_study(spec, [0.1, 0.05, 0.03, 0.02])
     # a repeated size is a geometric progression of ratio 1 but leaves one point to fit
     with pytest.raises(ConfigError, match="distinct"):
-        convergence_study(spec, [0.1, 0.1, 0.1, 0.1], t_end=1.0)
+        convergence_study(spec, [0.1, 0.1, 0.1, 0.1])
 
 
 def test_final_state_matches_recorded_run():
@@ -772,17 +773,37 @@ def test_cli_exit_code_on_nonconvergence(capsys):
         ["run", "--preset", "testcase", "--method", "pihajoki", "--dt", "16", "--t-end", "3200"],
         ["bench", "--preset", "testcase", "--method", "pihajoki", "--dt", "16", "--t-end", "3200"],
         ["run", "--preset", "testcase", "--method", "tao", "--dt", "8", "--t-end", "1600"],
-        # a solve converged to a tol near 1e-16 is on the diagonal up to the shift's rounding
+        # a projected solve stalled at its iteration cap, and one that diverges
+        ["run", "--preset", "testcase", "--order", "4", "--composition", "triple_jump",
+         "--max-iter", "2", "--t-end", "1"],
+        ["bench", "--preset", "nls_bench", "--max-iter", "2", "--t-end", "0.1"],
+        ["run", "--preset", "nls_bench", "--dt", "0.5", "--t-end", "2"],
+    ):
+        assert main(argv) == 2, argv
+        expected = r"run incomplete at step \d+ \(t=[0-9.e+-]+\): " if argv[0] == "run" else (
+            "solver failed to converge: ")
+        assert re.search(expected, capsys.readouterr().err), argv
+
+
+def test_cli_runs_to_round_off_at_the_smallest_tol(capsys):
+    # a solve that stops at round-off above tol is on the diagonal up to its own
+    # residual and the shift's rounding, so the run completes
+    for argv in (
         ["run", "--preset", "nls_bench", "--tol", "1e-16", "--t-end", "0.1"],
         ["bench", "--preset", "nls_bench", "--tol", "1e-16", "--t-end", "0.1"],
         ["run", "--preset", "testcase", "--order", "4", "--composition", "triple_jump",
          "--tol", "1e-16", "--t-end", "1"],
         ["run", "--preset", "vortex4", "--tol", "1e-16", "--t-end", "0.5"],
     ):
-        assert main(argv) == 2, argv
-        expected = r"run incomplete at step \d+ \(t=[0-9.e+-]+\): " if argv[0] == "run" else (
-            "solver failed to converge: ")
-        assert re.search(expected, capsys.readouterr().err), argv
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
+
+
+def test_the_testcase_preset_runs_past_its_round_off_stall():
+    # at a solve tolerance of 1e-14 without the round-off stop, step 3602 stalled
+    record = run_experiment(preset("testcase", t_end=400.0))
+    assert record.complete and record.total_steps == 4000
+    assert max(record.drifts["L"].max(), record.drifts["Q"].max()) <= 1e-11
 
 
 def test_a_diagnostic_beyond_math_range_records_inf():

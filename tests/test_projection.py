@@ -37,7 +37,7 @@ from extphase import (
     vortex_linear_impulse_x,
     vortex_linear_impulse_y,
 )
-from extphase.projection import cold_start, iterate
+from extphase.projection import ROUND_OFF, SHIFT_ROUNDING, cold_start, iterate
 
 from conftest import seeded_rng
 
@@ -107,6 +107,26 @@ def test_iterate_returns_the_first_iterate_within_tol():
     assert stats.iterations == 11
     assert x.tolist() == [2.0**-10] and stats.final_residual == 2.0**-10
     assert out.tolist() == [2.0**-9]
+
+
+@pytest.mark.parametrize(
+    "residuals, passes",
+    [
+        # at round-off, level or rising
+        ([0.5, 1e-14, 1e-14, 1e-16], 3),
+        ([0.5, 1e-14, 2e-14, 1e-16], 3),  # the current pass, not the smallest residual
+        ([0.5, 3e-13, 3e-13, 1e-16], 3),  # above ROUND_OFF, within it times max|out| = 2
+        # still falling at round-off, or rising above it: the solve goes on
+        ([0.5, 1e-13, 5e-14, 5e-14], 4),
+        ([0.5, 1e-3, 2e-3, 1e-16], 4),
+    ],
+)
+def test_iterate_stops_where_the_residual_stops_falling_at_round_off(residuals, passes):
+    evaluate, advance = scripted(residuals)
+    x, out, stats = iterate(evaluate, advance, np.array([0.0]), SolverConfig(tol=1e-16),
+                            "toy", "change")
+    assert stats.iterations == passes and x.tolist() == [passes - 1.0] and out is x
+    assert stats.final_residual == residuals[passes - 1]
 
 
 @pytest.mark.parametrize(
@@ -425,6 +445,27 @@ def test_a_stalled_solve_fails_as_the_seed_formulas_do(case, warm):
     assert float(ours.final_residual).hex() == float(seed.final_residual).hex()
     assert ours.best.shape == (z.size,)
     assert ours.best.tobytes() == seed.best.tobytes()
+
+
+def test_a_step_stopped_at_round_off_is_on_the_diagonal_to_its_residual():
+    """At ``tol=1e-16`` an inner step that rounds by more than the shift does
+    (here: 16 ulps on one entry, of alternating sign) stops the solve at
+    round-off above ``tol + SHIFT_ROUNDING``, and the step's diagonal check
+    accepts what the solve accepted."""
+    calls = []
+
+    def noisy(system, dt, zeta):
+        image = pihajoki_step(system, dt, zeta)
+        calls.append(None)
+        image[1] += (-1) ** len(calls) * 16 * np.finfo(float).eps
+        return image
+
+    cfg = SolverConfig(tol=1e-16)
+    z_next, stats = semiexplicit_step(make_testcase(), noisy, 0.1, Z0, cfg)
+    assert cfg.tol + SHIFT_ROUNDING < stats.final_residual <= ROUND_OFF
+    assert stats.defect_norm <= 2.0 * stats.final_residual
+    plain, _ = semiexplicit_step(make_testcase(), pihajoki_step, 0.1, Z0, cfg)
+    np.testing.assert_allclose(z_next, plain, rtol=0.0, atol=1e-13)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

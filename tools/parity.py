@@ -23,13 +23,15 @@ subnormals and ``1e150``; a point a kernel refuses records its error.
 one stack of each system's six finite points, the normal draws, so the
 kernel is judged on more than one row.  The energy and the invariants are
 pinned per point and on its one canonical row ``(1, 2, d)`` (``energies``
-and a stacked ``evaluate``).  It also covers 19 runs that
-fail, 12 on ``nls_bench``, 4 on ``testcase`` and 3 projected runs at
-``tol=1e-16``, whose errors are compared as text and, for a
-``NonConvergence``, by what they carry: ``iterations``, ``final_residual``
-and the SHA-256 of the ``best`` iterate's bytes; the SHA-256 of the CSV
+and a stacked ``evaluate``).  It also covers 21 runs meant to fail: 18
+that do, 12 on ``nls_bench``, 4 on ``testcase`` and a projected and a
+Gauss solve stalled at ``max_iter=2``, whose errors are compared as text
+and, for a ``NonConvergence``, by what they carry: ``iterations``,
+``final_residual`` and the SHA-256 of the ``best`` iterate's bytes; and 3
+projected runs at ``tol=1e-16``, which complete by stopping at round-off,
+so they pin where such a solve stops; the SHA-256 of the CSV
 and SVG files of one full-horizon ``vortex4`` ``tao-2`` run (4,001 rows);
-and the bytes ``emit_benchmark_csv`` writes for a fixed row: 2,805
+and the bytes ``emit_benchmark_csv`` writes for a fixed row: 2,831
 entries.  Floats are stored with ``float.hex``, so equal entries are equal
 bit for bit.
 
@@ -68,11 +70,12 @@ def method_configurations() -> list[dict]:
 
 
 def failure_configurations() -> list[dict]:
-    """19 runs that fail on a step, each kind of method at least once: 12 on
-    ``nls_bench``, 4 ``testcase`` blow-ups at large steps, where the
-    explicit runs leave the range or domain of ``math``'s functions, and 3
-    projected runs whose solve stalls at ``tol=1e-16``, two after steps
-    that converged to it and ``vortex4`` on its first step."""
+    """21 runs meant to fail on a step, each kind of method at least once: 12
+    on ``nls_bench``, 4 ``testcase`` blow-ups at large steps, where the
+    explicit runs leave the range or domain of ``math``'s functions, a
+    projected and a Gauss solve stalled at ``max_iter=2`` on their first
+    step, and 3 projected runs at ``tol=1e-16``, which complete by stopping
+    at round-off and so pin where such a solve stops."""
     configs = []
     for order, composition in SCHEMES:
         scheme = dict(order=order, composition=composition)
@@ -91,6 +94,8 @@ def failure_configurations() -> list[dict]:
         dict(preset="testcase", method="tao", dt=8.0, t_end=1600.0),
         dict(preset="testcase", method="semiexplicit", dt=16.0, t_end=3200.0),
         dict(preset="testcase", method="gl2", dt=16.0, t_end=3200.0),
+        dict(preset="testcase", order=4, composition="triple_jump", max_iter=2, t_end=1.0),
+        dict(preset="nls_bench", method="gl4", order=4, max_iter=2, t_end=0.1),
         dict(preset="nls_bench", tol=1e-16, t_end=0.1),
         dict(preset="testcase", order=4, composition="triple_jump", tol=1e-16, t_end=1.0),
         dict(preset="vortex4", tol=1e-16, t_end=0.5),
