@@ -6,9 +6,11 @@ A system is two row kernels on canonical rows ``(..., 2, d)`` = ``(q, p)``:
 ``grad(q, p) -> (D1H, D2H)`` and ``energy(q, p)`` at one point and inherits
 kernels that call them once per row; the built-in systems override the
 kernels, and their ``grad`` and ``energy`` are the one-row cases, bit for
-bit.  One row's field is the unit of all integrator costs (one
-"vector-field evaluation"), as ``CountingSystem`` charges it; energies are
-diagnostics and are never counted.
+bit.  A row a kernel cannot compute reads inf past the range of ``math``'s
+functions and nan outside their domain; only a :class:`VortexCollision`
+and a layout error raise.  One row's field is the unit of all integrator
+costs (one "vector-field evaluation"), as ``CountingSystem`` charges it;
+energies are diagnostics and are never counted.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import floats, halves, join
-from .errors import ConfigError, DimensionMismatch, VortexCollision
+from .errors import ConfigError, DimensionMismatch, ExtPhaseError, VortexCollision
 
 __all__ = [
     "CountingSystem", "EvalCounter", "HamiltonianSystem", "NlsLattice", "PointVortexSystem",
@@ -33,11 +35,14 @@ __all__ = [
 COLLISION_GUARD = 1e-12
 
 
-def _evaluate(fn, *args) -> float:
+def _evaluate(fn, *args):
     """``fn(*args)``, or inf (nan) where ``fn`` leaves the range (domain) of
-    ``math``'s functions: the rule for a diagnostic that must not raise."""
+    ``math``'s functions, the one rule for a row a kernel cannot compute; the
+    package's own errors, a :class:`ConfigError` among them, pass through."""
     try:
         return fn(*args)
+    except ExtPhaseError:
+        raise
     except ArithmeticError:
         return math.inf
     except ValueError:
@@ -69,13 +74,15 @@ class HamiltonianSystem(ABC):
         = ``(q, p)``, fresh and in the same shape; one vector-field
         evaluation per row.
 
-        This default calls :meth:`grad` once per row; a system with its own
-        kernel overrides it, and its ``grad`` is then the one-row case.
+        This default calls :meth:`grad` once per row, by the same rule as
+        :meth:`energies`; a system with its own kernel overrides it, and its
+        ``grad`` is then the one-row case.
         """
         out = np.empty(rows.shape)
         shape = (-1, 2, rows.shape[-1])
         for row, into in zip(rows.reshape(shape), out.reshape(shape)):
-            gq, into[0] = self.grad(row[0], row[1])
+            grads = _evaluate(self.grad, row[0], row[1])
+            gq, into[0] = (grads, grads) if isinstance(grads, float) else grads
             np.negative(gq, out=into[1])
         return out
 
@@ -83,10 +90,9 @@ class HamiltonianSystem(ABC):
         """Values of the Hamiltonian at canonical rows ``(..., 2, d)``, in
         the shape ``rows.shape[:-2]``; diagnostics, never counted.
 
-        This default calls :meth:`energy` once per row and reads a row that
-        leaves the range of ``math``'s functions as inf and one outside their
-        domain as nan; a system whose kernel broadcasts over a leading axis
-        overrides it with one call.
+        This default calls :meth:`energy` once per row, by the rule of the
+        module docstring for a row it cannot compute; a system whose kernel
+        broadcasts over a leading axis overrides it with one call.
         """
         values = [_evaluate(self.energy, q, p) for q, p in rows.reshape(-1, 2, rows.shape[-1])]
         return np.array(values, dtype=float).reshape(rows.shape[:-2])
@@ -170,6 +176,14 @@ class _RowKernelSystem(HamiltonianSystem):
         return -rows[1], rows[0]
 
 
+def _lattice_size(d) -> int:
+    """``d`` as a lattice's number of sites, the one size rule of the lattice
+    and its mass: a whole number, at least 1, where a bool is no count."""
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1:
+        raise DimensionMismatch(f"lattice needs a whole number of sites, at least 1: {d!r}")
+    return int(d)
+
+
 class NlsLattice(_RowKernelSystem):
     """Quartic lattice with nearest-neighbour coupling (discrete NLS-type).
 
@@ -190,9 +204,7 @@ class NlsLattice(_RowKernelSystem):
     """
 
     def __init__(self, d: int):
-        if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1:
-            raise DimensionMismatch(f"lattice needs a whole number of sites, at least 1: {d!r}")
-        self.dim = int(d)
+        self.dim = _lattice_size(d)
 
     def energies(self, rows):
         qs, ps = rows[..., 0, :], rows[..., 1, :]

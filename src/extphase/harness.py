@@ -304,16 +304,12 @@ def _make_step(spec: ExperimentSpec):
         return step, cost
 
     def step(system, dt, zeta):
-        try:
-            # a state near float range overflows in the defect norm too
-            with np.errstate(over="ignore", invalid="ignore"):
-                zeta = inner(system, dt, zeta)
-                defect = defect_norm(zeta)
-            # x - q is inf or nan where either copy is, so a finite defect means a finite state
-            finite = math.isfinite(defect) or np.isfinite(zeta).all()
-        except (ArithmeticError, ValueError):  # math's range and domain errors
-            finite = False
-        if not finite:
+        # a state near float range overflows in the defect norm too
+        with np.errstate(over="ignore", invalid="ignore"):
+            zeta = inner(system, dt, zeta)
+            defect = defect_norm(zeta)
+        # x - q is inf or nan where either copy is, so a finite defect means a finite state
+        if not (math.isfinite(defect) or np.isfinite(zeta).all()):
             raise NonConvergence("state is no longer finite; the copies separated")
         # an explicit step is one pass of fixed cost, with no iterations
         return zeta, StepStats(0, 0.0, defect_norm=defect)

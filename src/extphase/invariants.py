@@ -32,7 +32,9 @@ import numpy as np
 
 from .core import block_length, blocks, embed, floats, halves, join, read_point, scalar
 from .errors import ConfigError, DimensionMismatch
-from .hamiltonians import HamiltonianSystem, _canonical_scaling, _central_differences, _evaluate
+from .hamiltonians import (
+    HamiltonianSystem, _canonical_scaling, _central_differences, _evaluate, _lattice_size,
+)
 
 __all__ = [
     "LinearInvariant", "QuadraticInvariant", "coupling_bracket", "coupling_preserves_quadratic",
@@ -201,6 +203,7 @@ def coupling_bracket(inv: QuadraticInvariant, zeta: np.ndarray, omega: float) ->
 
 def coupling_preserves_quadratic(inv: QuadraticInvariant, tol: float = 1e-12) -> bool:
     """True iff the copy-coupling rotation conserves the lifted quadratic."""
+    tol = scalar(tol, "tol")
     return bool(
         np.max(np.abs(inv.k12 + inv.k12.T), initial=0.0) <= tol
         and np.max(np.abs(inv.k22 - inv.k11), initial=0.0) <= tol
@@ -218,6 +221,7 @@ def tao_compatibility(inv: QuadraticInvariant, tol: float = 1e-12) -> bool:
     condition for conservation is tested by
     :func:`coupling_preserves_quadratic` (``k22 == +k11``).
     """
+    tol = scalar(tol, "tol")
     return bool(
         np.max(np.abs(inv.k12 + inv.k12.T), initial=0.0) <= tol
         and np.max(np.abs(inv.k22 + inv.k11), initial=0.0) <= tol
@@ -282,8 +286,8 @@ def drift_series(states, invariants) -> dict:
 
 
 def nls_mass(d: int) -> QuadraticInvariant:
-    """Total mass ``sum_i (q_i^2 + p_i^2)`` of the quartic lattice."""
-    eye = 2.0 * np.eye(d)
+    """Total mass ``sum_i (q_i^2 + p_i^2)`` of the quartic lattice of ``d`` sites."""
+    eye = 2.0 * np.eye(_lattice_size(d))
     return QuadraticInvariant(eye, np.zeros((d, d)), eye)
 
 

@@ -97,9 +97,9 @@ def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str
     than the previous one and at most ``ROUND_OFF * max(1, max|out|)``.
 
     Raises :class:`NonConvergence`, carrying the smallest-residual iterate
-    and its residual, when the residual is no longer finite (a math range
-    or domain error counts as such), grows by ``DIVERGENCE_FACTOR`` over its
-    first value, or the solve reaches ``cfg.max_iter`` passes.
+    and its residual, when the residual is no longer finite, grows by
+    ``DIVERGENCE_FACTOR`` over its first value, or the solve reaches
+    ``cfg.max_iter`` passes.
     ``subject`` and ``measure`` name the solve and its residual in the
     message.  Overflow and invalid operations are silent for the whole
     solve: a residual that is no longer finite ends it as above.
@@ -111,10 +111,7 @@ def iterate(evaluate, advance, x0, cfg: SolverConfig, subject: str, measure: str
 
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            try:
-                r, norm, out = evaluate(x)
-            except (ArithmeticError, ValueError):  # math's range and domain errors
-                norm = math.inf
+            r, norm, out = evaluate(x)
             passes += 1
             if not math.isfinite(norm):
                 raise failure(f"{subject} {measure} is no longer finite; reduce the step size")

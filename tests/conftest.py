@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -77,3 +78,21 @@ def same_bits(a, b) -> bool:
     nan = np.isnan(a)
     return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and (
         np.where(nan, 0.0, a).tobytes() == np.where(nan, 0.0, b).tobytes())
+
+
+def limited(fn, *args):
+    """``fn(*args)`` by the row kernels' rule: inf past the range of
+    ``math``'s functions, nan outside their domain."""
+    try:
+        return fn(*args)
+    except ArithmeticError:
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
+def limited_grad(system, q, p):
+    """``system.grad(q, p)`` by the row kernels' rule, which reads both
+    halves of a gradient it cannot compute as inf, or as nan."""
+    grads = limited(system.grad, q, p)
+    return (np.full(q.size, grads),) * 2 if isinstance(grads, float) else grads

@@ -22,6 +22,7 @@ from extphase import (
     composed_step,
     coupling_bracket,
     coupling_flow,
+    coupling_preserves_quadratic,
     defect_norm,
     embed,
     extended_hamiltonian_gradient,
@@ -41,6 +42,7 @@ from extphase import (
     semiexplicit_step,
     solve_mu,
     symplecticity_defect,
+    tao_compatibility,
     tao_step,
 )
 from extphase.core import restrict_copies
@@ -69,7 +71,8 @@ def test_blocks_rejects_bad_layouts(zeta, d):
 
 
 def bits(a: np.ndarray) -> list:
-    return a.view(np.uint64).tolist()
+    """The bits of a float array, or of a predicate's verdict read as 0.0 or 1.0."""
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
 
 
 LAYOUT = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -207,6 +210,9 @@ def _scalar_readers() -> dict:
         ("restrict", "tol"): lambda tol: restrict(zeta, tol),
         ("coupling_bracket", "omega"): lambda omega: coupling_bracket(
             nls_mass(2), zeta + np.arange(8.0) / 100, omega),
+        ("coupling_preserves_quadratic", "tol"): lambda tol: coupling_preserves_quadratic(
+            nls_mass(2), tol),
+        ("tao_compatibility", "tol"): lambda tol: tao_compatibility(nls_mass(2), tol),
     }
 
 
@@ -303,9 +309,6 @@ EXEMPT = (
     ("vortex_linear_impulse_x", _FACTORY), ("vortex_linear_impulse_y", _FACTORY),
     ("drift_series", "reads a stack of states, which its own tests probe"),
     ("join", "joins blocks, not a point: test_join_rejects_parts_that_are_not_a_point"),
-    # the two predicates' tol is not yet read by the scalar rule (ROADMAP item 10)
-    ("coupling_preserves_quadratic", "a predicate on an invariant's checked blocks"),
-    ("tao_compatibility", "a predicate on an invariant's checked blocks"),
 )
 
 

@@ -47,7 +47,7 @@ from extphase import (
 )
 from extphase.hamiltonians import COLLISION_GUARD
 
-from conftest import GradOnly, seeded_rng
+from conftest import GradOnly, limited, limited_grad, same_bits, seeded_rng
 from parity import EDGE_VALUES, kernel_points
 
 Q0 = np.array([-1.0, 2.0])
@@ -82,10 +82,11 @@ def test_testcase_gradient_vs_finite_differences():
 
 
 def test_nls_single_site():
-    # a lattice has a whole number of sites, at least one; a bool is no count
+    # a lattice, and its mass, has a whole number of sites, at least one; a bool is no count
     for d in (0, -1, 2.5, 1.0, True, False):
-        with pytest.raises(DimensionMismatch):
-            make_nls(d)
+        for make in (make_nls, nls_mass):
+            with pytest.raises(DimensionMismatch, match="whole number of sites"):
+                make(d)
     sys_ = make_nls(1)
     q, p = np.array([1.0]), np.array([1.0])
     assert sys_.energy(q, p) == pytest.approx(1.0, rel=1e-15)
@@ -415,16 +416,16 @@ def _outcome(call):
     try:
         with np.errstate(all="ignore"):
             return b"".join(np.ascontiguousarray(part).tobytes() for part in call())
-    except Exception as exc:  # the kernels' own errors and math's range and domain errors
+    except Exception as exc:  # a collision or a layout error
         return f"{type(exc).__name__}: {exc}"
 
 
 def _grad_fields(system, rows):
     """The field ``(D2H, -D1H)`` of each row from the per-point ``grad``,
-    row after row."""
+    row after row, read by the kernels' rule."""
     out = []
     for q, p in rows:
-        gq, gp = system.grad(q, p)
+        gq, gp = limited_grad(system, q, p)
         out += [gp, -gq]
     return out
 
@@ -601,25 +602,12 @@ def test_fields_grad_and_vector_fields_agree_bit_for_bit(name):
             lambda: (system.fields(pair.reshape(4, d)[0::3].copy()),))
 
 
-def _limited(fn, *args):
-    """A per-point diagnostic by the recording rule: inf past the range of
-    ``math``'s functions, nan outside their domain, None for a collision."""
+def _energy(system, q, p):
+    """The energy at one point by the kernels' rule, None for a collision."""
     try:
-        return fn(*args)
-    except ArithmeticError:
-        return math.inf
-    except ValueError:
-        return math.nan
+        return limited(system.energy, q, p)
     except VortexCollision:
         return None
-
-
-def _same_bits(stacked, per_point) -> bool:
-    """Equal bit for bit, where any nan equals any nan."""
-    stacked, per_point = np.asarray(stacked), np.array(per_point, dtype=float)
-    nan = np.isnan(per_point)
-    return stacked.shape == per_point.shape and bool((np.isnan(stacked) == nan).all()) and (
-        stacked[~nan].tobytes() == per_point[~nan].tobytes())
 
 
 def _doubled(states, d):
@@ -645,18 +633,18 @@ def test_stacked_diagnostics_are_per_point_diagnostics_bit_for_bit(seed, name):
         (states, _doubled(states, d)),
     ):
         with np.errstate(over="ignore", invalid="ignore"):
-            energies = [_limited(system.energy, z[:d], z[d:]) for z in zs]
+            energies = [_energy(system, z[:d], z[d:]) for z in zs]
             whole = [i for i, e in enumerate(energies) if e is not None]  # no collision
             rows = zs.reshape(-1, 2, d)
-            assert _same_bits(system.energies(rows[whole]), [energies[i] for i in whole])
+            assert same_bits(system.energies(rows[whole]), [energies[i] for i in whole])
             if len(whole) < len(zs):
                 with pytest.raises(VortexCollision):
                     system.energies(rows)
             for _, inv in invariants:
-                assert _same_bits(inv.evaluate(rows), [inv.evaluate(z) for z in zs])
+                assert same_bits(inv.evaluate(rows), [inv.evaluate(z) for z in zs])
             for inv in lifts:
-                assert _same_bits(inv.evaluate(doubled),
-                                  [inv.evaluate(z.reshape(-1)) for z in doubled])
+                assert same_bits(inv.evaluate(doubled),
+                                 [inv.evaluate(z.reshape(-1)) for z in doubled])
     assert isinstance(invariants[0][1].evaluate(states[0]), float)
     # an empty stack of rows: every kernel and every evaluate returns no values
     empty = np.empty((0, 2, d))
@@ -670,9 +658,31 @@ def test_stacked_diagnostics_read_overflow_as_inf_and_a_bad_domain_as_nan():
     with np.errstate(over="ignore", invalid="ignore"):
         # exp past math's range in the first row, sin(inf) outside its domain in the second
         rows = np.array([[[1e4, 1.0], [0.0, 1.0]], [[0.0, np.inf], [0.0, 1.0]]])
-        assert _same_bits(testcase.energies(rows), [np.inf, np.nan])
-        assert _same_bits(one_site.energies(np.array([[[1e200], [1.0]], [[np.nan], [1.0]]])),
-                          [np.inf, np.nan])
+        assert same_bits(testcase.energies(rows), [np.inf, np.nan])
+        fields = testcase.fields(rows)  # the field of a gradient read as inf, or as nan
+        assert same_bits(fields[0], [[np.inf, np.inf], [-np.inf, -np.inf]])
+        assert np.isnan(fields[1]).all()
+        assert same_bits(one_site.energies(np.array([[[1e200], [1.0]], [[np.nan], [1.0]]])),
+                         [np.inf, np.nan])
         rows = np.array([np.full(10, 1e200), np.full(10, np.nan)]).reshape(2, 2, 5)
-        assert _same_bits(nls_mass(5).evaluate(rows), [np.inf, np.nan])
+        assert same_bits(nls_mass(5).evaluate(rows), [np.inf, np.nan])
         assert np.isnan(lattice.energies(rows)).all()  # inf - inf in the coupling
+
+
+class Refusing(GradOnly):
+    """A grad-only system whose one-point methods raise the package's own error."""
+
+    def energy(self, q, p):
+        raise ConfigError("energy refused")
+
+    def grad(self, q, p):
+        raise ConfigError("grad refused")
+
+
+def test_the_per_row_kernels_pass_the_packages_own_errors_through():
+    # a ConfigError is a ValueError, yet no kernel reads it as nan
+    system, rows = Refusing(make_nls(2)), np.ones((3, 2, 2))
+    with pytest.raises(ConfigError, match="grad refused"):
+        system.fields(rows)
+    with pytest.raises(ConfigError, match="energy refused"):
+        system.energies(rows)

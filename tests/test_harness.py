@@ -319,6 +319,15 @@ def test_failed_runs_keep_the_cost_identity(capsys):
         assert record.failure_kind == "non_convergence" and record.total_steps > 0
         assert record.vf_total == cost * record.itr_total
         assert record.itr_total == record.itr.sum() + record.failure.iterations
+    # and a first step that leaves the range of math's functions pays its failing pass
+    # in full: an explicit step is one pass, a solve as many as it took
+    for method, cost, passes in (("pihajoki", 3, 1), ("tao", 4, 1), ("semiexplicit", 3, 1),
+                                 ("gl2", 1, 2)):
+        record = run_experiment(preset("testcase", method=method, q0=(3540.0, 1.0), p0=(0.0, 0.5),
+                                       dt=0.1, t_end=50.0, tol=1e-10))
+        assert record.failure_kind == "non_convergence" and record.total_steps == 0
+        assert record.vf_total == cost * passes
+        assert record.itr_total == (0 if method in ("pihajoki", "tao") else passes)
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from extphase import (
     EvalCounter,
     NonConvergence,
     SolverConfig,
+    TaoParams,
     VortexConfig,
     apply_A,
     apply_AT,
@@ -31,6 +33,7 @@ from extphase import (
     semiexplicit_step,
     solve_mu,
     symplecticity_defect,
+    tao_step,
     testcase_L as tc_linear_form,
     testcase_Q as tc_quadratic_form,
     vortex_angular_impulse,
@@ -88,12 +91,10 @@ def test_a_solve_that_stops_at_once_reports_the_residual_bit_for_bit():
 
 
 def scripted(residuals):
-    """A toy solve whose iterate ``[i]`` has residual ``residuals[i]``;
-    ``None`` there raises math's range error."""
+    """A toy solve whose iterate ``[i]`` has residual ``residuals[i]``."""
 
     def evaluate(x):
-        value = residuals[int(x[0])]
-        r = np.array([math.exp(1e3) if value is None else value])
+        r = np.array([residuals[int(x[0])]])
         return r, float(np.max(np.abs(r))), x
 
     return evaluate, lambda x, _r, _out: x + 1.0
@@ -137,9 +138,8 @@ def test_iterate_stops_where_the_residual_stops_falling_at_round_off(residuals, 
          "(tol 1.0e-03)"),
         # the divergence guard, against the first residual, not the best
         ([0.5, 0.2, 0.3, 6e3], 50, "toy solve diverged: change 6.000e+03 from 5.000e-01"),
-        # a non-finite residual, and a math range error in the evaluation
+        # a non-finite residual
         ([0.5, 0.2, 0.3, np.nan], 50, "toy change is no longer finite; reduce the step size"),
-        ([0.5, 0.2, 0.3, None], 50, "toy change is no longer finite; reduce the step size"),
     ],
 )
 def test_a_failed_solve_carries_its_smallest_residual_iterate(residuals, max_iter, message):
@@ -161,6 +161,17 @@ def test_a_solve_that_is_not_finite_at_once_keeps_its_start():
     assert err.value.best is x0
     assert err.value.final_residual == np.inf
     assert err.value.iterations == 1
+
+
+def test_an_inner_step_that_refuses_its_settings_ends_the_solve_with_that_error():
+    # a ConfigError is a ValueError, yet no solve reads it as a residual that is
+    # no longer finite: it keeps its type, and the run its exit code
+    inner = partial(tao_step, params=TaoParams(1e308))  # the rotation angle overflows
+    z = np.array([0.3, -0.2, 0.5, 0.1])
+    with pytest.raises(ConfigError, match="omega is too large"):
+        solve_mu(make_nls(2), inner, 0.1, embed(z), SolverConfig())
+    with pytest.raises(ConfigError, match="omega is too large"):
+        semiexplicit_step(make_nls(2), inner, 0.1, z, SolverConfig())
 
 
 def test_solver_config_validation():

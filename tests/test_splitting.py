@@ -31,7 +31,7 @@ from extphase import (
     testcase_Q as tc_quadratic_form,
 )
 
-from conftest import GradOnly, LinearSystem, Oscillator, same_bits, seeded_rng
+from conftest import GradOnly, LinearSystem, Oscillator, limited_grad, same_bits, seeded_rng
 from parity import kernel_points
 
 # Random lattice states, d in 1..4, in a range where every step stays finite.
@@ -497,8 +497,9 @@ def test_coupling_flow_is_the_seed_formula_bit_for_bit(zeta, omega, t, layout):
 
 def _seed_drift(system, t, q, p, x, y):
     """The flow kernel as first written: push ``(x, y)`` in place along the
-    field taken at the frozen ``(q, p)``, from one ``grad`` call."""
-    gq, gp = system.grad(q, p)
+    field taken at the frozen ``(q, p)``, from one ``grad`` call read by the
+    kernels' rule."""
+    gq, gp = limited_grad(system, q, p)
     x += t * gp
     y -= t * gq
 
@@ -538,7 +539,7 @@ def _outcome(call):
     try:
         with np.errstate(all="ignore"):
             return np.asarray(call(), dtype=float)
-    except Exception as exc:  # the kernels' own errors and math's range and domain errors
+    except Exception as exc:  # a collision or a layout error
         return f"{type(exc).__name__}: {exc}"
 
 

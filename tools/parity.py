@@ -19,6 +19,9 @@ interface, ``grad``, the row kernel ``fields``, ``energy`` and
 one- and two-site lattices, at 20 seeded points each: normal draws at
 three scales, signed zeros, and draws mixing in infinities, nan,
 subnormals and ``1e150``; a point a kernel refuses records its error.
+Only the vortex kernels refuse one, a collision; a row no kernel can
+compute reads inf or nan, so at such points only the testcase system's
+one-point ``grad`` and ``energy`` record math's error.
 ``fields`` is pinned at every point, one ``(2, d)`` row at a time, and on
 one stack of each system's six finite points, the normal draws, so the
 kernel is judged on more than one row.  The energy and the invariants are
