@@ -41,9 +41,9 @@ _NDARRAY, _FLOAT = np.ndarray, np.dtype(float)  # an array floats returns as it 
 def floats(value) -> np.ndarray:
     """``value`` as a float array, itself if it is one: the one rule for an array
     argument.  Ragged rows raise :class:`DimensionMismatch`, and entries other than
-    floats and integers (complex, bool, object, text) :class:`ConfigError`.  A
-    list's integer past 64 bits reads as its float where a float holds it, the
-    rule of a spec's numbers."""
+    floats and integers (complex, bool, object, text) :class:`ConfigError`, a
+    list's bool among numbers too.  A list's integer past 64 bits reads as its
+    float where a float holds it, the rule of a spec's numbers."""
     if type(value) is _NDARRAY and value.dtype is _FLOAT:
         return value
     try:
@@ -54,6 +54,9 @@ def floats(value) -> np.ndarray:
         array = array.astype(float)  # an integer past 64 bits, which NumPy keeps as an object
     if array.dtype.kind not in "fiu":
         raise ConfigError(f"an array must hold real numbers, not {array.dtype}")
+    if isinstance(value, (list, tuple)) and any(  # NumPy reads a bool among numbers as one
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+        raise ConfigError("an array must hold real numbers, not a bool among them")
     return array.astype(float, copy=False)
 
 

@@ -1,23 +1,26 @@
 """Built-in Hamiltonian systems with analytic gradients and eval counting.
 
-A system is two row kernels on canonical rows ``(..., 2, d)`` = ``(q, p)``:
-``fields(rows)``, the field ``(D2H, -D1H)`` in the same shape, and
-``energies(rows)``, the values of the Hamiltonian.  A user writes
-``grad(q, p) -> (D1H, D2H)`` and ``energy(q, p)`` at one point and inherits
-kernels that call them once per row; the built-in systems override the
-kernels, and their ``grad`` and ``energy`` are the one-row cases, bit for
-bit.  A row a kernel cannot compute reads inf past the range of ``math``'s
-functions and nan outside their domain; only a :class:`VortexCollision`
-and a layout error raise.  One row's field is the unit of all integrator
-costs (one "vector-field evaluation"), as ``CountingSystem`` charges it;
-energies are diagnostics and are never counted.
+A system is one class with two pairs of methods on canonical rows
+``(..., 2, d)`` = ``(q, p)``: the row kernel ``fields(rows)``, the field
+``(D2H, -D1H)`` in the same shape, with its one-point case
+``grad(q, p) -> (D1H, D2H)``; and ``energies(rows)``, the values of the
+Hamiltonian, with its one-point case ``energy(q, p)``.  Each method of a
+pair defaults to the other, so a system writes one of each, and a class
+that writes neither raises ``TypeError`` when it is defined.  The lattice
+and the vortices write the kernels; the testcase writes the one-point
+methods, which the default kernels call once per row.  A row a kernel
+cannot compute reads inf past the range of ``math``'s functions and nan
+outside their domain, the per-row defaults' rule; only a
+:class:`VortexCollision` and a layout error raise.  One row's field is the
+unit of all integrator costs (one "vector-field evaluation"), which
+``CountingSystem`` charges once per row of ``fields``, its ``grad`` being
+the one-row case; energies are diagnostics and are never counted.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,18 +59,28 @@ class EvalCounter:
     n_grad: int = 0
 
 
-class HamiltonianSystem(ABC):
-    """A canonical Hamiltonian system on ``R^d x R^d`` with analytic gradients."""
+class HamiltonianSystem:
+    """A canonical Hamiltonian system on ``R^d x R^d`` with analytic gradients;
+    a subclass writes one method of each pair, as the module docstring says."""
 
     dim: int
 
-    @abstractmethod
-    def energy(self, q: np.ndarray, p: np.ndarray) -> float:
-        """Value of the Hamiltonian; not counted as a vector-field evaluation."""
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for pair in (("fields", "grad"), ("energies", "energy")):
+            if all(getattr(cls, name) is getattr(HamiltonianSystem, name) for name in pair):
+                raise TypeError(f"{cls.__name__} must define {pair[0]} or {pair[1]}")
 
-    @abstractmethod
+    def energy(self, q: np.ndarray, p: np.ndarray) -> float:
+        """Value of the Hamiltonian, the one-row case of :meth:`energies`;
+        not counted as a vector-field evaluation."""
+        return float(self.energies(np.stack((q, p))))
+
     def grad(self, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Joint gradient ``(D1H, D2H)``; one vector-field evaluation."""
+        """Joint gradient ``(D1H, D2H)``, the one-row case of :meth:`fields`;
+        one vector-field evaluation."""
+        rows = self.fields(np.stack((q, p)))
+        return -rows[1], rows[0]
 
     def fields(self, rows: np.ndarray) -> np.ndarray:
         """Canonical fields ``(D2H, -D1H)`` at canonical rows ``(..., 2, d)``
@@ -75,8 +88,7 @@ class HamiltonianSystem(ABC):
         evaluation per row.
 
         This default calls :meth:`grad` once per row, by the same rule as
-        :meth:`energies`; a system with its own kernel overrides it, and its
-        ``grad`` is then the one-row case.
+        :meth:`energies`.
         """
         out = np.empty(rows.shape)
         shape = (-1, 2, rows.shape[-1])
@@ -91,8 +103,7 @@ class HamiltonianSystem(ABC):
         the shape ``rows.shape[:-2]``; diagnostics, never counted.
 
         This default calls :meth:`energy` once per row, by the rule of the
-        module docstring for a row it cannot compute; a system whose kernel
-        broadcasts over a leading axis overrides it with one call.
+        module docstring for a row it cannot compute.
         """
         values = [_evaluate(self.energy, q, p) for q, p in rows.reshape(-1, 2, rows.shape[-1])]
         return np.array(values, dtype=float).reshape(rows.shape[:-2])
@@ -102,12 +113,13 @@ class HamiltonianSystem(ABC):
 
 
 class CountingSystem(HamiltonianSystem):
-    """Wrapper charging every joint gradient point to an :class:`EvalCounter`.
+    """Wrapper charging every row of :meth:`fields` to an :class:`EvalCounter`.
 
-    Wrappers chain: stacking a second counter on an already-counting system
-    charges both, so a caller can meter one part of a run while the run
-    keeps its global tally.  Rows are forwarded whole, so a stack reaches
-    the base system's own kernel in one call.
+    Its :meth:`grad` and :meth:`energy` are the one-row cases, so a gradient
+    is charged in one place.  Wrappers chain: stacking a second counter on an
+    already-counting system charges both, so a caller can meter one part of
+    a run while the run keeps its global tally.  Rows are forwarded whole,
+    so a stack reaches the base system's own kernel in one call.
     """
 
     def __init__(self, base: HamiltonianSystem, counter: EvalCounter):
@@ -116,15 +128,8 @@ class CountingSystem(HamiltonianSystem):
         self.dim = base.dim
         self._row = 2 * base.dim  # entries per canonical row
 
-    def energy(self, q, p) -> float:
-        return self.base.energy(q, p)
-
     def energies(self, rows):
         return self.base.energies(rows)
-
-    def grad(self, q, p):
-        self.counter.n_grad += 1
-        return self.base.grad(q, p)
 
     def fields(self, rows):
         self.counter.n_grad += rows.size // self._row
@@ -164,18 +169,6 @@ def _row_dots(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-class _RowKernelSystem(HamiltonianSystem):
-    """A system that overrides both row kernels; its :meth:`energy` and
-    :meth:`grad` are their one-row cases, bit for bit."""
-
-    def energy(self, q, p) -> float:
-        return float(self.energies(np.stack((q, p))))
-
-    def grad(self, q, p):
-        rows = self.fields(np.stack((q, p)))
-        return -rows[1], rows[0]
-
-
 def _lattice_size(d) -> int:
     """``d`` as a lattice's number of sites, the one size rule of the lattice
     and its mass: a whole number, at least 1, where a bool is no count."""
@@ -184,7 +177,7 @@ def _lattice_size(d) -> int:
     return int(d)
 
 
-class NlsLattice(_RowKernelSystem):
+class NlsLattice(HamiltonianSystem):
     """Quartic lattice with nearest-neighbour coupling (discrete NLS-type).
 
     ``H = 1/4 sum_i (q_i^2 + p_i^2)^2
@@ -303,7 +296,7 @@ def _pair_geometry(rows):
     return diffs, r2
 
 
-class PointVortexSystem(_RowKernelSystem):
+class PointVortexSystem(HamiltonianSystem):
     """N planar point vortices in canonical coordinates.
 
     The planar variables ``(X_i, Y_i)`` relate to the canonical ones through

@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import invariants as inv_mod
-from .core import COPIES, defect_norm, embed, halves, join, row_pairs
+from .core import COPIES, defect_norm, embed, floats, halves, join, row_pairs
 from .errors import (
     ConfigError, DimensionMismatch, NonConvergence, VortexCollision, _check_fields, _real,
 )
@@ -499,15 +499,16 @@ def final_state(spec: ExperimentSpec) -> np.ndarray:
 def convergence_study(spec: ExperimentSpec, dt_list):
     """Least-squares order estimate from final-state errors over a dt sweep to ``spec.t_end``.
 
-    Requires at least four distinct step sizes in geometric progression.  The
-    reference solution is a 3-stage Gauss run at ``min(dt)/20``, solved to ``1e-14``.
-    Returns ``(slope, errors)`` with ``errors`` mapping dt to the Euclidean
-    final-state error.
+    Requires one flat list of at least four distinct step sizes in geometric
+    progression.  The reference solution is a 3-stage Gauss run at
+    ``min(dt)/20``, solved to ``1e-14``.  Returns ``(slope, errors)`` with
+    ``errors`` mapping dt to the Euclidean final-state error.
     """
-    dts = sorted((float(v) for v in dt_list), reverse=True)
+    dts = floats(dt_list)  # the array rule
+    if dts.ndim != 1 or len(dts) < 4:
+        raise ConfigError(f"need one flat list of at least four step sizes, not {dt_list!r}")
+    dts = sorted(dts.tolist(), reverse=True)
     specs = [replace(spec, dt=dt) for dt in dts]  # each checked before any run
-    if len(dts) < 4:
-        raise ConfigError("need at least four step sizes")
     if len(set(dts)) < len(dts):
         raise ConfigError("step sizes must be distinct")
     ratios = [dts[i] / dts[i + 1] for i in range(len(dts) - 1)]

@@ -32,9 +32,7 @@ import numpy as np
 
 from .core import block_length, blocks, embed, floats, halves, join, read_point, scalar
 from .errors import ConfigError, DimensionMismatch
-from .hamiltonians import (
-    HamiltonianSystem, _canonical_scaling, _central_differences, _evaluate, _lattice_size,
-)
+from .hamiltonians import HamiltonianSystem, _canonical_scaling, _central_differences, _lattice_size
 
 __all__ = [
     "LinearInvariant", "QuadraticInvariant", "coupling_bracket", "coupling_preserves_quadratic",
@@ -258,12 +256,13 @@ def drift_series(states, invariants) -> dict:
     """Relative drift of each invariant along a recorded trajectory.
 
     ``states`` is a sequence of flat points of one length; ``invariants`` is a
-    sequence of ``(name, evaluator)`` pairs where the evaluator is either an
-    invariant object, evaluated once on the states' canonical rows as a run's
-    record is, or a plain callable, called once per state.  Drift follows a
-    run's rule: a zero initial value degrades to absolute error, a blown-up
-    state reads inf or nan.  States that are not flat points of one length,
-    or that an invariant object cannot read, raise :class:`DimensionMismatch`.
+    sequence of ``(name, invariant)`` pairs, each a :class:`LinearInvariant`
+    or :class:`QuadraticInvariant`, evaluated once on the states' canonical
+    rows as a run's record is; any other evaluator raises
+    :class:`ConfigError`.  Drift follows a run's rule: a zero initial value
+    degrades to absolute error, a blown-up state reads inf or nan.  States
+    that are not flat points of one length, or that an invariant cannot
+    read, raise :class:`DimensionMismatch`.
     """
     zs = floats(states)
     if zs.shape[:1] == (0,):
@@ -273,10 +272,9 @@ def drift_series(states, invariants) -> dict:
     drifts = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for name, inv in invariants:
-            if hasattr(inv, "evaluate"):  # on the states' canonical rows
-                values = inv.evaluate(zs.reshape(len(zs), 2, block_length(zs[0], 2)))
-            else:
-                values = [_evaluate(inv, z) for z in zs]
+            if not isinstance(inv, (LinearInvariant, QuadraticInvariant)):
+                raise ConfigError(f"invariant {name!r} is no invariant object: {inv!r}")
+            values = inv.evaluate(zs.reshape(len(zs), 2, block_length(zs[0], 2)))
             drifts[name] = _relative_drift(values)
     return drifts
 

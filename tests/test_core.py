@@ -99,6 +99,8 @@ def test_layout_round_trips_bitwise(values):
 
 # entries that are not real numbers, in an array of the right length
 NOT_REAL = {"complex": complex, "bool": bool, "object": object, "text": str}
+# a bool among numbers, as a list, which NumPy would read as a number
+MIXED_BOOL = "bool among numbers, as a list"
 
 
 def _bad_point(d: int, kind: str, k: int, parts: int) -> np.ndarray:
@@ -112,6 +114,8 @@ def _bad_point(d: int, kind: str, k: int, parts: int) -> np.ndarray:
         return np.ones((k, parts * d))
     if kind in NOT_REAL:
         return np.ones(parts * d).astype(NOT_REAL[kind])
+    if kind == MIXED_BOOL:
+        return [True] + [2.0] * (parts * d - 1)
     return np.ones(parts * (d + k))  # wrong d
 
 
@@ -164,12 +168,12 @@ STACK_READERS = ("LinearInvariant.evaluate", "QuadraticInvariant.evaluate")
 
 @LAYOUT
 @given(
-    st.integers(1, 5), st.sampled_from(["odd", "empty", "2-D", "wrong d", *NOT_REAL]),
+    st.integers(1, 5), st.sampled_from(["odd", "empty", "2-D", "wrong d", *NOT_REAL, MIXED_BOOL]),
     st.integers(1, 6),
 )
 def test_every_layout_reader_rejects_a_bad_layout(d, kind, k):
     # under the suite's error::RuntimeWarning, a ComplexWarning fails the case too
-    error = ConfigError if kind in NOT_REAL else DimensionMismatch
+    error = ConfigError if kind in NOT_REAL or kind == MIXED_BOOL else DimensionMismatch
     readers = _layout_readers(d)
     if kind != "wrong d":
         readers.update(ANY_DIMENSION)
@@ -177,7 +181,7 @@ def test_every_layout_reader_rejects_a_bad_layout(d, kind, k):
         bad = _bad_point(d, kind, k, 4 if name in DOUBLED else 2)
         with pytest.raises(error):
             reader(bad)
-            pytest.fail(f"{name} accepted {bad.dtype} shape {bad.shape} at d={d}")
+            pytest.fail(f"{name} accepted {bad!r} at d={d}")
 
 
 def test_every_layout_reader_reads_a_list_as_its_array():
@@ -301,7 +305,9 @@ EXEMPT = (
     ("preset", "builds an ExperimentSpec from a named preset, refusing unknown names"),
     ("load_config", "reads a JSON file into make_spec; every failure is a ConfigError"),
     ("build_system", _SPEC_RUN), ("run_experiment", _SPEC_RUN), ("benchmark", _SPEC_RUN),
-    ("final_state", _SPEC_RUN), ("convergence_study", _SPEC_RUN),
+    ("final_state", _SPEC_RUN),
+    ("convergence_study", "reads a spec and a flat list of step sizes by the array rule, "
+                          "which test_convergence_study_input_validation probes"),
     ("emit_csv", "writes a TrajectoryRecord"), ("emit_svg", "draws a TrajectoryRecord"),
     ("load_csv", "reads a file it wrote; an unreadable one is a ConfigError"),
     ("gl_tableau", _FACTORY), ("nls_mass", _FACTORY), ("testcase_L", _FACTORY),

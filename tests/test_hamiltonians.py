@@ -27,6 +27,7 @@ from extphase import (
     flow_b,
     gl_step,
     gl_tableau,
+    halves,
     harness,
     join,
     make_nls,
@@ -40,6 +41,7 @@ from extphase import (
     preset,
     recording,
     run_experiment,
+    semiexplicit_step,
     tao_step,
     vortex_angular_impulse,
     vortex_linear_impulse_x,
@@ -258,6 +260,25 @@ def test_counters_chain():
     sys_ = make_testcase().with_counter(outer).with_counter(inner)
     sys_.grad(Q0, P0)
     assert outer.n_grad == 1 and inner.n_grad == 1
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_a_counted_grad_is_the_base_grad_charged_once(name):
+    base, z0, _ = build_system(preset(name))
+    q, p = halves(z0, base.dim)
+    counter = EvalCounter()
+    counted = base.with_counter(counter)
+    assert same_bits(join(*counted.grad(q, p)), join(*base.grad(q, p)))
+    assert counter.n_grad == 1
+
+
+def test_a_counted_one_point_system_reads_math_range_errors_by_the_kernel_rule():
+    q, p = np.array([1e4, 1.0]), np.array([0.0, 0.5])
+    with pytest.raises(OverflowError):  # an uncounted system keeps math's error
+        make_testcase().grad(q, p)
+    counter = EvalCounter()
+    gq, gp = make_testcase().with_counter(counter).grad(q, p)
+    assert np.isposinf(gq).all() and np.isposinf(gp).all() and counter.n_grad == 1
 
 
 def test_nls_mass_commutes_with_energy():
@@ -530,10 +551,37 @@ def test_a_counter_over_a_grad_only_system_charges_one_grad_per_point(name):
     assert counter.n_grad == timed.calls == charged + 3 * stats.iterations
 
 
-def test_a_system_is_energy_grad_and_their_two_row_kernels():
-    assert HamiltonianSystem.__abstractmethods__ == {"energy", "grad"}
+class OscillatorRows(HamiltonianSystem):
+    """The kernels-only twin of ``conftest.Oscillator``."""
+
+    dim = 1
+
+    def fields(self, rows):
+        return np.stack((rows[..., 1, :], -rows[..., 0, :]), axis=-2)
+
+    def energies(self, rows):
+        q, p = rows[..., 0, 0], rows[..., 1, 0]
+        return 0.5 * (q**2 + p**2)
+
+
+def test_a_system_writes_one_method_of_each_pair(oscillator):
     public = {name for name in dir(HamiltonianSystem) if not name.startswith("_")}
     assert public == {"energy", "grad", "fields", "energies", "with_counter"}
+
+    def one(self, *args):
+        raise AssertionError("never called")
+
+    for written in ({}, {"grad": one}, {"fields": one}, {"energy": one}, {"energies": one}):
+        with pytest.raises(TypeError, match="must define (fields or grad|energies or energy)"):
+            type("Partial", (HamiltonianSystem,), written)
+    twin = OscillatorRows()
+    q, p = np.array([0.3]), np.array([-1.7])
+    assert same_bits(join(*twin.grad(q, p)), join(*oscillator.grad(q, p)))
+    assert twin.energy(q, p) == oscillator.energy(q, p)
+    cfg = SolverConfig(tol=1e-14)
+    steps = [semiexplicit_step(system, pihajoki_step, 0.1, join(q, p), cfg)[0]
+             for system in (twin, oscillator)]
+    assert same_bits(*steps)
 
 
 class CallLog(HamiltonianSystem):

@@ -563,6 +563,12 @@ def test_convergence_study_input_validation(monkeypatch):
     # a repeated size is a geometric progression of ratio 1 but leaves one point to fit
     with pytest.raises(ConfigError, match="distinct"):
         convergence_study(spec, [0.1, 0.1, 0.1, 0.1])
+    # the step sizes are one flat list, read by the array rule
+    for dts in (0.1, [[0.1, 0.05], [0.025, 0.0125]], [0.1, None, 0.025, 0.0125],
+                [True, 0.5, 0.25, 0.125]):
+        with pytest.raises(ConfigError):
+            convergence_study(spec, dts)
+            pytest.fail(f"convergence_study accepted {dts!r}")
 
 
 def test_final_state_matches_recorded_run():

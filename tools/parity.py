@@ -5,9 +5,11 @@ Usage, from the repository root:
     python3 tools/parity.py dump src /tmp/new.json
     python3 tools/parity.py dump /path/to/other/checkout/src /tmp/old.json
     python3 tools/parity.py compare /tmp/old.json /tmp/new.json
+    python3 tools/parity.py pin src PARITY.json
 
 ``dump`` imports ``extphase`` from the given source directory and writes
-one JSON object of named entries.  A tree from before invariants took
+one JSON object of named entries, which :func:`entries` makes for an
+imported ``extphase``.  A tree from before invariants took
 canonical rows ``(..., 2, d)`` (when ``evaluate`` took a ``(B, 2d)``
 stack) is dumped with its own copy of this tool.  It covers every built-in preset under
 every method configuration: a 20-step run recording every step with its
@@ -41,12 +43,18 @@ bit for bit.
 ``compare`` prints the entries that differ between the two dumps, then the
 entries found in only one of them, with a count of each, and exits 1 if
 there is any, 0 otherwise.
+
+``pin`` writes the file the test suite compares a tree with: a first line
+of :func:`environment`, the versions and CPU features the bits follow,
+then one entry per line in key order, each value the first 16 hex digits
+of the SHA-256 of its canonical JSON (:func:`hashed`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -187,10 +195,8 @@ def _guarded(out: dict, key: str, fn) -> None:
         out[f"{key}/raised"] = f"{type(exc).__name__}: {exc}"
 
 
-def dump(src_dir: str, out_path: str) -> int:
-    sys.path.insert(0, str(Path(src_dir).resolve()))
-    import extphase as xp
-
+def entries(xp) -> dict:
+    """The named entries of the imported ``extphase`` module ``xp``."""
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp_dir = Path(tmp)
@@ -279,6 +285,18 @@ def dump(src_dir: str, out_path: str) -> int:
 
         _guarded(out, "full/vortex4/method=tao,order=2", run_full_horizon)
         _guarded(out, "emit_benchmark_csv", write_benchmark_csv)
+    return out
+
+
+def _import(src_dir: str):
+    sys.path.insert(0, str(Path(src_dir).resolve()))
+    import extphase
+
+    return extphase
+
+
+def dump(src_dir: str, out_path: str) -> int:
+    out = entries(_import(src_dir))
     Path(out_path).write_text(json.dumps(out, sort_keys=True), encoding="utf-8")
     failed = sum(
         1 for k, v in out.items() if k.startswith("failure/") and k.endswith("/complete") and not v
@@ -288,11 +306,52 @@ def dump(src_dir: str, out_path: str) -> int:
     return 0
 
 
+def environment() -> dict:
+    """What the bits follow beside the source: the Python and NumPy versions,
+    the BLAS NumPy was built with, and NumPy's CPU features on this machine."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    simd = config["SIMD Extensions"]
+    return {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "cpu_features": simd["baseline"] + simd["found"],
+    }
+
+
+def hashed(out: dict) -> dict:
+    """Each entry's value as the first 16 hex digits of the SHA-256 of its
+    canonical JSON, which keep its bits: floats are stored as ``float.hex``."""
+    return {
+        key: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
+        for key, value in out.items()
+    }
+
+
+def pin(src_dir: str, out_path: str) -> int:
+    """Write the pin file: the environment, then one hashed entry per line."""
+    pinned = hashed(entries(_import(src_dir)))
+    lines = [f"{json.dumps(key)}: {json.dumps(pinned[key])}" for key in sorted(pinned)]
+    Path(out_path).write_text(
+        f'{{"environment": {json.dumps(environment(), sort_keys=True)},\n"entries": {{\n'
+        + ",\n".join(lines) + "\n}}\n",
+        encoding="utf-8",
+    )
+    print(f"{len(pinned)} entries pinned in {out_path}")
+    return 0
+
+
+def differences(a: dict, b: dict) -> tuple[list, list, list]:
+    """The keys whose entries differ between two dumps, then those found in
+    the first only, then those found in the second only."""
+    return (sorted(k for k in set(a) & set(b) if a[k] != b[k]),
+            sorted(set(a) - set(b)), sorted(set(b) - set(a)))
+
+
 def compare(a_path: str, b_path: str) -> int:
     a = json.loads(Path(a_path).read_text(encoding="utf-8"))
     b = json.loads(Path(b_path).read_text(encoding="utf-8"))
-    differing = sorted(k for k in set(a) & set(b) if a[k] != b[k])
-    only_a, only_b = sorted(set(a) - set(b)), sorted(set(b) - set(a))
+    differing, only_a, only_b = differences(a, b)
     for label, keys in (("differs", differing), (f"only in {a_path}", only_a),
                         (f"only in {b_path}", only_b)):
         for key in keys:
@@ -306,6 +365,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "dump":
         return dump(argv[1], argv[2])
+    if len(argv) == 3 and argv[0] == "pin":
+        return pin(argv[1], argv[2])
     if len(argv) == 3 and argv[0] == "compare":
         return compare(argv[1], argv[2])
     print(__doc__, file=sys.stderr)
